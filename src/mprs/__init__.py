@@ -13,13 +13,10 @@ from .classic import (
     TwoPlayerArena,
     attractor,
     cross_check_two_player,
-    make_ras,
     make_reachability,
     make_safety,
-    make_sias,
 )
 from .equilibrium import (
-    Certificate,
     Deviation,
     NEReport,
     all_profiles,
@@ -32,30 +29,22 @@ from .equilibrium import (
 )
 from .game import (
     TERMINAL,
-    TRIVIAL,
-    Action,
     Game,
     GameSpec,
-    IllegalActionError,
     InvalidGameError,
     Role,
     State,
     Violation,
     ViolationKind,
-    actions,
-    owner_of,
-    transition,
     turn_payoff,
     validate_game,
 )
 from .gamefile import (
     GameDocument,
     ParseError,
-    emit_document,
     emit_game,
     export_dot,
     parse_document,
-    parse_game,
     profile_to_json,
 )
 from .generator import GeneratorParams, InfeasibleError, random_game
@@ -73,7 +62,6 @@ from .valuation import (
     best_response,
     best_response_enum,
     check_profile,
-    compare_payoffs,
     outcome,
     play,
     qualitative_payoff,
@@ -84,8 +72,6 @@ from .valuation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action",
-    "Certificate",
     "CrossCheckReport",
     "DEFAULT_ENUM_GUARD",
     "Deviation",
@@ -94,7 +80,6 @@ __all__ = [
     "GameDocument",
     "GameSpec",
     "GeneratorParams",
-    "IllegalActionError",
     "InfeasibleError",
     "InvalidGameError",
     "Mismatch",
@@ -110,35 +95,27 @@ __all__ = [
     "State",
     "Strategy",
     "TERMINAL",
-    "TRIVIAL",
     "TooLargeError",
     "TwoPlayerArena",
     "ValueTable",
     "Violation",
     "ViolationKind",
-    "actions",
     "all_profiles",
     "attractor",
     "best_response",
     "best_response_enum",
     "check_certificate",
     "check_profile",
-    "compare_payoffs",
     "cross_check_two_player",
-    "emit_document",
     "emit_game",
     "enumerate_ne",
     "export_dot",
     "is_nash",
     "is_nash_qualitative",
-    "make_ras",
     "make_reachability",
     "make_safety",
-    "make_sias",
     "outcome",
-    "owner_of",
     "parse_document",
-    "parse_game",
     "play",
     "profile_space",
     "profile_to_json",
@@ -146,7 +123,6 @@ __all__ = [
     "random_game",
     "solve_br_dynamics",
     "total_payoff",
-    "transition",
     "turn_payoff",
     "validate_game",
     "value_table",

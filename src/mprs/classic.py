@@ -4,8 +4,9 @@
 safety game: a digraph, a partition of the vertices between the two
 players (named after their roles in the reachability reading), and one
 common target set. `make_reachability` and `make_safety` turn an arena
-into validated games; `make_sias` and `make_ras` build the all-avoider and
-all-reacher variants on arbitrary ownership maps.
+into validated games. The all-avoider (stay-in-a-set) and all-reacher
+(reach-a-set) variants need no helper: they are `GameSpec`s whose roles
+are all `Role.AVOIDER` or all `Role.REACHER`.
 
 `attractor` computes, by the standard worklist fixpoint, the vertices from
 which the controller of the reacher-owned set can force the token into the
@@ -109,30 +110,6 @@ def make_safety(arena: TwoPlayerArena, gamma: Fraction = DEFAULT_GAMMA) -> Game:
             gamma=gamma,
         )
     )
-
-
-def make_sias(
-    vertices: Iterable[str],
-    edges: Iterable[tuple[str, str]],
-    owner: dict[str, int],
-    targets: dict[int, Iterable[str]],
-    gamma: Fraction = DEFAULT_GAMMA,
-) -> Game:
-    """Stay-in-a-set game: every player is an avoider of their own target."""
-    roles = {n: Role.AVOIDER for n in targets}
-    return validate_game(GameSpec(vertices, edges, owner, roles, targets, gamma))
-
-
-def make_ras(
-    vertices: Iterable[str],
-    edges: Iterable[tuple[str, str]],
-    owner: dict[str, int],
-    targets: dict[int, Iterable[str]],
-    gamma: Fraction = DEFAULT_GAMMA,
-) -> Game:
-    """Reach-a-set game: every player is a reacher of their own target."""
-    roles = {n: Role.REACHER for n in targets}
-    return validate_game(GameSpec(vertices, edges, owner, roles, targets, gamma))
 
 
 def attractor(arena: TwoPlayerArena) -> frozenset[str]:

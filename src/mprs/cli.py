@@ -24,7 +24,7 @@ from .gamefile import (
     profile_to_json,
 )
 from .generator import GeneratorParams, InfeasibleError, random_game
-from .limits import TooLargeError
+from .limits import GuardError, TooLargeError
 from .valuation import Profile, ProfileError, outcome, play, total_payoff, value_table
 
 
@@ -100,7 +100,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(
             f"  player {dev.player} improves from {dev.state}:"
             f" {dev.achieved} -> {dev.available}"
-            + (f" via {dev.better_action!r}" if dev.better_action else "")
+            + (f" via Move({dev.better_action!r})" if dev.better_action is not None else "")
         )
     return 1
 
@@ -120,7 +120,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         method = "brd+enum"
     else:
         method = "enum"
-    limit = None if args.all else (args.limit or 1)
+    limit = None if args.all else args.limit
     profiles = enumerate_ne(game, limit=limit)
     print(_profiles_json(profiles, method), end="")
     return 0 if profiles else 1
@@ -196,6 +196,13 @@ def cmd_cross_check(args: argparse.Namespace) -> int:
     return 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mprs",
@@ -225,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--method", choices=("enum", "brd"), default="enum")
     p.add_argument("--all", action="store_true", help="report every equilibrium")
-    p.add_argument("--limit", type=int, default=None, help="stop after this many")
+    p.add_argument("--limit", type=_positive_int, default=1, help="stop after this many")
     p.add_argument("--max-rounds", type=int, default=100, help="best-response rounds")
     p.set_defaults(func=cmd_solve)
 
@@ -271,6 +278,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ProfileError, InfeasibleError, TooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except GuardError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except InvalidGameError as exc:
         print("invalid game:", file=sys.stderr)
         for violation in exc.violations:

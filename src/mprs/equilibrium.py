@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .game import TERMINAL, Action, Game, State, turn_payoff
+from .game import TERMINAL, Game, State, turn_payoff
 from .limits import check_guard
 from .valuation import (
     PayoffValue,
@@ -43,13 +43,13 @@ class Deviation:
     `achieved` is the player's value at `state` under the checked profile;
     `available` is what the deviation reaches from there. For qualitative
     checks both fields hold bare signs instead of symbolic payoffs.
-    `better_action` names the improving move when `state` is a vertex where
-    the player chooses, and is None otherwise.
+    `better_action` is the improving successor when `state` is a vertex
+    where the player chooses, and is None otherwise.
     """
 
     player: int
     state: State
-    better_action: Action | None
+    better_action: str | None
     achieved: PayoffValue | int
     available: PayoffValue | int
 
@@ -58,22 +58,6 @@ class Deviation:
 class NEReport:
     is_ne: bool
     violations: tuple[Deviation, ...]
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """A profile together with its value table, the object `check_certificate` judges."""
-
-    profile: Profile
-    values: ValueTable
-
-    @classmethod
-    def of(cls, game: Game, profile: Profile) -> "Certificate":
-        return cls(profile, value_table(game, profile))
-
-
-def _chosen_state(game: Game, profile: Profile, v: str) -> State:
-    return State.at(profile.choice(game.owner[v], v))
 
 
 def _assert_consistent(game: Game, profile: Profile, values: ValueTable) -> None:
@@ -86,7 +70,8 @@ def _assert_consistent(game: Game, profile: Profile, values: ValueTable) -> None
             if v in game.total_target:
                 expected = PayoffValue(turn_payoff(game, m, s))
             else:
-                expected = values[(m, _chosen_state(game, profile, v))].discounted()
+                chosen = State.at(profile.choice(game.owner[v], v))
+                expected = values[(m, chosen)].discounted()
             if values[(m, s)] != expected:
                 raise AssertionError(
                     f"value table breaks the one-step recursion at {s!r} for player {m}"
@@ -127,7 +112,7 @@ def check_certificate(game: Game, profile: Profile) -> NEReport:
                 Deviation(
                     player=n,
                     state=State.at(v),
-                    better_action=Action.move(best_move),
+                    better_action=best_move,
                     achieved=values[(n, State.at(v))],
                     available=available,
                 )
@@ -151,7 +136,7 @@ def _deviation_scan(
                 better = None
                 v = s.vertex
                 if v is not None and v not in game.total_target and game.owner[v] == n:
-                    better = Action.move(strategy[v])
+                    better = strategy[v]
                 violations.append(Deviation(n, s, better, achieved, available))
     return tuple(violations)
 
@@ -254,7 +239,6 @@ def solve_br_dynamics(
 
 
 __all__ = [
-    "Certificate",
     "Deviation",
     "NEReport",
     "all_profiles",

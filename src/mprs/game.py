@@ -8,9 +8,9 @@ forever. One step after the token lands on any player's target vertex the
 game falls into an absorbing terminal state and nothing further happens.
 
 `validate_game` checks a raw `GameSpec` and returns the immutable `Game`
-handle consumed by every other module. `owner_of`, `actions`, `transition`
-and `turn_payoff` define who moves, which moves are available, where the
-token goes, and what each visited state is worth to each player.
+handle consumed by every other module; `Game.successors` lists the moves
+open to a vertex's owner. `turn_payoff` gives what each visited state is
+worth to each player.
 """
 
 from __future__ import annotations
@@ -52,32 +52,6 @@ class State:
 TERMINAL = State(None)
 
 
-@dataclass(frozen=True)
-class Action:
-    """A move of the token to a named vertex, or the do-nothing action.
-
-    Only the owner of a non-target vertex ever has real moves; everyone
-    else, and everyone once the token sits on a target vertex or in the
-    terminal state, can only play the trivial action.
-    """
-
-    target: str | None = None
-
-    @classmethod
-    def move(cls, target: str) -> "Action":
-        return cls(target)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.target is None
-
-    def __repr__(self) -> str:
-        return "Trivial" if self.target is None else f"Move({self.target!r})"
-
-
-TRIVIAL = Action(None)
-
-
 @dataclass
 class GameSpec:
     """Raw, unchecked description of a game; feed it to `validate_game`.
@@ -100,12 +74,14 @@ class GameSpec:
 
 
 class ViolationKind(Enum):
+    BAD_EDGE = "bad_edge"
     DANGLING_EDGE = "dangling_edge"
     UNOWNED_VERTEX = "unowned_vertex"
     UNKNOWN_VERTEX = "unknown_vertex"
     MULTIPLY_OWNED = "multiply_owned"
     UNKNOWN_PLAYER = "unknown_player"
     BAD_PLAYERS = "bad_players"
+    BAD_ROLE = "bad_role"
     EMPTY_TARGET_SET = "empty_target_set"
     TARGET_OUTSIDE_GRAPH = "target_outside_graph"
     DEAD_END = "dead_end"
@@ -131,10 +107,6 @@ class InvalidGameError(ValueError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
-class IllegalActionError(ValueError):
-    """An action was played at a state where it is not available."""
-
-
 @dataclass(frozen=True)
 class Game:
     """A validated, immutable game. Build instances via `validate_game`."""
@@ -151,16 +123,9 @@ class Game:
     states: tuple[State, ...] = field(repr=False)
     _succ: Mapping[str, tuple[str, ...]] = field(repr=False)
 
-    def role(self, n: int) -> Role:
-        return self.roles[n]
-
     def successors(self, v: str) -> tuple[str, ...]:
         """Out-neighbours of `v` in lexicographic order."""
         return self._succ[v]
-
-    def is_target(self, v: str) -> bool:
-        """True when `v` lies in any player's target set."""
-        return v in self.total_target
 
 
 def validate_game(spec: GameSpec) -> Game:
@@ -190,11 +155,24 @@ def validate_game(spec: GameSpec) -> Game:
                 f"player ids must be 1..N, got {players}",
             )
         )
-    roles = {n: Role(spec.roles[n]) for n in players}
+    roles: dict[int, Role] = {}
+    for n in players:
+        try:
+            roles[n] = Role(spec.roles[n])
+        except ValueError:
+            violations.append(
+                Violation(ViolationKind.BAD_ROLE, f"player {n} has unknown role {spec.roles[n]!r}")
+            )
 
     edges = set()
     for edge in spec.edges:
-        u, w = edge
+        try:
+            u, w = edge
+        except (TypeError, ValueError):
+            violations.append(
+                Violation(ViolationKind.BAD_EDGE, f"edge {edge!r} is not a pair of vertices")
+            )
+            continue
         u, w = str(u), str(w)
         edges.add((u, w))
         for end in (u, w):
@@ -217,7 +195,7 @@ def validate_game(spec: GameSpec) -> Game:
                 )
             )
             continue
-        if n not in roles:
+        if n not in spec.roles:
             violations.append(
                 Violation(
                     ViolationKind.UNKNOWN_PLAYER,
@@ -234,7 +212,7 @@ def validate_game(spec: GameSpec) -> Game:
 
     targets: dict[int, frozenset[str]] = {}
     for n in spec.targets:
-        if n not in roles:
+        if n not in spec.roles:
             violations.append(
                 Violation(
                     ViolationKind.UNKNOWN_PLAYER,
@@ -304,59 +282,6 @@ def validate_game(spec: GameSpec) -> Game:
         states=tuple(State.at(v) for v in vertices) + (TERMINAL,),
         _succ={v: tuple(sorted(ws)) for v, ws in succ.items()},
     )
-
-
-def owner_of(game: Game, s: State) -> int:
-    """The player who moves at `s`; the terminal state belongs to player 1."""
-    if s.is_terminal:
-        return 1
-    return game.owner[s.vertex]
-
-
-def actions(game: Game, s: State, n: int) -> tuple[Action, ...]:
-    """Actions available to player `n` at state `s`, deterministically ordered.
-
-    The owner of a non-target vertex chooses among its out-edges; every
-    other player there, and every player at target vertices and at the
-    terminal state, has exactly the trivial action.
-    """
-    if n not in game.roles:
-        raise ValueError(f"unknown player {n!r}")
-    if not s.is_terminal:
-        v = s.vertex
-        if v not in game.owner:
-            raise ValueError(f"unknown vertex {v!r}")
-        if v not in game.total_target and game.owner[v] == n:
-            return tuple(Action.move(w) for w in game.successors(v))
-    return (TRIVIAL,)
-
-
-def transition(game: Game, s: State, a: Action) -> State:
-    """Apply the owner's action `a` at state `s`.
-
-    Trivial actions at target vertices and at the terminal state drop the
-    token into (or keep it in) the terminal state; a move at a non-target
-    vertex follows the chosen edge.
-
-    Raises:
-        IllegalActionError: if `a` is not available to the owner at `s`.
-    """
-    if s.is_terminal:
-        if a.is_trivial:
-            return TERMINAL
-        raise IllegalActionError("only the trivial action exists at the terminal state")
-    v = s.vertex
-    if v not in game.owner:
-        raise ValueError(f"unknown vertex {v!r}")
-    if v in game.total_target:
-        if a.is_trivial:
-            return TERMINAL
-        raise IllegalActionError(f"target vertex {v!r} admits only the trivial action")
-    if a.is_trivial:
-        raise IllegalActionError(f"the owner of {v!r} must pick an outgoing edge")
-    if a.target not in game.successors(v):
-        raise IllegalActionError(f"no edge from {v!r} to {a.target!r}")
-    return State.at(a.target)
 
 
 def turn_payoff(game: Game, n: int, s: State) -> int:

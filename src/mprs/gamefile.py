@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .game import Game, GameSpec, Role, State, validate_game
-from .valuation import PayoffValue, Profile, ValueTable, check_profile
+from .valuation import Profile, ValueTable, check_profile
 
 
 class ParseError(ValueError):
@@ -58,16 +58,15 @@ def _require_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None
         raise ParseError(f"unknown key {unknown[0]!r} in {where}")
 
 
-def _parse_gamma(raw: Any) -> Fraction | str:
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"gamma must be a rational like '1/2', got {raw!r}") from None
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+def _parse_gamma(raw: Any) -> Fraction:
+    if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
         raise ParseError(f"gamma must be a string or number, got {raw!r}")
     # Exact decimal reading: 0.3 means 3/10, not the nearest binary float.
-    return Fraction(str(raw))
+    # NaN and the infinities have no rational value and fail here too.
+    try:
+        return Fraction(str(raw))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"gamma must be a rational like '1/2', got {raw!r}") from None
 
 
 def _parse_players(raw: Any) -> tuple[dict[int, Role], dict[int, list[str]]]:
@@ -151,9 +150,10 @@ def _parse_profiles(raw: Any, game: Game) -> dict[str, Profile]:
             try:
                 pid = int(key)
             except ValueError:
-                raise ParseError(
-                    f"profile {name!r} keys must be player ids, got {key!r}"
-                ) from None
+                pid = None
+            # Only canonical spellings, so "1" and "01" cannot both name player 1.
+            if pid is None or str(pid) != key:
+                raise ParseError(f"profile {name!r} keys must be player ids, got {key!r}")
             if not isinstance(moves, dict) or not all(
                 isinstance(v, str) and isinstance(w, str) for v, w in moves.items()
             ):
@@ -178,6 +178,8 @@ def parse_document(text: str) -> GameDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting
+        raise ParseError(f"unreadable document: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError("document must be a JSON object")
     _require_keys(raw, {"gamma", "players", "vertices", "edges", "profiles"}, "document")
@@ -190,11 +192,6 @@ def parse_document(text: str) -> GameDocument:
     game = validate_game(GameSpec(vertices, edges, owner, roles, targets, gamma))
     profiles = _parse_profiles(raw.get("profiles", {}), game)
     return GameDocument(game, profiles)
-
-
-def parse_game(text: str) -> Game:
-    """Parse a document and return just the validated game."""
-    return parse_document(text).game
 
 
 def profile_to_json(profile: Profile) -> dict[str, dict[str, str]]:
@@ -224,10 +221,6 @@ def emit_game(game: Game, profiles: Mapping[str, Profile] | None = None) -> str:
             name: profile_to_json(profile) for name, profile in sorted(profiles.items())
         }
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
-def emit_document(doc: GameDocument) -> str:
-    return emit_game(doc.game, doc.profiles)
 
 
 def _dot_quote(s: str) -> str:

@@ -18,11 +18,15 @@ class TooLargeError(RuntimeError):
     """The requested enumeration exceeds the configured guard."""
 
 
+class GuardError(ValueError):
+    """The guard was set to something other than a positive integer."""
+
+
 def effective_guard(explicit: int | None = None) -> int:
     """Resolve the guard: explicit argument, then env var, then default."""
     if explicit is not None:
         if explicit < 1:
-            raise ValueError("enumeration guard must be positive")
+            raise GuardError("enumeration guard must be positive")
         return explicit
     raw = os.environ.get(ENUM_GUARD_ENV)
     if raw is None:
@@ -32,7 +36,7 @@ def effective_guard(explicit: int | None = None) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise ValueError(f"{ENUM_GUARD_ENV} must be a positive integer, got {raw!r}")
+        raise GuardError(f"{ENUM_GUARD_ENV} must be a positive integer, got {raw!r}")
     return value
 
 

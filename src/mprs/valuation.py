@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .game import TERMINAL, Game, Role, State
 from .limits import check_guard
@@ -202,11 +202,6 @@ class PayoffValue:
 ZERO = PayoffValue(0)
 
 
-def compare_payoffs(a: PayoffValue, b: PayoffValue) -> int:
-    """Total order on payoffs: -1, 0 or 1 as `a` is below, equal to or above `b`."""
-    return (a > b) - (a < b)
-
-
 class ValueTable:
     """Exact payoff of a fixed profile, per player and start state."""
 
@@ -223,12 +218,6 @@ class ValueTable:
 
     def restrict(self, n: int) -> dict[State, PayoffValue]:
         return {s: pv for (m, s), pv in self._values.items() if m == n}
-
-    def items(self) -> Iterator[tuple[tuple[int, State], PayoffValue]]:
-        return iter(self._values.items())
-
-    def __len__(self) -> int:
-        return len(self._values)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ValueTable) and self._values == other._values
@@ -272,17 +261,21 @@ def outcome(game: Game, profile: Profile, start: State) -> Outcome:
     return NEVER
 
 
-def total_payoff(game: Game, n: int, o: Outcome) -> PayoffValue:
-    """Discounted total payoff of player `n` for outcome `o`.
+def _payoff(game: Game, n: int, hit: tuple[int, str] | None) -> PayoffValue:
+    """Payoff of player `n` for a first hit (time, vertex), or for no hit.
 
     Hitting the player's own target set at time t is worth gamma**t to a
     reacher and -gamma**t to an avoider; hitting only other players'
     targets, or never hitting at all, is worth zero.
     """
-    if not o.is_hit or o.vertex not in game.targets[n]:
+    if hit is None or hit[1] not in game.targets[n]:
         return ZERO
-    sign = 1 if game.roles[n] is Role.REACHER else -1
-    return PayoffValue(sign, o.time)
+    return PayoffValue(1 if game.roles[n] is Role.REACHER else -1, hit[0])
+
+
+def total_payoff(game: Game, n: int, o: Outcome) -> PayoffValue:
+    """Discounted total payoff of player `n` for outcome `o`."""
+    return _payoff(game, n, (o.time, o.vertex) if o.is_hit else None)
 
 
 def qualitative_payoff(game: Game, n: int, o: Outcome) -> int:
@@ -338,15 +331,8 @@ def value_table(game: Game, profile: Profile) -> ValueTable:
     hits = _first_hits(game, _profile_successor(game, profile))
     values: dict[tuple[int, State], PayoffValue] = {}
     for n in game.players:
-        own = game.targets[n]
-        sign = 1 if game.roles[n] is Role.REACHER else -1
         for v in game.vertices:
-            hit = hits[v]
-            if hit is None or hit[1] not in own:
-                pv = ZERO
-            else:
-                pv = PayoffValue(sign, hit[0])
-            values[(n, State.at(v))] = pv
+            values[(n, State.at(v))] = _payoff(game, n, hits[v])
         values[(n, TERMINAL)] = ZERO
     return ValueTable(values)
 
@@ -528,21 +514,11 @@ def best_response_enum(
     space = math.prod(len(game.successors(v)) for v in mine)
     check_guard(space, guard)
 
-    own = game.targets[n]
-    sign = 1 if game.roles[n] is Role.REACHER else -1
-
     def evaluate(choice: tuple[str, ...]) -> dict[str, PayoffValue]:
         succ = dict(forced)
         succ.update(zip(mine, choice))
         hits = _first_hits(game, succ)
-        out = {}
-        for v in game.vertices:
-            hit = hits[v]
-            if hit is None or hit[1] not in own:
-                out[v] = ZERO
-            else:
-                out[v] = PayoffValue(sign, hit[0])
-        return out
+        return {v: _payoff(game, n, hits[v]) for v in game.vertices}
 
     best: dict[str, PayoffValue] | None = None
     for choice in itertools.product(*(game.successors(v) for v in mine)):

@@ -7,6 +7,7 @@ import pytest
 from mprs import (
     TERMINAL,
     ZERO,
+    GameSpec,
     InvalidGameError,
     PayoffValue,
     Profile,
@@ -18,11 +19,10 @@ from mprs import (
     attractor,
     cross_check_two_player,
     enumerate_ne,
-    make_ras,
     make_reachability,
     make_safety,
-    make_sias,
     outcome,
+    validate_game,
     value_table,
 )
 
@@ -88,11 +88,14 @@ class TestArenaConstruction:
 
 class TestSpecialShapes:
     def test_single_avoider_circles_forever(self):
-        game = make_sias(
-            ["a", "b"],
-            [("a", "a"), ("a", "b")],
-            {"a": 1, "b": 1},
-            {1: ["b"]},
+        game = validate_game(
+            GameSpec(
+                vertices=["a", "b"],
+                edges=[("a", "a"), ("a", "b")],
+                owner={"a": 1, "b": 1},
+                roles={1: Role.AVOIDER},
+                targets={1: ["b"]},
+            )
         )
         assert game.roles == {1: Role.AVOIDER}
         (sigma,) = enumerate_ne(game)
@@ -100,11 +103,14 @@ class TestSpecialShapes:
         assert value_table(game, sigma).value(1, State.at("a")) == ZERO
 
     def test_all_reachers_on_the_first_board(self):
-        game = make_ras(
-            ["v1", "v2", "v3"],
-            [("v1", "v2"), ("v1", "v3"), ("v2", "v1")],
-            {"v1": 1, "v2": 2, "v3": 2},
-            {1: ["v3"], 2: ["v1"]},
+        game = validate_game(
+            GameSpec(
+                vertices=["v1", "v2", "v3"],
+                edges=[("v1", "v2"), ("v1", "v3"), ("v2", "v1")],
+                owner={"v1": 1, "v2": 2, "v3": 2},
+                roles={1: Role.REACHER, 2: Role.REACHER},
+                targets={1: ["v3"], 2: ["v1"]},
+            )
         )
         assert game.roles == {1: Role.REACHER, 2: Role.REACHER}
         # v1 and v3 are both targets now, so only v2 is a choice vertex

@@ -92,9 +92,11 @@ class TestCheck:
 
     def test_equilibrium_no_names_the_deviation(self, g1_file, capsys):
         assert main(["check", g1_file, "--profile", "cycle"]) == 1
-        out = capsys.readouterr().out
-        assert out.startswith("equilibrium: no\n")
-        assert "player 1 improves from v1: 0 -> +γ^1" in out
+        assert capsys.readouterr().out == (
+            "equilibrium: no\n"
+            "  player 1 improves from v1: 0 -> +γ^1 via Move('v3')\n"
+            "  player 1 improves from v2: 0 -> +γ^2\n"
+        )
 
     def test_qualitative_flag(self, g1_file, capsys):
         assert main(["check", g1_file, "--profile", "cycle", "--qualitative"]) == 1
@@ -129,6 +131,19 @@ class TestSolve:
         monkeypatch.setenv("MPRS_ENUM_GUARD", "1")
         assert main(["solve", g1_file]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("guard", ["abc", "0"])
+    def test_malformed_guard_is_a_usage_error(self, g1_file, capsys, monkeypatch, guard):
+        monkeypatch.setenv("MPRS_ENUM_GUARD", guard)
+        assert main(["solve", g1_file]) == 2
+        assert capsys.readouterr().err.startswith("error: MPRS_ENUM_GUARD")
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_a_usage_error(self, g1_file, capsys, limit):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", g1_file, "--limit", limit])
+        assert exc.value.code == 2
+        assert "--limit" in capsys.readouterr().err
 
 
 class TestEnumerate:

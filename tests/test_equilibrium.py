@@ -9,8 +9,6 @@ import pytest
 from mprs import (
     TERMINAL,
     ZERO,
-    Action,
-    Certificate,
     GameSpec,
     PayoffValue,
     Profile,
@@ -25,7 +23,6 @@ from mprs import (
     profile_space,
     solve_br_dynamics,
     validate_game,
-    value_table,
 )
 
 from conftest import random_profile, small_game
@@ -66,7 +63,7 @@ class TestCertificate:
         (dev,) = report.violations
         assert dev.player == 1
         assert dev.state == State.at("v1")
-        assert dev.better_action == Action.move("v3")
+        assert dev.better_action == "v3"
         assert dev.achieved == ZERO
         assert dev.available == POS(1)
 
@@ -79,15 +76,10 @@ class TestCertificate:
         (dev,) = report.violations
         assert dev.player == 1
         assert dev.state == State.at("w1")
-        assert dev.better_action == Action.move("w1")
+        assert dev.better_action == "w1"
         # running into w2 costs -gamma now; the loop would secure zero
         assert dev.achieved == NEG(1)
         assert dev.available == ZERO
-
-    def test_of_bundles_profile_and_table(self, g1, g1_hat):
-        cert = Certificate.of(g1, g1_hat)
-        assert cert.profile == g1_hat
-        assert cert.values == value_table(g1, g1_hat)
 
 
 class TestIsNash:
@@ -98,7 +90,7 @@ class TestIsNash:
         by_state = {d.state: d for d in report.violations}
         assert set(by_state) == {State.at("v1"), State.at("v2")}
         dev = by_state[State.at("v1")]
-        assert (dev.player, dev.better_action) == (1, Action.move("v3"))
+        assert (dev.player, dev.better_action) == (1, "v3")
         assert (dev.achieved, dev.available) == (ZERO, POS(1))
         # v2 belongs to player 2, so the gain there names no move
         assert by_state[State.at("v2")].better_action is None

@@ -1,28 +1,27 @@
-"""Model layer: validation, ownership, actions, transitions, turn payoffs."""
+"""Model layer: validation, ownership, moves, turn payoffs."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from mprs import (
     TERMINAL,
-    TRIVIAL,
-    Action,
     GameSpec,
-    IllegalActionError,
     InvalidGameError,
+    Profile,
+    ProfileError,
     Role,
     State,
     ViolationKind,
-    actions,
-    owner_of,
-    transition,
+    check_profile,
+    play,
     turn_payoff,
     validate_game,
 )
-from conftest import small_game
+from conftest import random_profile, small_game
 
 
 def kinds(excinfo) -> set[ViolationKind]:
@@ -124,6 +123,22 @@ class TestValidation:
         ):
             assert expected in got
 
+    def test_malformed_roles_and_edges_are_collected(self):
+        spec = GameSpec(
+            vertices=["a", "b"],
+            edges=[("a", "b"), ("a",), ("b", "ghost")],
+            owner={"a": 1, "b": 2},
+            roles={1: Role.REACHER, 2: "bogus"},
+            targets={1: ["b"], 2: ["b"]},
+        )
+        with pytest.raises(InvalidGameError) as e:
+            validate_game(spec)
+        assert kinds(e) == {
+            ViolationKind.BAD_ROLE,
+            ViolationKind.BAD_EDGE,
+            ViolationKind.DANGLING_EDGE,
+        }
+
     def test_player_ids_must_be_consecutive(self):
         spec = GameSpec(
             vertices=["v1"],
@@ -138,35 +153,18 @@ class TestValidation:
 
 
 class TestActionsAndMoves:
-    def test_owner_of_vertices_and_terminal(self, g1):
-        assert owner_of(g1, State.at("v1")) == 1
-        assert owner_of(g1, State.at("v2")) == 2
-        assert owner_of(g1, TERMINAL) == 1
+    """Only the owner of a non-target vertex moves, along one of its out-edges."""
 
     def test_owner_chooses_among_out_edges(self, g1):
-        assert set(actions(g1, State.at("v1"), 1)) == {Action.move("v2"), Action.move("v3")}
+        assert g1.owner["v1"] == 1
+        assert g1.successors("v1") == ("v2", "v3")
 
     def test_everyone_else_gets_the_trivial_action(self, g1):
-        assert actions(g1, State.at("v1"), 2) == (TRIVIAL,)
-        assert actions(g1, State.at("v3"), 2) == (TRIVIAL,)
-        assert actions(g1, TERMINAL, 1) == (TRIVIAL,)
-
-    def test_transition_moves_the_token(self, g1):
-        assert transition(g1, State.at("v1"), Action.move("v3")) == State.at("v3")
-
-    def test_transition_absorbs_after_targets(self, g1):
-        assert transition(g1, State.at("v3"), TRIVIAL) == TERMINAL
-        assert transition(g1, TERMINAL, TRIVIAL) == TERMINAL
-
-    def test_illegal_actions_are_rejected(self, g1):
-        with pytest.raises(IllegalActionError):
-            transition(g1, State.at("v2"), Action.move("v3"))  # no such edge
-        with pytest.raises(IllegalActionError):
-            transition(g1, State.at("v1"), TRIVIAL)  # the owner must move
-        with pytest.raises(IllegalActionError):
-            transition(g1, State.at("v3"), Action.move("v1"))  # targets absorb
-        with pytest.raises(IllegalActionError):
-            transition(g1, TERMINAL, Action.move("v1"))
+        assert g1.choice_vertices == ("v1", "v2")  # the target v3 offers no move
+        with pytest.raises(ProfileError, match="owned by player 1"):
+            check_profile(g1, Profile({1: {"v1": "v3"}, 2: {"v1": "v2", "v2": "v1"}}))
+        with pytest.raises(ProfileError, match="target vertex"):
+            check_profile(g1, Profile({1: {"v1": "v3"}, 2: {"v2": "v1", "v3": "v1"}}))
 
     def test_turn_payoffs(self, g1, g2):
         assert turn_payoff(g1, 1, State.at("v3")) == 1
@@ -179,28 +177,34 @@ class TestActionsAndMoves:
 
 class TestStructuralInvariants:
     def test_exactly_one_player_can_move_anywhere(self):
+        rng = random.Random(5)
         for seed in range(40):
             game = small_game(seed)
-            for s in game.states:
-                movers = [
-                    n for n in game.players if actions(game, s, n) != (TRIVIAL,)
-                ]
-                assert len(movers) <= 1
-                if movers:
-                    assert movers == [owner_of(game, s)]
+            sigma = random_profile(game, rng)
+            for v in game.vertices:
+                move = (game.successors(v) or (v,))[0]
+                movers = []
+                for n in game.players:
+                    try:
+                        check_profile(game, sigma.replace(n, {**sigma.strategy(n), v: move}))
+                    except ProfileError:
+                        continue
+                    movers.append(n)
+                assert movers == ([] if v in game.total_target else [game.owner[v]])
 
     def test_every_available_action_has_a_transition(self):
+        rng = random.Random(6)
         for seed in range(40):
             game = small_game(seed)
-            for s in game.states:
-                for n in game.players:
-                    for a in actions(game, s, n):
-                        if n == owner_of(game, s):
-                            transition(game, s, a)  # must not raise
+            sigma = random_profile(game, rng)
+            for v in game.choice_vertices:
+                n = game.owner[v]
+                for w in game.successors(v):
+                    moved = sigma.replace(n, {**sigma.strategy(n), v: w})
+                    assert play(game, moved, State.at(v))[1] == State.at(w)
 
     def test_action_sets_are_never_empty(self):
         for seed in range(40):
             game = small_game(seed)
-            for s in game.states:
-                for n in game.players:
-                    assert actions(game, s, n)
+            for v in game.choice_vertices:
+                assert game.successors(v)

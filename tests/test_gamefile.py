@@ -8,18 +8,16 @@ from fractions import Fraction
 import pytest
 
 from mprs import (
-    Certificate,
     InvalidGameError,
     ParseError,
     Profile,
     ProfileError,
     ViolationKind,
-    emit_document,
     emit_game,
     export_dot,
     parse_document,
-    parse_game,
     profile_to_json,
+    value_table,
 )
 
 from conftest import small_game
@@ -50,24 +48,24 @@ class TestParse:
 
     def test_gamma_written_as_number_is_read_exactly(self):
         text = G1_TEXT.replace('"gamma": "1/2"', '"gamma": 0.3')
-        assert parse_game(text).gamma == Fraction(3, 10)
+        assert parse_document(text).game.gamma == Fraction(3, 10)
 
     def test_gamma_defaults_to_one_half(self):
         text = G1_TEXT.replace('"gamma": "1/2",', "")
-        assert parse_game(text).gamma == Fraction(1, 2)
+        assert parse_document(text).game.gamma == Fraction(1, 2)
 
     @pytest.mark.parametrize("bad", ['"7/3"', '"1"', "1.0", "0"])
     def test_gamma_outside_the_open_interval(self, bad):
         text = G1_TEXT.replace('"gamma": "1/2"', f'"gamma": {bad}')
         with pytest.raises(InvalidGameError) as err:
-            parse_game(text)
+            parse_document(text).game
         assert any(v.kind is ViolationKind.BAD_GAMMA for v in err.value.violations)
 
-    @pytest.mark.parametrize("bad", ['"fast"', "true", "[1, 2]"])
+    @pytest.mark.parametrize("bad", ['"fast"', "true", "[1, 2]", "NaN", "Infinity", "-Infinity"])
     def test_unreadable_gamma(self, bad):
         text = G1_TEXT.replace('"gamma": "1/2"', f'"gamma": {bad}')
         with pytest.raises(ParseError):
-            parse_game(text)
+            parse_document(text).game
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError) as err:
@@ -114,6 +112,25 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_document(mangle(G1_TEXT))
 
+    @pytest.mark.parametrize("key", ["01", "+1", "1_0", " 1", "1.0", "one"])
+    def test_profile_keys_must_be_canonical_player_ids(self, key):
+        text = G1_TEXT.replace('{"1": {"v1": "v3"}', f'{{"{key}": {{"v1": "v3"}}')
+        with pytest.raises(ParseError, match="keys must be player ids"):
+            parse_document(text)
+
+    def test_aliased_player_keys_are_rejected(self):
+        # Read through int(), "01" would silently overwrite player 1's move.
+        text = G1_TEXT.replace('"2": {"v2": "v1"}', '"2": {"v2": "v1"}, "01": {"v1": "v2"}')
+        with pytest.raises(ParseError, match="'01'"):
+            parse_document(text)
+
+    @pytest.mark.parametrize(
+        "text", ['{"gamma": ' + "1" * 5000 + "}", "[" * 100000], ids=["long-int", "deep-nesting"]
+    )
+    def test_oversized_documents_are_parse_errors(self, text):
+        with pytest.raises(ParseError):
+            parse_document(text)
+
     def test_profile_that_does_not_fit_the_game(self):
         text = G1_TEXT.replace('"v1": "v3"', '"v1": "v9"')
         with pytest.raises(ProfileError):
@@ -125,24 +142,26 @@ class TestEmit:
         for seed in range(30):
             game = small_game(seed)
             text = emit_game(game)
-            assert parse_game(text) == game
-            assert emit_game(parse_game(text)) == text
+            assert parse_document(text).game == game
+            assert emit_game(parse_document(text).game) == text
 
     def test_canonical_form_forgets_input_order(self):
         """Reordering every list in the source must not change the emitted bytes."""
-        canonical = emit_document(parse_document(G1_TEXT))
+        doc = parse_document(G1_TEXT)
+        canonical = emit_game(doc.game, doc.profiles)
         raw = json.loads(G1_TEXT)
         raw["players"].reverse()
         raw["vertices"].reverse()
         raw["edges"].reverse()
-        shuffled = emit_document(parse_document(json.dumps(raw)))
+        doc = parse_document(json.dumps(raw))
+        shuffled = emit_game(doc.game, doc.profiles)
         assert shuffled == canonical
 
     def test_profiles_survive_the_roundtrip(self, g1, g1_hat):
         text = emit_game(g1, {"hat": g1_hat})
         doc = parse_document(text)
         assert doc.profiles == {"hat": g1_hat}
-        assert emit_document(doc) == text
+        assert emit_game(doc.game, doc.profiles) == text
 
     def test_profile_json_shape(self, g1_hat):
         assert profile_to_json(g1_hat) == {"1": {"v1": "v3"}, "2": {"v2": "v1"}}
@@ -177,8 +196,7 @@ class TestDot:
         assert '"v1" -> "v2";' in text
 
     def test_values_are_printed_per_player(self, g1, g1_hat):
-        cert = Certificate.of(g1, g1_hat)
-        text = export_dot(g1, profile=g1_hat, values=cert.values)
+        text = export_dot(g1, profile=g1_hat, values=value_table(g1, g1_hat))
         assert "u1=+γ^1 u2=-γ^1" in text  # start vertex v1
         assert "u1=+1 u2=-1" in text  # the target itself
 

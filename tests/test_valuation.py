@@ -25,7 +25,6 @@ from mprs import (
     best_response,
     best_response_enum,
     check_profile,
-    compare_payoffs,
     outcome,
     play,
     qualitative_payoff,
@@ -71,7 +70,7 @@ class TestPayoffValue:
         values = all_payoffs()
         for a in values:
             for b in values:
-                symbolic = compare_payoffs(a, b)
+                symbolic = (a > b) - (a < b)
                 for gamma in GAMMAS:
                     gap = a.numeric(gamma) - b.numeric(gamma)
                     numeric = (gap > 0) - (gap < 0)
