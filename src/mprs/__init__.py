@@ -28,12 +28,10 @@ from .equilibrium import (
     solve_br_dynamics,
 )
 from .game import (
-    TERMINAL,
     Game,
     GameSpec,
     InvalidGameError,
     Role,
-    State,
     Violation,
     ViolationKind,
     turn_payoff,
@@ -58,7 +56,6 @@ from .valuation import (
     Profile,
     ProfileError,
     Strategy,
-    ValueTable,
     best_response,
     best_response_enum,
     check_profile,
@@ -92,12 +89,9 @@ __all__ = [
     "Profile",
     "ProfileError",
     "Role",
-    "State",
     "Strategy",
-    "TERMINAL",
     "TooLargeError",
     "TwoPlayerArena",
-    "ValueTable",
     "Violation",
     "ViolationKind",
     "all_profiles",

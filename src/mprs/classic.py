@@ -28,7 +28,6 @@ from .game import (
     GameSpec,
     InvalidGameError,
     Role,
-    State,
     Violation,
     ViolationKind,
     validate_game,
@@ -179,7 +178,7 @@ def cross_check_two_player(
     mismatches = []
     for profile in equilibria:
         for v in game.vertices:
-            wins = qualitative_payoff(game, 1, outcome(game, profile, State.at(v))) == 1
+            wins = qualitative_payoff(game, 1, outcome(game, profile, v)) == 1
             if wins != (v in region):
                 mismatches.append(Mismatch(profile, v, wins, v in region))
     return CrossCheckReport(not mismatches, region, equilibria, tuple(mismatches))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .classic import TwoPlayerArena, cross_check_two_player
 from .equilibrium import all_profiles, enumerate_ne, is_nash, is_nash_qualitative, solve_br_dynamics
-from .game import InvalidGameError, Role, State
+from .game import InvalidGameError, Role
 from .gamefile import (
     GameDocument,
     ParseError,
@@ -72,9 +72,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.start not in game.owner:
         print(f"error: unknown start vertex {args.start!r}", file=sys.stderr)
         return 1
-    trace = play(game, profile, State.at(args.start))
-    print("play: " + " -> ".join(str(s) for s in trace))
-    o = outcome(game, profile, State.at(args.start))
+    trace = play(game, profile, args.start)
+    print("play: " + " -> ".join("<terminal>" if v is None else v for v in trace))
+    o = outcome(game, profile, args.start)
     if o.is_hit:
         print(f"outcome: target {o.vertex} hit at t={o.time}")
     else:
@@ -98,7 +98,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     print(f"{kind}: no")
     for dev in report.violations:
         print(
-            f"  player {dev.player} improves from {dev.state}:"
+            f"  player {dev.player} improves from {dev.vertex}:"
             f" {dev.achieved} -> {dev.available}"
             + (f" via Move({dev.better_action!r})" if dev.better_action is not None else "")
         )
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("enum", "brd"), default="enum")
     p.add_argument("--all", action="store_true", help="report every equilibrium")
     p.add_argument("--limit", type=_positive_int, default=1, help="stop after this many")
-    p.add_argument("--max-rounds", type=int, default=100, help="best-response rounds")
+    p.add_argument("--max-rounds", type=_positive_int, default=100, help="best-response rounds")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("enumerate", help="list every profile with its equilibrium flag")

@@ -1,7 +1,7 @@
 """Finding and verifying deterministic memoryless Nash equilibria.
 
 A profile is an equilibrium when no player can improve their exact
-discounted payoff from any start state by switching to another memoryless
+discounted payoff from any start vertex by switching to another memoryless
 strategy while everyone else stays put. `is_nash` checks this directly
 against `best_response`; `check_certificate` checks the equivalent local
 condition instead, namely that at every vertex the owner's chosen move
@@ -23,13 +23,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .game import TERMINAL, Game, State, turn_payoff
+from .game import Game, turn_payoff
 from .limits import check_guard
 from .valuation import (
     PayoffValue,
     Profile,
-    ValueTable,
-    ZERO,
     best_response,
     check_profile,
     value_table,
@@ -40,15 +38,16 @@ from .valuation import (
 class Deviation:
     """One way a player can improve on the profile under scrutiny.
 
-    `achieved` is the player's value at `state` under the checked profile;
-    `available` is what the deviation reaches from there. For qualitative
-    checks both fields hold bare signs instead of symbolic payoffs.
-    `better_action` is the improving successor when `state` is a vertex
-    where the player chooses, and is None otherwise.
+    `achieved` is the player's value from `vertex` under the checked
+    profile; `available` is what the deviation reaches from there. For
+    qualitative checks both fields hold bare signs instead of symbolic
+    payoffs. `better_action` is the improving successor when the player
+    chooses at `vertex`, and is None otherwise. The terminal state never
+    appears: it is worth zero under every profile.
     """
 
     player: int
-    state: State
+    vertex: str
     better_action: str | None
     achieved: PayoffValue | int
     available: PayoffValue | int
@@ -60,24 +59,23 @@ class NEReport:
     violations: tuple[Deviation, ...]
 
 
-def _assert_consistent(game: Game, profile: Profile, values: ValueTable) -> None:
+def _assert_consistent(
+    game: Game, profile: Profile, values: dict[int, dict[str, PayoffValue]]
+) -> None:
     # Internal self-check: the value table must satisfy the one-step
-    # recursion value(s) = turn payoff + discounted value of the successor
-    # at every state, for every player.
+    # recursion value(v) = turn payoff + discounted value of the successor
+    # at every vertex, for every player.
     for m in game.players:
+        mine = values[m]
         for v in game.vertices:
-            s = State.at(v)
             if v in game.total_target:
-                expected = PayoffValue(turn_payoff(game, m, s))
+                expected = PayoffValue(turn_payoff(game, m, v))
             else:
-                chosen = State.at(profile.choice(game.owner[v], v))
-                expected = values[(m, chosen)].discounted()
-            if values[(m, s)] != expected:
+                expected = mine[profile.choice(game.owner[v], v)].discounted()
+            if mine[v] != expected:
                 raise AssertionError(
-                    f"value table breaks the one-step recursion at {s!r} for player {m}"
+                    f"value table breaks the one-step recursion at {v!r} for player {m}"
                 )
-        if values[(m, TERMINAL)] != ZERO:
-            raise AssertionError("terminal state must be worth zero")
 
 
 def check_certificate(game: Game, profile: Profile) -> NEReport:
@@ -96,24 +94,23 @@ def check_certificate(game: Game, profile: Profile) -> NEReport:
     violations = []
     for v in game.choice_vertices:
         n = game.owner[v]
-        chosen = profile.choice(n, v)
-        here = values[(n, State.at(chosen))].discounted()
-        best_score = here
+        mine = values[n]
+        best_score = mine[profile.choice(n, v)].discounted()
         best_move: str | None = None
         for w in game.successors(v):
-            score = values[(n, State.at(w))].discounted()
+            score = mine[w].discounted()
             if score > best_score:
                 best_score = score
                 best_move = w
         if best_move is not None:
             switched = profile.replace(n, {**profile.strategy(n), v: best_move})
-            available = value_table(game, switched)[(n, State.at(v))]
+            available = value_table(game, switched)[n][v]
             violations.append(
                 Deviation(
                     player=n,
-                    state=State.at(v),
+                    vertex=v,
                     better_action=best_move,
-                    achieved=values[(n, State.at(v))],
+                    achieved=mine[v],
                     available=available,
                 )
             )
@@ -127,24 +124,23 @@ def _deviation_scan(
     violations = []
     for n in game.players:
         strategy, br_values = best_response(game, profile, n)
-        for s in game.states:
-            achieved = values[(n, s)]
-            available = br_values[s]
+        mine = values[n]
+        for v in game.vertices:
+            achieved = mine[v]
+            available = br_values[v]
             if qualitative:
                 achieved, available = achieved.sign, available.sign
             if available > achieved:
-                better = None
-                v = s.vertex
-                if v is not None and v not in game.total_target and game.owner[v] == n:
-                    better = strategy[v]
-                violations.append(Deviation(n, s, better, achieved, available))
+                # `strategy` moves exactly at the player's own choice
+                # vertices; a gain anywhere else names no move.
+                violations.append(Deviation(n, v, strategy.get(v), achieved, available))
     return tuple(violations)
 
 
 def is_nash(game: Game, profile: Profile) -> NEReport:
     """Deviation search: is any player's best response strictly better anywhere?
 
-    Improvement is demanded from every start state at once, so a profile
+    Improvement is demanded from every start vertex at once, so a profile
     fails as soon as one player gains from one vertex.
     """
     check_profile(game, profile)
@@ -226,8 +222,8 @@ def solve_br_dynamics(
         changed = False
         for n in game.players:
             strategy, br_values = best_response(game, current, n)
-            values = value_table(game, current)
-            if any(br_values[s] > values[(n, s)] for s in game.states):
+            values = value_table(game, current)[n]
+            if any(br_values[v] > values[v] for v in game.vertices):
                 current = current.replace(n, strategy)
                 if current in visited:
                     return None

@@ -6,10 +6,13 @@ outgoing edge. Every player is either a reacher, who wants the token to
 enter their own target set, or an avoider, who wants to keep it out
 forever. One step after the token lands on any player's target vertex the
 game falls into an absorbing terminal state and nothing further happens.
+That state is worth 0 to every player under every profile, so no value
+map in this package keeps an entry for it: every payoff is keyed by the
+vertex id it is taken from.
 
 `validate_game` checks a raw `GameSpec` and returns the immutable `Game`
 handle consumed by every other module; `Game.successors` lists the moves
-open to a vertex's owner. `turn_payoff` gives what each visited state is
+open to a vertex's owner. `turn_payoff` gives what each visited vertex is
 worth to each player.
 """
 
@@ -26,30 +29,6 @@ class Role(Enum):
 
     REACHER = "reacher"
     AVOIDER = "avoider"
-
-
-@dataclass(frozen=True)
-class State:
-    """A game state: the token at a vertex, or the absorbing terminal state."""
-
-    vertex: str | None = None
-
-    @classmethod
-    def at(cls, vertex: str) -> "State":
-        return cls(vertex)
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.vertex is None
-
-    def __repr__(self) -> str:
-        return "Terminal" if self.vertex is None else f"At({self.vertex!r})"
-
-    def __str__(self) -> str:
-        return "<terminal>" if self.vertex is None else self.vertex
-
-
-TERMINAL = State(None)
 
 
 @dataclass
@@ -120,7 +99,6 @@ class Game:
     players: tuple[int, ...] = field(repr=False)
     total_target: frozenset[str] = field(repr=False)
     choice_vertices: tuple[str, ...] = field(repr=False)
-    states: tuple[State, ...] = field(repr=False)
     _succ: Mapping[str, tuple[str, ...]] = field(repr=False)
 
     def successors(self, v: str) -> tuple[str, ...]:
@@ -142,9 +120,18 @@ def validate_game(spec: GameSpec) -> Game:
     vertices = sorted({str(v) for v in spec.vertices})
     vset = frozenset(vertices)
 
-    players = sorted(spec.roles)
+    players = sorted(
+        n for n in spec.roles if isinstance(n, int) and not isinstance(n, bool)
+    )
     count = len(players)
-    if count == 0:
+    if count < len(spec.roles):
+        violations.append(
+            Violation(
+                ViolationKind.BAD_PLAYERS,
+                f"player ids must be integers, got {list(spec.roles)}",
+            )
+        )
+    elif count == 0:
         violations.append(
             Violation(ViolationKind.BAD_PLAYERS, "at least one player is required")
         )
@@ -279,17 +266,16 @@ def validate_game(spec: GameSpec) -> Game:
         players=tuple(players),
         total_target=total_target,
         choice_vertices=tuple(v for v in vertices if v not in total_target),
-        states=tuple(State.at(v) for v in vertices) + (TERMINAL,),
         _succ={v: tuple(sorted(ws)) for v, ws in succ.items()},
     )
 
 
-def turn_payoff(game: Game, n: int, s: State) -> int:
-    """Per-turn reward of player `n` for the token visiting `s`.
+def turn_payoff(game: Game, n: int, v: str) -> int:
+    """Per-turn reward of player `n` for the token visiting vertex `v`.
 
     Reachers collect +1 on their own target vertices, avoiders collect -1
-    there; every other state, including the terminal one, is worth 0.
+    there; every other vertex is worth 0, and so is the terminal state.
     """
-    if s.is_terminal or s.vertex not in game.targets[n]:
+    if v not in game.targets[n]:
         return 0
     return 1 if game.roles[n] is Role.REACHER else -1

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .game import Game, GameSpec, Role, State, validate_game
-from .valuation import Profile, ValueTable, check_profile
+from .game import Game, GameSpec, Role, validate_game
+from .valuation import PayoffValue, Profile, check_profile
 
 
 class ParseError(ValueError):
@@ -230,7 +230,7 @@ def _dot_quote(s: str) -> str:
 def export_dot(
     game: Game,
     profile: Profile | None = None,
-    values: ValueTable | None = None,
+    values: dict[int, dict[str, PayoffValue]] | None = None,
 ) -> str:
     """Render the game graph in DOT.
 
@@ -253,7 +253,7 @@ def export_dot(
         label_parts = [v, f"P{n} {game.roles[n].value}"]
         if values is not None:
             label_parts.append(
-                " ".join(f"u{m}={values[(m, State.at(v))]}" for m in game.players)
+                " ".join(f"u{m}={values[m][v]}" for m in game.players)
             )
         label = "\\n".join(
             part.replace("\\", "\\\\").replace('"', '\\"') for part in label_parts

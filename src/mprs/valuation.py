@@ -25,14 +25,15 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Mapping
 
-from .game import TERMINAL, Game, Role, State
+from .game import Game, Role
 from .limits import check_guard
 
 # A memoryless strategy: each of the player's non-target vertices to the
 # chosen successor.
 Strategy = dict[str, str]
 
-Play = tuple[State, ...]
+# The vertices a play visits, with None for the absorbing terminal state.
+Play = tuple[str | None, ...]
 
 
 class ProfileError(ValueError):
@@ -202,62 +203,35 @@ class PayoffValue:
 ZERO = PayoffValue(0)
 
 
-class ValueTable:
-    """Exact payoff of a fixed profile, per player and start state."""
+def play(game: Game, profile: Profile, start: str) -> Play:
+    """Unroll the token path from vertex `start` under `profile`.
 
-    __slots__ = ("_values",)
-
-    def __init__(self, values: Mapping[tuple[int, State], PayoffValue]):
-        self._values = dict(values)
-
-    def __getitem__(self, key: tuple[int, State]) -> PayoffValue:
-        return self._values[key]
-
-    def value(self, n: int, s: State) -> PayoffValue:
-        return self._values[(n, s)]
-
-    def restrict(self, n: int) -> dict[State, PayoffValue]:
-        return {s: pv for (m, s), pv in self._values.items() if m == n}
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ValueTable) and self._values == other._values
-
-    def __repr__(self) -> str:
-        return f"ValueTable({self._values!r})"
-
-
-def play(game: Game, profile: Profile, start: State) -> Play:
-    """Unroll the token path from `start` under `profile`.
-
-    The play stops at the terminal state or at the first repeated state
-    (after which it would cycle forever), so it always has at most
-    ``len(game.vertices) + 2`` entries.
+    The play stops at the terminal state (None), one step after the first
+    target vertex, or at the first repeated vertex (after which it would
+    cycle forever), so it always has at most ``len(game.vertices) + 1``
+    entries.
     """
     check_profile(game, profile)
-    if not start.is_terminal and start.vertex not in game.owner:
-        raise ValueError(f"unknown start vertex {start.vertex!r}")
-    states = [start]
+    if start not in game.owner:
+        raise ValueError(f"unknown start vertex {start!r}")
+    steps: list[str | None] = [start]
     seen = {start}
-    current = start
-    while not current.is_terminal:
-        v = current.vertex
+    v = start
+    while v not in game.total_target:
+        v = profile.choice(game.owner[v], v)
+        steps.append(v)
+        if v in seen:
+            return tuple(steps)
+        seen.add(v)
+    steps.append(None)
+    return tuple(steps)
+
+
+def outcome(game: Game, profile: Profile, start: str) -> Outcome:
+    """First hit of the union target set on the play from vertex `start`."""
+    for t, v in enumerate(play(game, profile, start)):
         if v in game.total_target:
-            nxt = TERMINAL
-        else:
-            nxt = State.at(profile.choice(game.owner[v], v))
-        states.append(nxt)
-        if nxt in seen:
-            break
-        seen.add(nxt)
-        current = nxt
-    return tuple(states)
-
-
-def outcome(game: Game, profile: Profile, start: State) -> Outcome:
-    """First hit of the union target set on the play from `start`."""
-    for t, s in enumerate(play(game, profile, start)):
-        if not s.is_terminal and s.vertex in game.total_target:
-            return Outcome.hit(t, s.vertex)
+            return Outcome.hit(t, v)
     return NEVER
 
 
@@ -325,16 +299,18 @@ def _first_hits(game: Game, succ: Mapping[str, str]) -> dict[str, tuple[int, str
     return memo
 
 
-def value_table(game: Game, profile: Profile) -> ValueTable:
-    """Exact payoff of `profile` for every player and every start state."""
+def value_table(game: Game, profile: Profile) -> dict[int, dict[str, PayoffValue]]:
+    """Exact payoff of `profile` for every player and every start vertex.
+
+    The result maps player to vertex to payoff, so ``value_table(g, p)[n]``
+    has the shape of the value map `best_response` returns.
+    """
     check_profile(game, profile)
     hits = _first_hits(game, _profile_successor(game, profile))
-    values: dict[tuple[int, State], PayoffValue] = {}
-    for n in game.players:
-        for v in game.vertices:
-            values[(n, State.at(v))] = _payoff(game, n, hits[v])
-        values[(n, TERMINAL)] = ZERO
-    return ValueTable(values)
+    return {
+        n: {v: _payoff(game, n, hits[v]) for v in game.vertices}
+        for n in game.players
+    }
 
 
 def _forced_moves(game: Game, opponents: Profile, n: int) -> dict[str, str]:
@@ -471,13 +447,13 @@ def _avoider_response(
 
 def best_response(
     game: Game, opponents: Profile, n: int
-) -> tuple[Strategy, dict[State, PayoffValue]]:
+) -> tuple[Strategy, dict[str, PayoffValue]]:
     """Payoff-maximizing memoryless strategy of player `n` against `opponents`.
 
     `opponents` must fix a move at every non-target vertex not owned by
     `n`; an entry for `n` itself is ignored, so a full profile can be
     passed directly. Returns the strategy together with the value it
-    guarantees from every start state. The result is deterministic (ties
+    guarantees from every start vertex. The result is deterministic (ties
     break toward the lexicographically smallest successor) and never
     depends on the discount factor.
     """
@@ -486,21 +462,17 @@ def best_response(
     forced = _forced_moves(game, opponents, n)
     succ = _effective_successors(game, forced, n)
     if game.roles[n] is Role.REACHER:
-        strategy, by_vertex = _reacher_response(game, succ, n)
-    else:
-        strategy, by_vertex = _avoider_response(game, succ, n)
-    values = {State.at(v): pv for v, pv in by_vertex.items()}
-    values[TERMINAL] = ZERO
-    return strategy, values
+        return _reacher_response(game, succ, n)
+    return _avoider_response(game, succ, n)
 
 
 def best_response_enum(
     game: Game, opponents: Profile, n: int, guard: int | None = None
-) -> tuple[Strategy, dict[State, PayoffValue]]:
+) -> tuple[Strategy, dict[str, PayoffValue]]:
     """Brute-force twin of `best_response`.
 
     Enumerates every strategy of player `n`, evaluates each from every
-    start state, and keeps the per-state maximum. Used as an independent
+    start vertex, and keeps the per-vertex maximum. Used as an independent
     oracle: the strategy returned may differ from `best_response` when
     ties exist, but the values must agree exactly.
 
@@ -537,8 +509,5 @@ def best_response_enum(
             strategy = dict(zip(mine, choice))
             break
     if strategy is None:
-        raise AssertionError("no single strategy achieves the per-state maxima")
-
-    values = {State.at(v): pv for v, pv in best.items()}
-    values[TERMINAL] = ZERO
-    return strategy, values
+        raise AssertionError("no single strategy achieves the per-vertex maxima")
+    return strategy, best

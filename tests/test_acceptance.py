@@ -17,12 +17,10 @@ from fractions import Fraction
 import pytest
 
 from mprs import (
-    TERMINAL,
     ZERO,
     GeneratorParams,
     PayoffValue,
     Profile,
-    State,
     all_profiles,
     best_response,
     best_response_enum,
@@ -138,14 +136,14 @@ def test_criterion_6_attractor_matches_equilibrium_outcomes():
 def test_criterion_7_worked_micro_games(g1, g1_hat, g2):
     assert enumerate_ne(g1) == [g1_hat]
     table = value_table(g1, g1_hat)
-    assert table.value(1, State.at("v1")) == PayoffValue.pos(1)
-    assert table.value(2, State.at("v1")) == PayoffValue.neg(1)
+    assert table[1]["v1"] == PayoffValue.pos(1)
+    assert table[2]["v1"] == PayoffValue.neg(1)
 
     loop = Profile({1: {"w1": "w1"}})
     assert enumerate_ne(g2) == [loop]
     table2 = value_table(g2, loop)
-    assert table2.value(1, State.at("w1")) == ZERO
-    assert table2.value(2, State.at("w1")) == ZERO
+    assert table2[1]["w1"] == ZERO
+    assert table2[2]["w1"] == ZERO
     print("PASS criterion 7: both micro-games have their unique documented equilibrium")
 
 

@@ -5,14 +5,12 @@ from __future__ import annotations
 import pytest
 
 from mprs import (
-    TERMINAL,
     ZERO,
     GameSpec,
     InvalidGameError,
     PayoffValue,
     Profile,
     Role,
-    State,
     TooLargeError,
     TwoPlayerArena,
     ViolationKind,
@@ -100,7 +98,7 @@ class TestSpecialShapes:
         assert game.roles == {1: Role.AVOIDER}
         (sigma,) = enumerate_ne(game)
         assert sigma == Profile({1: {"a": "a"}})
-        assert value_table(game, sigma).value(1, State.at("a")) == ZERO
+        assert value_table(game, sigma)[1]["a"] == ZERO
 
     def test_all_reachers_on_the_first_board(self):
         game = validate_game(
@@ -117,15 +115,13 @@ class TestSpecialShapes:
         assert game.choice_vertices == ("v2",)
         (sigma,) = enumerate_ne(game)
         table = value_table(game, sigma)
-        at = State.at
-        assert table.restrict(2) == {
-            at("v1"): PayoffValue.pos(0),
-            at("v2"): PayoffValue.pos(1),
-            at("v3"): ZERO,
-            TERMINAL: ZERO,
+        assert table[2] == {
+            "v1": PayoffValue.pos(0),
+            "v2": PayoffValue.pos(1),
+            "v3": ZERO,
         }
         # the hit happens on the other player's target, worth nothing to 1
-        assert table.value(1, at("v2")) == ZERO
+        assert table[1]["v2"] == ZERO
 
 
 class TestAttractor:
@@ -201,7 +197,7 @@ class TestSafetyDuality:
         safe = make_safety(g3_arena)
         (sigma,) = enumerate_ne(safe)
         for v in safe.vertices:
-            assert outcome(safe, sigma, State.at(v)).is_hit
+            assert outcome(safe, sigma, v).is_hit
 
     def test_avoider_escapes_exactly_outside_the_swapped_attractor(self):
         """Safety winning region = complement of the attractor after a control swap."""
@@ -211,5 +207,5 @@ class TestSafetyDuality:
             safe = make_safety(arena)
             for sigma in enumerate_ne(safe, guard=10**5):
                 for v in safe.vertices:
-                    hit = outcome(safe, sigma, State.at(v)).is_hit
+                    hit = outcome(safe, sigma, v).is_hit
                     assert hit == (v in region), (seed, v)

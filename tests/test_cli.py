@@ -64,17 +64,19 @@ class TestValidate:
 class TestSimulate:
     def test_play_outcome_payoffs(self, g1_file, capsys):
         assert main(["simulate", g1_file, "--profile", "hat", "--start", "v1"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == "play: v1 -> v3 -> <terminal>"
-        assert out[1] == "outcome: target v3 hit at t=1"
-        assert out[2] == "payoffs: P1=+γ^1 P2=-γ^1"
+        assert capsys.readouterr().out == (
+            "play: v1 -> v3 -> <terminal>\n"
+            "outcome: target v3 hit at t=1\n"
+            "payoffs: P1=+γ^1 P2=-γ^1\n"
+        )
 
     def test_cycling_play(self, g1_file, capsys):
         assert main(["simulate", g1_file, "--profile", "cycle", "--start", "v1"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == "play: v1 -> v2 -> v1"
-        assert out[1] == "outcome: no target is ever hit"
-        assert out[2] == "payoffs: P1=0 P2=0"
+        assert capsys.readouterr().out == (
+            "play: v1 -> v2 -> v1\n"
+            "outcome: no target is ever hit\n"
+            "payoffs: P1=0 P2=0\n"
+        )
 
     def test_unknown_start(self, g1_file, capsys):
         assert main(["simulate", g1_file, "--profile", "hat", "--start", "v9"]) == 1
@@ -138,12 +140,20 @@ class TestSolve:
         assert main(["solve", g1_file]) == 2
         assert capsys.readouterr().err.startswith("error: MPRS_ENUM_GUARD")
 
-    @pytest.mark.parametrize("limit", ["0", "-1"])
-    def test_limit_below_one_is_a_usage_error(self, g1_file, capsys, limit):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--limit", "0"], id="0"),
+            pytest.param(["--limit", "-1"], id="-1"),
+            pytest.param(["--method", "brd", "--max-rounds", "0"], id="max-rounds-0"),
+            pytest.param(["--method", "brd", "--max-rounds", "-5"], id="max-rounds--5"),
+        ],
+    )
+    def test_limit_below_one_is_a_usage_error(self, g1_file, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["solve", g1_file, "--limit", limit])
+            main(["solve", g1_file, *argv])
         assert exc.value.code == 2
-        assert "--limit" in capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be at least 1" in capsys.readouterr().err
 
 
 class TestEnumerate:
@@ -197,9 +207,17 @@ class TestExportDot:
 
     def test_highlight_and_values(self, g1_file, capsys):
         assert main(["export-dot", g1_file, "--profile", "hat", "--values"]) == 0
-        out = capsys.readouterr().out
-        assert '"v1" -> "v3" [penwidth=2.5, color="royalblue"];' in out
-        assert "u1=+γ^1 u2=-γ^1" in out
+        assert capsys.readouterr().out == (
+            "digraph game {\n"
+            "  rankdir=LR;\n"
+            '  "v1" [label="v1\\nP1 reacher\\nu1=+γ^1 u2=-γ^1", shape=box];\n'
+            '  "v2" [label="v2\\nP2 avoider\\nu1=+γ^2 u2=-γ^2", shape=ellipse];\n'
+            '  "v3" [label="v3\\nP2 avoider\\nu1=+1 u2=-1", shape=ellipse, peripheries=2];\n'
+            '  "v1" -> "v2";\n'
+            '  "v1" -> "v3" [penwidth=2.5, color="royalblue"];\n'
+            '  "v2" -> "v1" [penwidth=2.5, color="royalblue"];\n'
+            "}\n"
+        )
 
     def test_write_to_file(self, g1_file, tmp_path):
         target = tmp_path / "g.dot"

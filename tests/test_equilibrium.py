@@ -7,13 +7,11 @@ import random
 import pytest
 
 from mprs import (
-    TERMINAL,
     ZERO,
     GameSpec,
     PayoffValue,
     Profile,
     Role,
-    State,
     TooLargeError,
     all_profiles,
     check_certificate,
@@ -62,7 +60,7 @@ class TestCertificate:
         assert not report.is_ne
         (dev,) = report.violations
         assert dev.player == 1
-        assert dev.state == State.at("v1")
+        assert dev.vertex == "v1"
         assert dev.better_action == "v3"
         assert dev.achieved == ZERO
         assert dev.available == POS(1)
@@ -75,7 +73,7 @@ class TestCertificate:
         assert not report.is_ne
         (dev,) = report.violations
         assert dev.player == 1
-        assert dev.state == State.at("w1")
+        assert dev.vertex == "w1"
         assert dev.better_action == "w1"
         # running into w2 costs -gamma now; the loop would secure zero
         assert dev.achieved == NEG(1)
@@ -87,14 +85,14 @@ class TestIsNash:
         assert is_nash(g1, g1_hat).is_ne
         report = is_nash(g1, g1_cycle)
         assert not report.is_ne
-        by_state = {d.state: d for d in report.violations}
-        assert set(by_state) == {State.at("v1"), State.at("v2")}
-        dev = by_state[State.at("v1")]
+        by_vertex = {d.vertex: d for d in report.violations}
+        assert set(by_vertex) == {"v1", "v2"}
+        dev = by_vertex["v1"]
         assert (dev.player, dev.better_action) == (1, "v3")
         assert (dev.achieved, dev.available) == (ZERO, POS(1))
         # v2 belongs to player 2, so the gain there names no move
-        assert by_state[State.at("v2")].better_action is None
-        assert by_state[State.at("v2")].available == POS(2)
+        assert by_vertex["v2"].better_action is None
+        assert by_vertex["v2"].available == POS(2)
 
     def test_matches_certificate_verdict(self):
         """Local one-step optimality and global deviation search must agree."""
@@ -120,7 +118,7 @@ class TestIsNash:
         report = is_nash(detour_game, slow)
         assert not report.is_ne
         (dev,) = report.violations
-        assert dev.state == State.at("v1")
+        assert dev.vertex == "v1"
         assert (dev.achieved, dev.available) == (POS(2), POS(1))
 
     def test_qualitative_deviations_carry_signs(self, g1, g1_cycle):

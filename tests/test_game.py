@@ -8,13 +8,11 @@ from fractions import Fraction
 import pytest
 
 from mprs import (
-    TERMINAL,
     GameSpec,
     InvalidGameError,
     Profile,
     ProfileError,
     Role,
-    State,
     ViolationKind,
     check_profile,
     play,
@@ -151,6 +149,22 @@ class TestValidation:
             validate_game(spec)
         assert ViolationKind.BAD_PLAYERS in kinds(e)
 
+    @pytest.mark.parametrize(
+        "first", [pytest.param(True, id="bool"), pytest.param("1", id="str")]
+    )
+    def test_player_ids_must_be_integers(self, first):
+        spec = GameSpec(
+            vertices=["v1"],
+            edges=[],
+            owner={"v1": 2},
+            roles={first: Role.REACHER, 2: Role.AVOIDER},
+            targets={first: ["v1"], 2: ["v1"]},
+        )
+        with pytest.raises(InvalidGameError) as e:
+            validate_game(spec)
+        assert kinds(e) == {ViolationKind.BAD_PLAYERS}
+        assert "must be integers" in str(e.value)
+
 
 class TestActionsAndMoves:
     """Only the owner of a non-target vertex moves, along one of its out-edges."""
@@ -167,12 +181,11 @@ class TestActionsAndMoves:
             check_profile(g1, Profile({1: {"v1": "v3"}, 2: {"v2": "v1", "v3": "v1"}}))
 
     def test_turn_payoffs(self, g1, g2):
-        assert turn_payoff(g1, 1, State.at("v3")) == 1
-        assert turn_payoff(g1, 2, State.at("v3")) == -1
-        assert turn_payoff(g1, 1, State.at("v1")) == 0
-        assert turn_payoff(g1, 1, TERMINAL) == 0
-        assert turn_payoff(g2, 1, State.at("w2")) == -1
-        assert turn_payoff(g2, 2, State.at("w2")) == 1
+        assert turn_payoff(g1, 1, "v3") == 1
+        assert turn_payoff(g1, 2, "v3") == -1
+        assert turn_payoff(g1, 1, "v1") == 0
+        assert turn_payoff(g2, 1, "w2") == -1
+        assert turn_payoff(g2, 2, "w2") == 1
 
 
 class TestStructuralInvariants:
@@ -201,7 +214,7 @@ class TestStructuralInvariants:
                 n = game.owner[v]
                 for w in game.successors(v):
                     moved = sigma.replace(n, {**sigma.strategy(n), v: w})
-                    assert play(game, moved, State.at(v))[1] == State.at(w)
+                    assert play(game, moved, v)[1] == w
 
     def test_action_sets_are_never_empty(self):
         for seed in range(40):

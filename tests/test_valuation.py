@@ -14,13 +14,11 @@ import pytest
 
 from mprs import (
     NEVER,
-    TERMINAL,
     ZERO,
     Outcome,
     PayoffValue,
     Profile,
     ProfileError,
-    State,
     TooLargeError,
     best_response,
     best_response_enum,
@@ -141,47 +139,41 @@ class TestProfile:
 
 class TestPlay:
     def test_g1_plays_under_the_equilibrium(self, g1, g1_hat):
-        at = State.at
-        assert play(g1, g1_hat, at("v1")) == (at("v1"), at("v3"), TERMINAL)
-        assert play(g1, g1_hat, at("v2")) == (at("v2"), at("v1"), at("v3"), TERMINAL)
-        assert play(g1, g1_hat, at("v3")) == (at("v3"), TERMINAL)
-        assert play(g1, g1_hat, TERMINAL) == (TERMINAL,)
+        assert play(g1, g1_hat, "v1") == ("v1", "v3", None)
+        assert play(g1, g1_hat, "v2") == ("v2", "v1", "v3", None)
+        assert play(g1, g1_hat, "v3") == ("v3", None)
 
     def test_g1_cycling_profile_stops_at_first_repeat(self, g1):
         sigma = Profile({1: {"v1": "v2"}, 2: {"v2": "v1"}})
-        at = State.at
-        assert play(g1, sigma, at("v1")) == (at("v1"), at("v2"), at("v1"))
-        assert outcome(g1, sigma, at("v1")) == NEVER
+        assert play(g1, sigma, "v1") == ("v1", "v2", "v1")
+        assert outcome(g1, sigma, "v1") == NEVER
 
     def test_g2_self_loop(self, g2):
         loop = Profile({1: {"w1": "w1"}})
-        at = State.at
-        assert play(g2, loop, at("w1")) == (at("w1"), at("w1"))
-        assert outcome(g2, loop, at("w1")) == NEVER
-        assert play(g2, loop, at("w2")) == (at("w2"), TERMINAL)
-        assert outcome(g2, loop, at("w2")) == Outcome.hit(0, "w2")
+        assert play(g2, loop, "w1") == ("w1", "w1")
+        assert outcome(g2, loop, "w1") == NEVER
+        assert play(g2, loop, "w2") == ("w2", None)
+        assert outcome(g2, loop, "w2") == Outcome.hit(0, "w2")
 
     def test_unknown_start_rejected(self, g1, g1_hat):
         with pytest.raises(ValueError):
-            play(g1, g1_hat, State.at("nope"))
+            play(g1, g1_hat, "nope")
 
     def test_play_length_is_bounded(self, g1):
-        bound = len(g1.vertices) + 2
+        bound = len(g1.vertices) + 1
         for sigma in [
             Profile({1: {"v1": "v2"}, 2: {"v2": "v1"}}),
             Profile({1: {"v1": "v3"}, 2: {"v2": "v1"}}),
         ]:
-            for s in g1.states:
-                assert len(play(g1, sigma, s)) <= bound
+            for v in g1.vertices:
+                assert len(play(g1, sigma, v)) <= bound
 
 
 class TestOutcomeAndPayoff:
     def test_g1_outcomes(self, g1, g1_hat):
-        at = State.at
-        assert outcome(g1, g1_hat, at("v1")) == Outcome.hit(1, "v3")
-        assert outcome(g1, g1_hat, at("v2")) == Outcome.hit(2, "v3")
-        assert outcome(g1, g1_hat, at("v3")) == Outcome.hit(0, "v3")
-        assert outcome(g1, g1_hat, TERMINAL) == NEVER
+        assert outcome(g1, g1_hat, "v1") == Outcome.hit(1, "v3")
+        assert outcome(g1, g1_hat, "v2") == Outcome.hit(2, "v3")
+        assert outcome(g1, g1_hat, "v3") == Outcome.hit(0, "v3")
 
     def test_total_payoff_signs(self, g1):
         hit = Outcome.hit(2, "v3")
@@ -205,37 +197,26 @@ class TestOutcomeAndPayoff:
         for seed in range(60):
             game = small_game(seed)
             sigma = random_profile(game, rng)
-            for s in game.states:
-                o = outcome(game, sigma, s)
+            for v in game.vertices:
+                o = outcome(game, sigma, v)
                 if o.is_hit:
                     assert o.time < len(game.vertices)
 
 
 class TestValueTable:
     def test_g1_frozen_table(self, g1, g1_hat):
-        at = State.at
-        table = value_table(g1, g1_hat)
-        assert table.restrict(1) == {
-            at("v1"): POS(1),
-            at("v2"): POS(2),
-            at("v3"): POS(0),
-            TERMINAL: ZERO,
-        }
-        assert table.restrict(2) == {
-            at("v1"): NEG(1),
-            at("v2"): NEG(2),
-            at("v3"): NEG(0),
-            TERMINAL: ZERO,
+        assert value_table(g1, g1_hat) == {
+            1: {"v1": POS(1), "v2": POS(2), "v3": POS(0)},
+            2: {"v1": NEG(1), "v2": NEG(2), "v3": NEG(0)},
         }
 
     def test_g2_frozen_tables(self, g2):
-        at = State.at
         loop = value_table(g2, Profile({1: {"w1": "w1"}}))
-        assert loop.restrict(1) == {at("w1"): ZERO, at("w2"): NEG(0), TERMINAL: ZERO}
-        assert loop.restrict(2) == {at("w1"): ZERO, at("w2"): POS(0), TERMINAL: ZERO}
+        assert loop[1] == {"w1": ZERO, "w2": NEG(0)}
+        assert loop[2] == {"w1": ZERO, "w2": POS(0)}
         jump = value_table(g2, Profile({1: {"w1": "w2"}}))
-        assert jump.value(1, at("w1")) == NEG(1)
-        assert jump.value(2, at("w1")) == POS(1)
+        assert jump[1]["w1"] == NEG(1)
+        assert jump[2]["w1"] == POS(1)
 
     def test_matches_per_play_recomputation(self):
         """The memoized walk must agree with literally playing out each start."""
@@ -245,11 +226,11 @@ class TestValueTable:
             sigma = random_profile(game, rng)
             table = value_table(game, sigma)
             for n in game.players:
-                for s in game.states:
-                    assert table.value(n, s) == total_payoff(game, n, outcome(game, sigma, s))
+                for v in game.vertices:
+                    assert table[n][v] == total_payoff(game, n, outcome(game, sigma, v))
 
     def test_one_step_recursion(self):
-        """u(s) = step reward + discounted u(next), in exact arithmetic."""
+        """u(v) = step reward + discounted u(next), in exact arithmetic."""
         rng = random.Random(23)
         for seed in range(40):
             game = small_game(seed)
@@ -257,14 +238,13 @@ class TestValueTable:
             table = value_table(game, sigma)
             succ = {v: sigma.choice(game.owner[v], v) for v in game.choice_vertices}
             for n in game.players:
-                assert table.value(n, TERMINAL) == ZERO
                 for v in game.vertices:
-                    here = table.value(n, State.at(v))
+                    here = table[n][v]
                     if v in game.total_target:
-                        step = turn_payoff(game, n, State.at(v))
+                        step = turn_payoff(game, n, v)
                         expected = ZERO if step == 0 else PayoffValue(step, 0)
                     else:
-                        expected = table.value(n, State.at(succ[v])).discounted()
+                        expected = table[n][succ[v]].discounted()
                     assert here == expected, (seed, n, v)
 
 
@@ -272,20 +252,17 @@ class TestBestResponse:
     def test_g1_reacher_side(self, g1):
         strategy, values = best_response(g1, Profile({2: {"v2": "v1"}}), 1)
         assert strategy == {"v1": "v3"}
-        at = State.at
-        assert values == {at("v1"): POS(1), at("v2"): POS(2), at("v3"): POS(0), TERMINAL: ZERO}
+        assert values == {"v1": POS(1), "v2": POS(2), "v3": POS(0)}
 
     def test_g1_avoider_side(self, g1):
         strategy, values = best_response(g1, Profile({1: {"v1": "v3"}}), 2)
         assert strategy == {"v2": "v1"}  # forced: v2 has a single edge
-        at = State.at
-        assert values == {at("v1"): NEG(1), at("v2"): NEG(2), at("v3"): NEG(0), TERMINAL: ZERO}
+        assert values == {"v1": NEG(1), "v2": NEG(2), "v3": NEG(0)}
 
     def test_g2_avoider_prefers_the_loop(self, g2):
         strategy, values = best_response(g2, Profile({}), 1)
         assert strategy == {"w1": "w1"}
-        at = State.at
-        assert values == {at("w1"): ZERO, at("w2"): NEG(0), TERMINAL: ZERO}
+        assert values == {"w1": ZERO, "w2": NEG(0)}
 
     def test_response_achieves_its_stated_values(self):
         rng = random.Random(31)
@@ -295,7 +272,7 @@ class TestBestResponse:
             n = rng.choice(game.players)
             strategy, values = best_response(game, sigma.without(n), n)
             combined = sigma.replace(n, strategy)
-            assert value_table(game, combined).restrict(n) == values, (seed, n)
+            assert value_table(game, combined)[n] == values, (seed, n)
 
     def test_agrees_with_brute_force(self):
         """Fast route and exhaustive route give the same value at every start."""
