@@ -28,6 +28,14 @@ from .limits import check_guard
 from .valuation import (
     PayoffValue,
     Profile,
+    _codes,
+    _Core,
+    _decode,
+    _discount,
+    _encode,
+    _hits,
+    _moves,
+    _payoffs,
     best_response,
     check_profile,
     value_table,
@@ -60,21 +68,20 @@ class NEReport:
 
 
 def _assert_consistent(
-    game: Game, profile: Profile, values: dict[int, dict[str, PayoffValue]]
+    game: Game, core: _Core, nxt: list[int], codes: dict[int, list[int]]
 ) -> None:
-    # Internal self-check: the value table must satisfy the one-step
+    # Internal self-check: the payoff codes must satisfy the one-step
     # recursion value(v) = turn payoff + discounted value of the successor
     # at every vertex, for every player.
-    for m in game.players:
-        mine = values[m]
-        for v in game.vertices:
-            if v in game.total_target:
-                expected = PayoffValue(turn_payoff(game, m, v))
+    for m, mine in codes.items():
+        for v, (name, w) in enumerate(zip(core.names, nxt)):
+            if w < 0:
+                expected = _encode(PayoffValue(turn_payoff(game, m, name)), core.base)
             else:
-                expected = mine[profile.choice(game.owner[v], v)].discounted()
+                expected = _discount(mine[w])
             if mine[v] != expected:
                 raise AssertionError(
-                    f"value table breaks the one-step recursion at {v!r} for player {m}"
+                    f"value table breaks the one-step recursion at {name!r} for player {m}"
                 )
 
 
@@ -88,30 +95,36 @@ def check_certificate(game: Game, profile: Profile) -> NEReport:
     move permanently would make it.
     """
     check_profile(game, profile)
-    values = value_table(game, profile)
-    _assert_consistent(game, profile, values)
+    core = game._core
+    nxt = _moves(core, profile)
+    hits = _hits(core, nxt)
+    codes = {m: _codes(core, m, hits) for m in game.players}
+    _assert_consistent(game, core, nxt, codes)
 
     violations = []
-    for v in game.choice_vertices:
-        n = game.owner[v]
-        mine = values[n]
-        best_score = mine[profile.choice(n, v)].discounted()
-        best_move: str | None = None
-        for w in game.successors(v):
-            score = mine[w].discounted()
-            if score > best_score:
-                best_score = score
+    names, base = core.names, core.base
+    for v in core.choice:
+        n = core.owner[v]
+        mine = codes[n]
+        # Discounting is strictly monotone on codes, so the destinations'
+        # own codes rank the moves exactly as their discounted values do.
+        best_score = mine[nxt[v]]
+        best_move = -1
+        for w in core.succ[v]:
+            if mine[w] > best_score:
+                best_score = mine[w]
                 best_move = w
-        if best_move is not None:
-            switched = profile.replace(n, {**profile.strategy(n), v: best_move})
-            available = value_table(game, switched)[n][v]
+        if best_move >= 0:
+            switched = list(nxt)
+            switched[v] = best_move
+            available = _codes(core, n, _hits(core, switched))[v]
             violations.append(
                 Deviation(
                     player=n,
-                    vertex=v,
-                    better_action=best_move,
-                    achieved=mine[v],
-                    available=available,
+                    vertex=names[v],
+                    better_action=names[best_move],
+                    achieved=_decode(mine[v], base),
+                    available=_decode(available, base),
                 )
             )
     return NEReport(not violations, tuple(violations))
@@ -125,6 +138,8 @@ def _deviation_scan(
     for n in game.players:
         strategy, br_values = best_response(game, profile, n)
         mine = values[n]
+        if br_values == mine:  # cheap: the two maps share their payoff objects
+            continue
         for v in game.vertices:
             achieved = mine[v]
             available = br_values[v]
@@ -193,7 +208,10 @@ def enumerate_ne(
 
     Raises:
         TooLargeError: when the profile space exceeds the guard.
+        ValueError: when `limit` is below 1.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     found = []
     for profile in all_profiles(game, guard):
         if is_nash(game, profile).is_ne:
@@ -213,21 +231,28 @@ def solve_br_dynamics(
     full round without any replacement means no player can improve, so the
     result passes `is_nash`. Returns None when a previously visited
     profile comes around again or `max_rounds` runs out; callers then fall
-    back to `enumerate_ne`.
+    back to `enumerate_ne`. A `max_rounds` below 1 is a ValueError.
     """
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     check_profile(game, seed)
+    core = game._core
     current = seed
     visited = {current}
+    hits = None  # of `current`, rebuilt after every switch
     for _ in range(max_rounds):
         changed = False
         for n in game.players:
             strategy, br_values = best_response(game, current, n)
-            values = value_table(game, current)[n]
-            if any(br_values[v] > values[v] for v in game.vertices):
+            if hits is None:
+                hits = _hits(core, _moves(core, current))
+            values = _payoffs(core, _codes(core, n, hits))
+            if br_values != values and any(br_values[v] > values[v] for v in game.vertices):
                 current = current.replace(n, strategy)
                 if current in visited:
                     return None
                 visited.add(current)
+                hits = None
                 changed = True
         if not changed:
             return current

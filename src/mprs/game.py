@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 
@@ -104,6 +105,14 @@ class Game:
     def successors(self, v: str) -> tuple[str, ...]:
         """Out-neighbours of `v` in lexicographic order."""
         return self._succ[v]
+
+    @cached_property
+    def _core(self):
+        # The solvers' int-indexed form (`valuation._Core`), built on first use
+        # into the instance dict, where equality, repr and documents miss it.
+        from .valuation import _Core
+
+        return _Core(self)
 
 
 def validate_game(spec: GameSpec) -> Game:

@@ -6,7 +6,9 @@ hitting time bounded by the number of vertices. A player's payoff is
 therefore always 0 or +/- gamma**t for that hitting time t, so payoffs are
 kept symbolically as a sign and an exponent (`PayoffValue`) and compared
 without ever evaluating the discount factor: the induced order is the same
-for every discount strictly between 0 and 1.
+for every discount strictly between 0 and 1. Inside the package the
+solvers run on an int-indexed form of each game (`_Core`) and on integer
+payoff codes (`_encode`); `PayoffValue` maps appear only at the API.
 
 `best_response` computes a payoff-maximizing memoryless strategy for one
 player against fixed opponents by graph fixpoints (earliest arrival for
@@ -22,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache
 from typing import Mapping
 
 from .game import Game, Role
@@ -102,23 +104,31 @@ def check_profile(game: Game, profile: Profile) -> None:
         ProfileError: listing every way the profile fails to fit `game`.
     """
     problems = []
-    for n in profile.players:
+    legal = 0
+    owner, targets = game.owner, game.total_target
+    for n, moves in profile._items:
         if n not in game.roles:
             problems.append(f"strategy given for undeclared player {n}")
             continue
-        for v, w in sorted(profile.strategy(n).items()):
-            if v not in game.owner:
+        for v, w in moves:
+            m = owner.get(v)
+            if m is None:
                 problems.append(f"player {n} moves at unknown vertex {v!r}")
-            elif game.owner[v] != n:
-                problems.append(f"player {n} moves at {v!r}, owned by player {game.owner[v]}")
-            elif v in game.total_target:
+            elif m != n:
+                problems.append(f"player {n} moves at {v!r}, owned by player {m}")
+            elif v in targets:
                 problems.append(f"player {n} moves at target vertex {v!r}")
             elif w not in game.successors(v):
                 problems.append(f"chosen move {v!r} -> {w!r} is not an edge")
-    for v in game.choice_vertices:
-        n = game.owner[v]
-        if v not in profile._lookup.get(n, {}):
-            problems.append(f"no move fixed at {v!r} for player {n}")
+            else:
+                legal += 1
+    # Legal moves sit at distinct choice vertices, so as many legal moves
+    # as choice vertices leave none of them open.
+    if legal < len(game.choice_vertices):
+        for v in game.choice_vertices:
+            n = game.owner[v]
+            if v not in profile._lookup.get(n, {}):
+                problems.append(f"no move fixed at {v!r} for player {n}")
     if problems:
         raise ProfileError("; ".join(problems))
 
@@ -147,7 +157,6 @@ class Outcome:
 NEVER = Outcome(None, None)
 
 
-@total_ordering
 @dataclass(frozen=True)
 class PayoffValue:
     """Exact total payoff of a play: 0, or +/- gamma**exponent.
@@ -187,11 +196,27 @@ class PayoffValue:
         """Evaluate at a concrete discount factor."""
         return self.sign * Fraction(gamma) ** self.exponent
 
-    def _key(self) -> tuple[int, int]:
-        return (self.sign, -self.sign * self.exponent)
-
+    # Written out rather than derived, because they sit on the verdicts'
+    # hot path. Between equal signs s, the larger s * -exponent wins.
     def __lt__(self, other: "PayoffValue") -> bool:
-        return self._key() < other._key()
+        if self.sign != other.sign:
+            return self.sign < other.sign
+        return self.sign * (other.exponent - self.exponent) < 0
+
+    def __le__(self, other: "PayoffValue") -> bool:
+        if self.sign != other.sign:
+            return self.sign < other.sign
+        return self.sign * (other.exponent - self.exponent) <= 0
+
+    def __gt__(self, other: "PayoffValue") -> bool:
+        if self.sign != other.sign:
+            return self.sign > other.sign
+        return self.sign * (other.exponent - self.exponent) > 0
+
+    def __ge__(self, other: "PayoffValue") -> bool:
+        if self.sign != other.sign:
+            return self.sign > other.sign
+        return self.sign * (other.exponent - self.exponent) >= 0
 
     def __str__(self) -> str:
         if self.sign == 0:
@@ -257,46 +282,133 @@ def qualitative_payoff(game: Game, n: int, o: Outcome) -> int:
     return total_payoff(game, n, o).sign
 
 
-def _profile_successor(game: Game, profile: Profile) -> dict[str, str]:
-    """The single successor the owner picks at every non-target vertex."""
-    return {v: profile.choice(game.owner[v], v) for v in game.choice_vertices}
+class _Core:
+    """Int-indexed form of a game, which every solver here runs on.
 
-
-def _first_hits(game: Game, succ: Mapping[str, str]) -> dict[str, tuple[int, str] | None]:
-    """First-hit time and vertex from every start, for a successor map.
-
-    Walks each unresolved vertex forward with memoization, so the whole
-    table costs linear time in the number of vertices.
+    Vertex i is ``game.vertices[i]``, so index order is lexicographic
+    order. Target vertices are absorbing: they have no successors and are
+    nobody's predecessor. `signs[n][i]` is the sign of player n's payoff
+    when a play first hits vertex i, with a trailing 0 at index
+    ``len(vertices)`` that stands for "no hit". Payoffs are integer codes
+    (see `_encode`). Built once per game, on first use, by `Game._core`.
     """
-    memo: dict[str, tuple[int, str] | None] = {}
-    targets = game.total_target
-    for start in game.vertices:
-        if start in memo:
+
+    __slots__ = ("names", "index", "base", "owner", "succ", "pred", "choice", "signs")
+
+    def __init__(self, game: Game):
+        names, targets = game.vertices, game.total_target
+        index = {v: i for i, v in enumerate(names)}
+        succ = tuple(
+            () if v in targets else tuple(map(index.__getitem__, game.successors(v)))
+            for v in names
+        )
+        pred: list[list[int]] = [[] for _ in names]
+        for v, ws in enumerate(succ):
+            for w in ws:
+                pred[w].append(v)
+        self.names = names
+        self.index = index
+        self.base = len(names) + 1
+        self.owner = tuple(map(game.owner.__getitem__, names))
+        self.succ = succ
+        self.pred = tuple(map(tuple, pred))
+        self.choice = tuple(v for v, ws in enumerate(succ) if ws)
+        self.signs = {
+            n: tuple(_payoff(game, n, (0, v)).sign if v in targets else 0 for v in names) + (0,)
+            for n in game.players
+        }
+
+
+# A payoff 0 or sign * gamma**t with t <= len(vertices) is kept inside the
+# package as the integer code sign * (base - t), base = len(vertices) + 1,
+# and 0 for the zero payoff. Codes compare exactly like `PayoffValue`s, for
+# every gamma in (0, 1), and one discount step moves a code one toward 0.
+# Decoding is cached, so the value maps of one game share their payoff
+# objects and mostly compare by identity.
+
+
+def _encode(p: PayoffValue, base: int) -> int:
+    return p.sign * (base - p.exponent)
+
+
+@lru_cache(maxsize=256)
+def _decode(code: int, base: int) -> PayoffValue:
+    if code == 0:
+        return ZERO
+    return PayoffValue(1, base - code) if code > 0 else PayoffValue(-1, base + code)
+
+
+def _discount(code: int) -> int:
+    return code - 1 if code > 0 else code + 1 if code < 0 else 0
+
+
+def _payoffs(core: _Core, codes: list[int]) -> dict[str, PayoffValue]:
+    """Vertex id to payoff, decoding each distinct code once."""
+    decoded = {c: _decode(c, core.base) for c in set(codes)}
+    return dict(zip(core.names, map(decoded.__getitem__, codes)))
+
+
+def _moves(core: _Core, profile: Profile, skip: int | None = None) -> list[int]:
+    """The successor `profile` picks at every choice vertex not owned by
+    `skip`, and -1 at every other vertex.
+
+    Raises:
+        ProfileError: when a move is missing or is not an edge.
+    """
+    size = len(core.names)
+    nxt = [-1] * size
+    index, owner, succ = core.index, core.owner, core.succ
+    for m, moves in profile._items:
+        if m == skip:
             continue
-        path: list[str] = []
-        seen_at: dict[str, int] = {}
-        current = start
-        while True:
-            if current in memo:
-                base = memo[current]
-                break
-            if current in targets:
-                base = (0, current)
-                memo[current] = base
-                break
-            if current in seen_at:
-                base = None  # walked into a fresh cycle: nobody on it hits
-                break
-            seen_at[current] = len(path)
-            path.append(current)
-            current = succ[current]
-        for i in range(len(path) - 1, -1, -1):
-            if base is None:
-                memo[path[i]] = None
-            else:
-                dist, vertex = base
-                memo[path[i]] = (dist + len(path) - i, vertex)
-    return memo
+        for v, w in moves:
+            v = index.get(v)
+            if v is not None and owner[v] == m and succ[v]:
+                nxt[v] = index.get(w, size)  # `size` is never an edge
+    for v in core.choice:
+        if nxt[v] not in succ[v] and owner[v] != skip:
+            w = profile.choice(owner[v], core.names[v])  # raises if missing
+            raise ProfileError(f"opponent move {core.names[v]!r} -> {w!r} is not an edge")
+    return nxt
+
+
+def _hits(core: _Core, nxt: list[int]) -> tuple[list[int], list[int]]:
+    """First hit from every start vertex when each vertex moves to `nxt`.
+
+    Returns the hitting time and the target vertex hit, per vertex; the
+    target is ``len(vertices)``, and the time meaningless, when the play
+    never hits. Walks each
+    unresolved vertex forward with memoization, so the whole table costs
+    linear time in the number of vertices.
+    """
+    size = len(core.names)
+    when = [-1 if ws else 0 for ws in core.succ]  # -1 unresolved, -2 on the walk
+    where = list(range(size))
+    for start in core.choice:
+        if when[start] != -1:
+            continue
+        path = []
+        v = start
+        while when[v] == -1:
+            when[v] = -2
+            path.append(v)
+            v = nxt[v]
+        if when[v] == -2:  # walked into a fresh cycle: nobody on it hits
+            t, w = 0, size
+        else:
+            t, w = when[v], where[v]
+        for u in reversed(path):
+            t += 1
+            when[u] = t
+            where[u] = w
+    return when, where
+
+
+def _codes(core: _Core, n: int, hits: tuple[list[int], list[int]]) -> list[int]:
+    """Player `n`'s payoff code from every start vertex (see `_encode`)."""
+    sign, base = core.signs[n], core.base
+    when, where = hits
+    return [sign[w] * (base - t) for t, w in zip(when, where)]
 
 
 def value_table(game: Game, profile: Profile) -> dict[int, dict[str, PayoffValue]]:
@@ -306,143 +418,53 @@ def value_table(game: Game, profile: Profile) -> dict[int, dict[str, PayoffValue
     has the shape of the value map `best_response` returns.
     """
     check_profile(game, profile)
-    hits = _first_hits(game, _profile_successor(game, profile))
-    return {
-        n: {v: _payoff(game, n, hits[v]) for v in game.vertices}
-        for n in game.players
-    }
+    core = game._core
+    hits = _hits(core, _moves(core, profile))
+    return {n: _payoffs(core, _codes(core, n, hits)) for n in game.players}
 
 
-def _forced_moves(game: Game, opponents: Profile, n: int) -> dict[str, str]:
-    """Moves fixed by the other players; entries for `n` itself are ignored."""
-    forced = {}
-    for v in game.choice_vertices:
-        m = game.owner[v]
-        if m == n:
-            continue
-        w = opponents.choice(m, v)
-        if w not in game.successors(v):
-            raise ProfileError(f"opponent move {v!r} -> {w!r} is not an edge")
-        forced[v] = w
-    return forced
-
-
-def _effective_successors(game: Game, forced: Mapping[str, str], n: int) -> dict[str, tuple[str, ...]]:
-    """Successor choices at each non-target vertex once opponents are fixed."""
-    return {
-        v: game.successors(v) if game.owner[v] == n else (forced[v],)
-        for v in game.choice_vertices
-    }
-
-
-def _reverse(succ: Mapping[str, tuple[str, ...]]) -> dict[str, list[str]]:
-    rev: dict[str, list[str]] = {}
-    for v in sorted(succ):
-        for w in succ[v]:
-            rev.setdefault(w, []).append(v)
-    return rev
-
-
-def _reacher_response(
-    game: Game, succ: Mapping[str, tuple[str, ...]], n: int
-) -> tuple[Strategy, dict[str, PayoffValue]]:
+def _reach(core: _Core, nxt: list[int], own: list[int]) -> list[int]:
     # Earliest-arrival layering toward the player's own targets. Paths may
     # not cross other target vertices: those stop the play with payoff 0,
-    # and the layering never assigns them.
-    own = game.targets[n]
-    rev = _reverse(succ)
-    dist: dict[str, int] = {v: 0 for v in own}
-    frontier = sorted(own)
+    # and being nobody's predecessor they are never reached.
+    pred = core.pred
+    dist = [-1] * len(core.names)  # -1: the own targets are out of reach
+    for v in own:
+        dist[v] = 0
+    frontier, d = own, 0
     while frontier:
-        nxt = []
+        d += 1
+        layer = []
         for w in frontier:
-            for v in rev.get(w, ()):
-                if v not in dist:
-                    dist[v] = dist[w] + 1
-                    nxt.append(v)
-        frontier = sorted(nxt)
-
-    strategy: Strategy = {}
-    for v in game.choice_vertices:
-        if game.owner[v] != n:
-            continue
-        here = dist.get(v)
-        if here is None:
-            strategy[v] = game.successors(v)[0]
-            continue
-        for w in game.successors(v):
-            if dist.get(w) == here - 1:
-                strategy[v] = w
-                break
-
-    values = {
-        v: PayoffValue(1, dist[v]) if v in dist else ZERO for v in game.vertices
-    }
-    return strategy, values
+            for v in pred[w]:
+                if dist[v] < 0 and (nxt[v] < 0 or nxt[v] == w):
+                    dist[v] = d
+                    layer.append(v)
+        frontier = layer
+    return dist
 
 
-def _avoider_response(
-    game: Game, succ: Mapping[str, tuple[str, ...]], n: int
-) -> tuple[Strategy, dict[str, PayoffValue]]:
+def _avoid(core: _Core, nxt: list[int], own: list[int]) -> list[int]:
     # A vertex is doomed when every available continuation leads into the
-    # player's own target set; on the doomed region the induced graph is
-    # acyclic, and the best the avoider can do is stretch the hitting time.
-    own = game.targets[n]
-    rev = _reverse(succ)
-    need = {v: len(succ[v]) for v in succ}
-    doomed = set(own)
-    queue = sorted(own)
-    while queue:
-        nxt = []
-        for w in queue:
-            for v in rev.get(w, ()):
-                if v in doomed:
-                    continue
-                need[v] -= 1
-                if need[v] == 0:
-                    doomed.add(v)
-                    nxt.append(v)
-        queue = sorted(nxt)
-
-    delay: dict[str, int] = {v: 0 for v in own}
-    on_stack: set[str] = set()
-    for root in sorted(doomed):
-        if root in delay:
-            continue
-        stack = [(root, iter(succ[root]))]
-        on_stack.add(root)
-        while stack:
-            v, it = stack[-1]
-            w = next(it, None)
-            if w is None:
-                stack.pop()
-                on_stack.discard(v)
-                delay[v] = 1 + max(delay[x] for x in succ[v])
-            elif w not in delay:
-                if w in on_stack:
-                    raise AssertionError("cycle inside the doomed region")
-                stack.append((w, iter(succ[w])))
-                on_stack.add(w)
-
-    strategy: Strategy = {}
-    for v in game.choice_vertices:
-        if game.owner[v] != n:
-            continue
-        if v not in doomed:
-            for w in game.successors(v):
-                if w not in doomed:
-                    strategy[v] = w
-                    break
-        else:
-            for w in game.successors(v):
-                if delay.get(w) == delay[v] - 1:
-                    strategy[v] = w
-                    break
-
-    values = {
-        v: PayoffValue(-1, delay[v]) if v in doomed else ZERO for v in game.vertices
-    }
-    return strategy, values
+    # player's own target set. Vertices are doomed in an order where all of
+    # a vertex's continuations come first, so the longest delay it can
+    # force is known the moment it is doomed.
+    succ, pred = core.succ, core.pred
+    delay = [-1] * len(core.names)  # -1 outside the doomed region
+    for v in own:
+        delay[v] = 0
+    queue = list(own)
+    need: dict[int, int] = {}
+    for w in queue:  # grows while it is walked
+        for v in pred[w]:
+            forced = nxt[v]
+            if delay[v] >= 0 or forced not in (-1, w):
+                continue
+            need[v] = need.get(v, 1 if forced >= 0 else len(succ[v])) - 1
+            if need[v] == 0:
+                delay[v] = 1 + (delay[w] if forced >= 0 else max(delay[x] for x in succ[v]))
+                queue.append(v)
+    return delay
 
 
 def best_response(
@@ -459,11 +481,28 @@ def best_response(
     """
     if n not in game.roles:
         raise ValueError(f"unknown player {n!r}")
-    forced = _forced_moves(game, opponents, n)
-    succ = _effective_successors(game, forced, n)
-    if game.roles[n] is Role.REACHER:
-        return _reacher_response(game, succ, n)
-    return _avoider_response(game, succ, n)
+    core = game._core
+    sign, succ, names = core.signs[n], core.succ, core.names
+    own = [v for v in range(len(names)) if sign[v]]
+    nxt = _moves(core, opponents, skip=n)
+    respond = _reach if game.roles[n] is Role.REACHER else _avoid
+    time = respond(core, nxt, own)  # until an own target is hit, or -1
+    # Each own vertex moves one layer down: to a successor with time - 1,
+    # or, where it has no time, to a successor without one. Such a move
+    # exists: a reacher's vertex out of reach has only successors out of
+    # reach, and an avoider's vertex outside the doomed region has a way
+    # to stay outside.
+    strategy = {}
+    for v in core.choice:
+        if nxt[v] < 0:
+            want = max(time[v] - 1, -1)
+            for w in succ[v]:
+                if time[w] == want:
+                    strategy[names[v]] = names[w]
+                    break
+    # Every own target carries the same sign: the one of the player's role.
+    s, base = sign[own[0]], core.base
+    return strategy, _payoffs(core, [s * (base - t) if t >= 0 else 0 for t in time])
 
 
 def best_response_enum(
@@ -481,33 +520,24 @@ def best_response_enum(
     """
     if n not in game.roles:
         raise ValueError(f"unknown player {n!r}")
-    forced = _forced_moves(game, opponents, n)
-    mine = [v for v in game.choice_vertices if game.owner[v] == n]
-    space = math.prod(len(game.successors(v)) for v in mine)
-    check_guard(space, guard)
+    core = game._core
+    nxt = _moves(core, opponents, skip=n)
+    mine = [v for v in core.choice if core.owner[v] == n]
+    check_guard(math.prod(len(core.succ[v]) for v in mine), guard)
 
-    def evaluate(choice: tuple[str, ...]) -> dict[str, PayoffValue]:
-        succ = dict(forced)
-        succ.update(zip(mine, choice))
-        hits = _first_hits(game, succ)
-        return {v: _payoff(game, n, hits[v]) for v in game.vertices}
+    def evaluate(choice: tuple[int, ...]) -> list[int]:
+        for v, w in zip(mine, choice):
+            nxt[v] = w
+        return _codes(core, n, _hits(core, nxt))
 
-    best: dict[str, PayoffValue] | None = None
-    for choice in itertools.product(*(game.successors(v) for v in mine)):
-        vals = evaluate(choice)
-        if best is None:
-            best = vals
-        else:
-            for v in game.vertices:
-                if vals[v] > best[v]:
-                    best[v] = vals[v]
+    best: list[int] | None = None
+    for choice in itertools.product(*(core.succ[v] for v in mine)):
+        codes = evaluate(choice)
+        best = codes if best is None else list(map(max, best, codes))
     assert best is not None  # the empty product still yields one candidate
 
-    strategy: Strategy | None = None
-    for choice in itertools.product(*(game.successors(v) for v in mine)):
+    for choice in itertools.product(*(core.succ[v] for v in mine)):
         if evaluate(choice) == best:
-            strategy = dict(zip(mine, choice))
-            break
-    if strategy is None:
-        raise AssertionError("no single strategy achieves the per-vertex maxima")
-    return strategy, best
+            names = core.names
+            return {names[v]: names[w] for v, w in zip(mine, choice)}, _payoffs(core, best)
+    raise AssertionError("no single strategy achieves the per-vertex maxima")

@@ -165,6 +165,11 @@ class TestEnumeration:
         full = enumerate_ne(game)
         assert enumerate_ne(game, limit=1) == full[:1]
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_is_rejected(self, g1, limit):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            enumerate_ne(g1, limit=limit)
+
     def test_guard_env_override(self, g1, monkeypatch):
         monkeypatch.setenv("MPRS_ENUM_GUARD", "1")
         with pytest.raises(TooLargeError):
@@ -187,6 +192,17 @@ class TestBestResponseDynamics:
 
     def test_fixed_point_stays_put(self, g1, g1_hat):
         assert solve_br_dynamics(g1, g1_hat) == g1_hat
+
+    def test_only_a_round_without_switches_ends_the_dynamics(self, g1, g1_hat, g1_cycle):
+        # Player 1 switches in the first round, so a second round must
+        # confirm that nobody else wants to move.
+        assert solve_br_dynamics(g1, g1_cycle, max_rounds=1) is None
+        assert solve_br_dynamics(g1, g1_cycle, max_rounds=2) == g1_hat
+
+    @pytest.mark.parametrize("max_rounds", [0, -1])
+    def test_round_budget_below_one_is_rejected(self, g1, g1_cycle, max_rounds):
+        with pytest.raises(ValueError, match="max_rounds must be at least 1"):
+            solve_br_dynamics(g1, g1_cycle, max_rounds=max_rounds)
 
     def test_result_is_always_an_equilibrium(self):
         rng = random.Random(13)

@@ -1,4 +1,4 @@
-"""Property tests of the value maps on drawn games and profiles.
+"""Property tests of the value maps and solvers on drawn games and profiles.
 
 Games are drawn directly as `GameSpec`s (1-5 vertices, 1-3 players,
 self-loops allowed, targets possibly shared between players), so a
@@ -17,8 +17,11 @@ from mprs import (
     best_response,
     best_response_enum,
     check_certificate,
+    emit_game,
     is_nash,
     outcome,
+    parse_document,
+    solve_br_dynamics,
     total_payoff,
     validate_game,
     value_table,
@@ -63,3 +66,27 @@ def test_value_maps_agree(drawn):
         for v in game.vertices:
             assert table[n][v] == total_payoff(game, n, outcome(game, profile, v))
     assert is_nash(game, profile).is_ne == check_certificate(game, profile).is_ne
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(games_and_profiles())
+def test_dynamics_stop_only_at_equilibria(drawn):
+    game, profile = drawn
+    found = solve_br_dynamics(game, profile)
+    if found is not None:
+        assert is_nash(game, found).is_ne
+        assert check_certificate(game, found).is_ne
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(games_and_profiles())
+def test_document_round_trip_after_evaluation(drawn):
+    """The int-indexed form cached on an evaluated game shows up in
+    neither its equality nor its document."""
+    game, profile = drawn
+    value_table(game, profile)
+    assert "_core" in vars(game)
+    text = emit_game(game)
+    again = parse_document(text).game
+    assert again == game
+    assert emit_game(again) == text

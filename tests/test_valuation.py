@@ -30,6 +30,7 @@ from mprs import (
     turn_payoff,
     value_table,
 )
+from mprs.valuation import _decode, _discount, _encode
 
 from conftest import random_profile, small_game
 
@@ -64,15 +65,29 @@ class TestPayoffValue:
         assert len(set(chain)) == len(chain)
 
     def test_order_matches_numeric_order_for_every_gamma(self):
-        """The symbolic order must agree with the numeric one on all of (0, 1)."""
+        """The symbolic order must agree with the numeric one on all of (0, 1),
+        through each of the four comparison operators."""
         values = all_payoffs()
         for a in values:
             for b in values:
-                symbolic = (a > b) - (a < b)
+                symbolic = (a < b, a <= b, a > b, a >= b)
                 for gamma in GAMMAS:
-                    gap = a.numeric(gamma) - b.numeric(gamma)
-                    numeric = (gap > 0) - (gap < 0)
-                    assert symbolic == numeric, (a, b, gamma)
+                    x, y = a.numeric(gamma), b.numeric(gamma)
+                    assert symbolic == (x < y, x <= y, x > y, x >= y), (a, b, gamma)
+
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_payoff_codes(self, size):
+        """Integer codes of every payoff a game of `size` vertices can produce:
+        0 and +/- gamma**t for a first hitting time t < size."""
+        base = size + 1
+        values = [ZERO] + [PayoffValue(s, t) for t in range(size) for s in (1, -1)]
+        for a in values:
+            code = _encode(a, base)
+            assert _decode(code, base) == a
+            assert _decode(_discount(code), base) == a.discounted()
+            for b in values:
+                assert (code < _encode(b, base)) == (a < b), (a, b)
+                assert (code == _encode(b, base)) == (a == b), (a, b)
 
     def test_discounted_is_multiplication_by_gamma(self):
         for a in all_payoffs():
