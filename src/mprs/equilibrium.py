@@ -35,7 +35,7 @@ from .valuation import (
     _encode,
     _hits,
     _moves,
-    _payoffs,
+    _respond,
     best_response,
     check_profile,
     value_table,
@@ -133,7 +133,7 @@ def check_certificate(game: Game, profile: Profile) -> NEReport:
 def _deviation_scan(
     game: Game, profile: Profile, qualitative: bool
 ) -> tuple[Deviation, ...]:
-    values = value_table(game, profile)
+    values = value_table(game, profile)  # raises ProfileError first
     violations = []
     for n in game.players:
         strategy, br_values = best_response(game, profile, n)
@@ -158,7 +158,6 @@ def is_nash(game: Game, profile: Profile) -> NEReport:
     Improvement is demanded from every start vertex at once, so a profile
     fails as soon as one player gains from one vertex.
     """
-    check_profile(game, profile)
     violations = _deviation_scan(game, profile, qualitative=False)
     return NEReport(not violations, violations)
 
@@ -169,7 +168,6 @@ def is_nash_qualitative(game: Game, profile: Profile) -> NEReport:
     Every exact equilibrium also passes this coarser check, since taking
     signs preserves the payoff order; the converse does not hold.
     """
-    check_profile(game, profile)
     violations = _deviation_scan(game, profile, qualitative=True)
     return NEReport(not violations, violations)
 
@@ -232,30 +230,40 @@ def solve_br_dynamics(
     result passes `is_nash`. Returns None when a previously visited
     profile comes around again or `max_rounds` runs out; callers then fall
     back to `enumerate_ne`. A `max_rounds` below 1 is a ValueError.
+
+    The dynamics run on the game's move array and payoff codes: each
+    response comes from the same fixpoints and tie-break as
+    `best_response`, and a `Profile` is built only for the result.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     check_profile(game, seed)
     core = game._core
-    current = seed
-    visited = {current}
-    hits = None  # of `current`, rebuilt after every switch
+    nxt = _moves(core, seed)
+    owner = core.owner
+    visited = {tuple(nxt)}
+    hits = None  # of `nxt`, rebuilt after every switch
     for _ in range(max_rounds):
         changed = False
         for n in game.players:
-            strategy, br_values = best_response(game, current, n)
+            moves, br_codes = _respond(core, [-1 if m == n else w for m, w in zip(owner, nxt)], n)
             if hits is None:
-                hits = _hits(core, _moves(core, current))
-            values = _payoffs(core, _codes(core, n, hits))
-            if br_values != values and any(br_values[v] > values[v] for v in game.vertices):
-                current = current.replace(n, strategy)
-                if current in visited:
+                hits = _hits(core, nxt)
+            if any(map(int.__gt__, br_codes, _codes(core, n, hits))):
+                for v, w in moves.items():
+                    nxt[v] = w
+                key = tuple(nxt)
+                if key in visited:
                     return None
-                visited.add(current)
+                visited.add(key)
                 hits = None
                 changed = True
         if not changed:
-            return current
+            strategies: dict[int, dict[str, str]] = {}
+            names = core.names
+            for v in core.choice:
+                strategies.setdefault(owner[v], {})[names[v]] = names[nxt[v]]
+            return Profile(strategies)
     return None
 
 

@@ -128,6 +128,7 @@ def validate_game(spec: GameSpec) -> Game:
 
     vertices = sorted({str(v) for v in spec.vertices})
     vset = frozenset(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
 
     players = sorted(
         n for n in spec.roles if isinstance(n, int) and not isinstance(n, bool)
@@ -160,7 +161,11 @@ def validate_game(spec: GameSpec) -> Game:
                 Violation(ViolationKind.BAD_ROLE, f"player {n} has unknown role {spec.roles[n]!r}")
             )
 
-    edges = set()
+    # An edge u -> w is kept as the int index(u) * size + index(w). Index
+    # order is name order, so sorting these ints sorts the edges, and every
+    # vertex's successors, by name.
+    size = len(vertices)
+    pairs = set()
     for edge in spec.edges:
         try:
             u, w = edge
@@ -170,7 +175,10 @@ def validate_game(spec: GameSpec) -> Game:
             )
             continue
         u, w = str(u), str(w)
-        edges.add((u, w))
+        i, j = index.get(u), index.get(w)
+        if i is not None and j is not None:
+            pairs.add(i * size + j)
+            continue
         for end in (u, w):
             if end not in vset:
                 violations.append(
@@ -235,10 +243,12 @@ def validate_game(spec: GameSpec) -> Game:
 
     total_target = frozenset().union(*targets.values()) if targets else frozenset()
 
+    edges = []
     succ: dict[str, list[str]] = {v: [] for v in vertices}
-    for u, w in edges:
-        if u in vset and w in vset:
-            succ[u].append(w)
+    for e in sorted(pairs):
+        u, w = vertices[e // size], vertices[e % size]
+        edges.append((u, w))
+        succ[u].append(w)
     for v in vertices:
         if v not in total_target and not succ[v]:
             violations.append(
@@ -267,7 +277,7 @@ def validate_game(spec: GameSpec) -> Game:
 
     return Game(
         vertices=tuple(vertices),
-        edges=tuple(sorted(edges)),
+        edges=tuple(edges),
         owner=owner,
         roles=roles,
         targets=targets,
@@ -275,7 +285,7 @@ def validate_game(spec: GameSpec) -> Game:
         players=tuple(players),
         total_target=total_target,
         choice_vertices=tuple(v for v in vertices if v not in total_target),
-        _succ={v: tuple(sorted(ws)) for v, ws in succ.items()},
+        _succ={v: tuple(ws) for v, ws in succ.items()},
     )
 
 

@@ -53,9 +53,9 @@ class GameDocument:
 
 
 def _require_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+    unknown = obj.keys() - allowed
     if unknown:
-        raise ParseError(f"unknown key {unknown[0]!r} in {where}")
+        raise ParseError(f"unknown key {min(unknown)!r} in {where}")
 
 
 def _parse_gamma(raw: Any) -> Fraction:
@@ -128,10 +128,11 @@ def _parse_edges(raw: Any) -> list[tuple[str, str]]:
         raise ParseError("'edges' must be a list")
     edges = []
     for entry in raw:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(e, str) for e in entry)
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+            and isinstance(entry[1], str)
         ):
             raise ParseError(f"each edge must be a pair of vertex ids, got {entry!r}")
         edges.append((entry[0], entry[1]))

@@ -287,13 +287,14 @@ class _Core:
 
     Vertex i is ``game.vertices[i]``, so index order is lexicographic
     order. Target vertices are absorbing: they have no successors and are
-    nobody's predecessor. `signs[n][i]` is the sign of player n's payoff
-    when a play first hits vertex i, with a trailing 0 at index
+    nobody's predecessor. `own[n]` lists player n's target vertices in
+    index order, and `signs[n][i]` is the sign of player n's payoff when a
+    play first hits vertex i, with a trailing 0 at index
     ``len(vertices)`` that stands for "no hit". Payoffs are integer codes
     (see `_encode`). Built once per game, on first use, by `Game._core`.
     """
 
-    __slots__ = ("names", "index", "base", "owner", "succ", "pred", "choice", "signs")
+    __slots__ = ("names", "index", "base", "owner", "succ", "pred", "choice", "own", "signs")
 
     def __init__(self, game: Game):
         names, targets = game.vertices, game.total_target
@@ -313,10 +314,13 @@ class _Core:
         self.succ = succ
         self.pred = tuple(map(tuple, pred))
         self.choice = tuple(v for v, ws in enumerate(succ) if ws)
-        self.signs = {
-            n: tuple(_payoff(game, n, (0, v)).sign if v in targets else 0 for v in names) + (0,)
-            for n in game.players
-        }
+        self.own = {n: tuple(sorted(map(index.__getitem__, game.targets[n]))) for n in game.players}
+        self.signs = {}
+        for n, own in self.own.items():
+            sign = [0] * self.base
+            for v in own:
+                sign[v] = _payoff(game, n, (0, names[v])).sign
+            self.signs[n] = tuple(sign)
 
 
 # A payoff 0 or sign * gamma**t with t <= len(vertices) is kept inside the
@@ -423,7 +427,7 @@ def value_table(game: Game, profile: Profile) -> dict[int, dict[str, PayoffValue
     return {n: _payoffs(core, _codes(core, n, hits)) for n in game.players}
 
 
-def _reach(core: _Core, nxt: list[int], own: list[int]) -> list[int]:
+def _reach(core: _Core, nxt: list[int], own: tuple[int, ...]) -> list[int]:
     # Earliest-arrival layering toward the player's own targets. Paths may
     # not cross other target vertices: those stop the play with payoff 0,
     # and being nobody's predecessor they are never reached.
@@ -444,7 +448,7 @@ def _reach(core: _Core, nxt: list[int], own: list[int]) -> list[int]:
     return dist
 
 
-def _avoid(core: _Core, nxt: list[int], own: list[int]) -> list[int]:
+def _avoid(core: _Core, nxt: list[int], own: tuple[int, ...]) -> list[int]:
     # A vertex is doomed when every available continuation leads into the
     # player's own target set. Vertices are doomed in an order where all of
     # a vertex's continuations come first, so the longest delay it can
@@ -467,6 +471,36 @@ def _avoid(core: _Core, nxt: list[int], own: list[int]) -> list[int]:
     return delay
 
 
+def _respond(core: _Core, nxt: list[int], n: int) -> tuple[dict[int, int], list[int]]:
+    """Player `n`'s best response where `nxt` is -1 at each of n's choice
+    vertices and fixes the opponents' moves everywhere else.
+
+    Returns the chosen successor at each of n's choice vertices and n's
+    payoff code from every start vertex. Ties break toward the smallest
+    successor index, which is the lexicographically smallest successor.
+    """
+    own, succ = core.own[n], core.succ
+    # Every own target carries the sign of the player's role: +1 for a
+    # reacher, -1 for an avoider.
+    s = core.signs[n][own[0]]
+    time = (_reach if s > 0 else _avoid)(core, nxt, own)  # until an own target is hit, or -1
+    # Each own vertex moves one layer down: to a successor with time - 1,
+    # or, where it has no time, to a successor without one. Such a move
+    # exists: a reacher's vertex out of reach has only successors out of
+    # reach, and an avoider's vertex outside the doomed region has a way
+    # to stay outside.
+    moves = {}
+    for v in core.choice:
+        if nxt[v] < 0:
+            want = time[v] - 1 if time[v] > 0 else -1
+            for w in succ[v]:
+                if time[w] == want:
+                    moves[v] = w
+                    break
+    base = core.base
+    return moves, [s * (base - t) if t >= 0 else 0 for t in time]
+
+
 def best_response(
     game: Game, opponents: Profile, n: int
 ) -> tuple[Strategy, dict[str, PayoffValue]]:
@@ -482,27 +516,9 @@ def best_response(
     if n not in game.roles:
         raise ValueError(f"unknown player {n!r}")
     core = game._core
-    sign, succ, names = core.signs[n], core.succ, core.names
-    own = [v for v in range(len(names)) if sign[v]]
-    nxt = _moves(core, opponents, skip=n)
-    respond = _reach if game.roles[n] is Role.REACHER else _avoid
-    time = respond(core, nxt, own)  # until an own target is hit, or -1
-    # Each own vertex moves one layer down: to a successor with time - 1,
-    # or, where it has no time, to a successor without one. Such a move
-    # exists: a reacher's vertex out of reach has only successors out of
-    # reach, and an avoider's vertex outside the doomed region has a way
-    # to stay outside.
-    strategy = {}
-    for v in core.choice:
-        if nxt[v] < 0:
-            want = max(time[v] - 1, -1)
-            for w in succ[v]:
-                if time[w] == want:
-                    strategy[names[v]] = names[w]
-                    break
-    # Every own target carries the same sign: the one of the player's role.
-    s, base = sign[own[0]], core.base
-    return strategy, _payoffs(core, [s * (base - t) if t >= 0 else 0 for t in time])
+    moves, codes = _respond(core, _moves(core, opponents, skip=n), n)
+    names = core.names
+    return {names[v]: names[w] for v, w in moves.items()}, _payoffs(core, codes)
 
 
 def best_response_enum(

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import mprs
 from mprs import (
     GameSpec,
     GeneratorParams,
@@ -115,3 +118,11 @@ def random_arena(seed: int) -> TwoPlayerArena:
         avoider_owned=set(names) - reacher_owned,
         target=target,
     )
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """Environment for a `python -m mprs` child process that imports the
+    same package as the test run, whether or not it is installed."""
+    src = str(Path(mprs.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)

@@ -7,7 +7,6 @@ be weakened to accommodate an implementation bug.
 
 from __future__ import annotations
 
-import os
 import random
 import subprocess
 import sys
@@ -33,7 +32,7 @@ from mprs import (
     value_table,
 )
 
-from conftest import random_arena, random_profile, small_game
+from conftest import child_env, random_arena, random_profile, small_game
 
 ENSEMBLE_SIZE = 500
 
@@ -148,9 +147,10 @@ def test_criterion_7_worked_micro_games(g1, g1_hat, g2):
 
 
 def _run(argv: list[str], hashseed: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONHASHSEED=hashseed)
     return subprocess.run(
-        [sys.executable, "-m", "mprs", *argv], capture_output=True, env=env
+        [sys.executable, "-m", "mprs", *argv],
+        capture_output=True,
+        env=child_env(PYTHONHASHSEED=hashseed),
     )
 
 

@@ -11,6 +11,8 @@ import pytest
 from mprs import Profile, emit_game
 from mprs.cli import main
 
+from conftest import child_env
+
 
 @pytest.fixture
 def g1_file(tmp_path, g1, g1_hat):
@@ -300,6 +302,7 @@ class TestUsage:
             [sys.executable, "-m", "mprs", "validate", g1_file],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("valid: 3 vertices")
