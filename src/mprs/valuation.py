@@ -15,7 +15,11 @@ player against fixed opponents by graph fixpoints (earliest arrival for
 reachers, escape sets plus forced longest delay for avoiders), and
 `best_response_enum` recomputes the same values by brute force over the
 whole strategy space; the two must agree exactly and serve as independent
-checks of one another.
+checks of one another. The fixpoints and the tie-break toward the smallest
+successor live in `_respond`, which works on a move array (one successor
+index per vertex); `best_response` wraps it for a `Profile`, and
+best-response dynamics (`equilibrium.solve_br_dynamics`) call it directly
+on their own move array.
 """
 
 from __future__ import annotations

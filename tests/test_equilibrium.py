@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from mprs import (
     Role,
     TooLargeError,
     all_profiles,
+    best_response,
     check_certificate,
     enumerate_ne,
     is_nash,
@@ -21,6 +23,7 @@ from mprs import (
     profile_space,
     solve_br_dynamics,
     validate_game,
+    value_table,
 )
 
 from conftest import random_profile, small_game
@@ -214,3 +217,37 @@ class TestBestResponseDynamics:
                 converged += 1
                 assert is_nash(game, result).is_ne, seed
         assert converged > 0  # the dynamics must settle at least sometimes
+
+    def test_matches_a_loop_over_the_public_api(self):
+        # The same dynamics written with `best_response`, `value_table` and
+        # `Profile.replace` only, as they ran before they moved onto move
+        # arrays; both must stop at the same profile or both give up.
+        def reference(game, current, max_rounds):
+            visited = {current}
+            for _ in range(max_rounds):
+                changed = False
+                for n in game.players:
+                    strategy, better = best_response(game, current, n)
+                    now = value_table(game, current)[n]
+                    if any(better[v] > now[v] for v in game.vertices):
+                        current = current.replace(n, strategy)
+                        if current in visited:
+                            return None
+                        visited.add(current)
+                        changed = True
+                if not changed:
+                    return current
+            return None
+
+        rng = random.Random(6)
+        gave_up = Counter()
+        for seed in range(500):
+            game = small_game(seed)
+            for _ in range(3):
+                start = random_profile(game, rng)
+                for max_rounds in (1, 2, 100):
+                    found = solve_br_dynamics(game, start, max_rounds)
+                    assert found == reference(game, start, max_rounds), (seed, start, max_rounds)
+                    gave_up[max_rounds] += found is None
+        # Short budgets both run out and suffice, so each way out is compared.
+        assert 0 < gave_up[1] < 1500 and gave_up[2] > 0

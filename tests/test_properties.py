@@ -1,9 +1,12 @@
-"""Property tests of the value maps and solvers on drawn games and profiles.
+"""Property tests of validation, the value maps and the solvers on drawn
+games and profiles.
 
-Games are drawn directly as `GameSpec`s (1-5 vertices, 1-3 players,
-self-loops allowed, targets possibly shared between players), so a
+Games are drawn directly as `GameSpec`s (3-7 vertices, 1-3 players, one to
+three targets each, possibly shared, and edge sets about as dense as the
+acceptance ensemble's densest games, self-loops included), so a
 counterexample shrinks to a minimal game instead of staying a seed of the
-fixed ensembles.
+fixed ensembles. At this density best-response dynamics often need a
+second round.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import pytest
 
 from mprs import (
     GameSpec,
+    InvalidGameError,
     Profile,
     Role,
     best_response,
@@ -26,27 +30,35 @@ from mprs import (
     validate_game,
     value_table,
 )
+from mprs.game import Violation, ViolationKind
 
 st = pytest.importorskip("hypothesis.strategies")
 from hypothesis import given, settings  # noqa: E402
 
 
 @st.composite
-def games_and_profiles(draw):
-    vertices = [f"v{i}" for i in range(1, draw(st.integers(1, 5)) + 1)]
+def specs(draw):
+    count = draw(st.integers(3, 7))
+    vertices = [f"v{i}" for i in range(1, count + 1)]
     players = range(1, draw(st.integers(1, 3)) + 1)
     pick = st.sampled_from(vertices)
     roles = {n: draw(st.sampled_from(Role)) for n in players}
-    targets = {n: draw(st.sets(pick, min_size=1)) for n in players}
+    targets = {n: draw(st.sets(pick, min_size=1, max_size=3)) for n in players}
     total = set().union(*targets.values())
     owner = {v: draw(st.sampled_from(players)) for v in vertices}
-    # Only non-target vertices need a way out.
+    # Only non-target vertices need a way out; the others get one to
+    # every vertex, about half of them on average.
     edges = [
         (v, w)
         for v in vertices
-        for w in draw(st.sets(pick, min_size=0 if v in total else 1))
+        for w in draw(st.sets(pick, min_size=0 if v in total else 1, max_size=count))
     ]
-    game = validate_game(GameSpec(vertices, edges, owner, roles, targets))
+    return GameSpec(vertices, edges, owner, roles, targets)
+
+
+@st.composite
+def games_and_profiles(draw):
+    game = validate_game(draw(specs()))
     strategies: dict[int, dict[str, str]] = {}
     for v in game.choice_vertices:
         strategies.setdefault(game.owner[v], {})[v] = draw(st.sampled_from(game.successors(v)))
@@ -76,6 +88,10 @@ def test_dynamics_stop_only_at_equilibria(drawn):
     if found is not None:
         assert is_nash(game, found).is_ne
         assert check_certificate(game, found).is_ne
+    # A round with a switch is never the last one, so a single round ends
+    # the dynamics only where they started at an equilibrium.
+    start_is_ne = is_nash(game, profile).is_ne
+    assert solve_br_dynamics(game, profile, max_rounds=1) == (profile if start_is_ne else None)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -90,3 +106,58 @@ def test_document_round_trip_after_evaluation(drawn):
     again = parse_document(text).game
     assert again == game
     assert emit_game(again) == text
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(specs(), st.data())
+def test_validation_ignores_edge_order_and_repeats(spec, data):
+    def validate(edges):
+        return validate_game(GameSpec(spec.vertices, edges, spec.owner, spec.roles, spec.targets))
+
+    def shuffled(edges):
+        return data.draw(st.permutations(edges + edges[: data.draw(st.integers(0, len(edges)))]))
+
+    game = validate(spec.edges)
+    again = validate(shuffled(spec.edges))
+    assert again == game
+    assert emit_game(again) == emit_game(game)
+    assert game.edges == tuple(sorted(set(spec.edges)))
+    for v in game.vertices:
+        assert game.successors(v) == tuple(sorted(w for u, w in game.edges if u == v))
+
+    # Edges to or from undeclared vertices, and entries that are no pair,
+    # are each reported, once per occurrence, in the sorted violation list.
+    ends = st.sampled_from(list(spec.vertices) + ["x1", "x2"])
+    undeclared = st.sampled_from(["x1", "x2"])
+    bad = (
+        st.tuples(ends, undeclared)
+        | st.tuples(undeclared, ends)
+        | st.tuples(ends)
+        | st.tuples(ends, ends, ends)
+        | st.none()
+    )
+    edges = spec.edges + data.draw(st.lists(bad, min_size=1, max_size=6))
+    with pytest.raises(InvalidGameError) as caught:
+        validate(edges)
+    found = caught.value.violations
+    expected = []
+    for edge in edges:
+        if edge is None or len(edge) != 2:
+            expected.append(Violation(ViolationKind.BAD_EDGE, f"edge {edge!r} is not a pair of vertices"))
+            continue
+        u, w = edge
+        for end in edge:
+            if end not in spec.vertices:
+                expected.append(
+                    Violation(
+                        ViolationKind.DANGLING_EDGE,
+                        f"edge ({u}, {w}) mentions undeclared vertex {end!r}",
+                    )
+                )
+    kinds = (ViolationKind.BAD_EDGE, ViolationKind.DANGLING_EDGE)
+    order = lambda x: (x.kind.value, x.detail)  # noqa: E731
+    assert [v for v in found if v.kind in kinds] == sorted(expected, key=order)
+    assert list(found) == sorted(found, key=order)
+    with pytest.raises(InvalidGameError) as again:
+        validate(data.draw(st.permutations(edges)))
+    assert again.value.violations == found
