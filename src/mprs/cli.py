@@ -29,7 +29,11 @@ from .valuation import Profile, ProfileError, outcome, play, total_payoff, value
 
 
 def _load(path: str) -> GameDocument:
-    return parse_document(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_document(text)
 
 
 def _named_profile(doc: GameDocument, name: str) -> Profile:
@@ -177,7 +181,7 @@ def cmd_cross_check(args: argparse.Namespace) -> int:
     reacher = by_role[Role.REACHER]
     arena = TwoPlayerArena(
         vertices=game.vertices,
-        edges=game.edges,
+        edges=((u, w) for u in game.vertices for w in game.successors(u)),
         reacher_owned=[v for v in game.vertices if game.owner[v] == reacher],
         avoider_owned=[v for v in game.vertices if game.owner[v] != reacher],
         target=game.targets[1],
@@ -272,10 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, ProfileError, InfeasibleError, TooLargeError) as exc:
+    except (OSError, ParseError, ProfileError, InfeasibleError, TooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GuardError as exc:

@@ -28,16 +28,13 @@ from .limits import check_guard
 from .valuation import (
     PayoffValue,
     Profile,
+    _checked_moves,
     _codes,
     _Core,
     _decode,
-    _discount,
-    _encode,
     _hits,
-    _moves,
     _respond,
     best_response,
-    check_profile,
     value_table,
 )
 
@@ -70,19 +67,20 @@ class NEReport:
 def _assert_consistent(
     game: Game, core: _Core, nxt: list[int], codes: dict[int, list[int]]
 ) -> None:
-    # Internal self-check: the payoff codes must satisfy the one-step
-    # recursion value(v) = turn payoff + discounted value of the successor
-    # at every vertex, for every player.
+    # Internal self-check: every player's payoff codes satisfy the one-step
+    # recursion: code(v) is the successor's code moved one toward 0, and at
+    # a target (no successor, -1) the turn payoff times base (see `_encode`).
+    names, base = core.names, core.base
+    ends = [v for v, w in enumerate(nxt) if w < 0]
     for m, mine in codes.items():
-        for v, (name, w) in enumerate(zip(core.names, nxt)):
-            if w < 0:
-                expected = _encode(PayoffValue(turn_payoff(game, m, name)), core.base)
-            else:
-                expected = _discount(mine[w])
-            if mine[v] != expected:
-                raise AssertionError(
-                    f"value table breaks the one-step recursion at {name!r} for player {m}"
-                )
+        expected = [c - 1 if c > 0 else c + 1 if c else 0 for c in map(mine.__getitem__, nxt)]
+        for v in ends:
+            expected[v] = turn_payoff(game, m, names[v]) * base
+        if expected != mine:
+            name = next(name for name, e, c in zip(names, expected, mine) if e != c)
+            raise AssertionError(
+                f"value table breaks the one-step recursion at {name!r} for player {m}"
+            )
 
 
 def check_certificate(game: Game, profile: Profile) -> NEReport:
@@ -94,9 +92,8 @@ def check_certificate(game: Game, profile: Profile) -> NEReport:
     what the owner's value is there now and what switching that single
     move permanently would make it.
     """
-    check_profile(game, profile)
     core = game._core
-    nxt = _moves(core, profile)
+    nxt = _checked_moves(game, profile)
     hits = _hits(core, nxt)
     codes = {m: _codes(core, m, hits) for m in game.players}
     _assert_consistent(game, core, nxt, codes)
@@ -231,32 +228,32 @@ def solve_br_dynamics(
     profile comes around again or `max_rounds` runs out; callers then fall
     back to `enumerate_ne`. A `max_rounds` below 1 is a ValueError.
 
-    The dynamics run on the game's move array and payoff codes: each
-    response comes from the same fixpoints and tie-break as
-    `best_response`, and a `Profile` is built only for the result.
+    The dynamics run on the game's move array: each response comes from
+    the same fixpoints and tie-break as `best_response`, and a `Profile`
+    is built only for the result. The profile itself is never evaluated.
+    A player gains somewhere exactly when a current move of theirs leads
+    lower, by their response codes, than the response's move: if none
+    does, those codes solve the one-step recursion along the profile and
+    so are its payoffs; if one does, the player gains there, because no
+    code is 1 or -1 and so one discount step keeps distinct codes apart.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
-    check_profile(game, seed)
     core = game._core
-    nxt = _moves(core, seed)
+    nxt = _checked_moves(game, seed)
     owner = core.owner
     visited = {tuple(nxt)}
-    hits = None  # of `nxt`, rebuilt after every switch
     for _ in range(max_rounds):
         changed = False
         for n in game.players:
-            moves, br_codes = _respond(core, [-1 if m == n else w for m, w in zip(owner, nxt)], n)
-            if hits is None:
-                hits = _hits(core, nxt)
-            if any(map(int.__gt__, br_codes, _codes(core, n, hits))):
+            moves, codes = _respond(core, nxt, n)
+            if any(codes[nxt[v]] != codes[w] for v, w in moves.items()):
                 for v, w in moves.items():
                     nxt[v] = w
                 key = tuple(nxt)
                 if key in visited:
                     return None
                 visited.add(key)
-                hits = None
                 changed = True
         if not changed:
             strategies: dict[int, dict[str, str]] = {}

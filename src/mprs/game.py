@@ -14,6 +14,11 @@ vertex id it is taken from.
 handle consumed by every other module; `Game.successors` lists the moves
 open to a vertex's owner. `turn_payoff` gives what each visited vertex is
 worth to each player.
+
+Validation builds the game's one int adjacency: vertex i is the i-th id
+in lexicographic order and keeps the sorted indices of its successors.
+The named successor tuples are read off it, `Game.edges` is derived from
+them on first access, and the solvers' `valuation._Core` reuses it as is.
 """
 
 from __future__ import annotations
@@ -87,24 +92,37 @@ class InvalidGameError(ValueError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Game:
     """A validated, immutable game. Build instances via `validate_game`."""
 
     vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
     owner: Mapping[str, int]
     roles: Mapping[int, Role]
     targets: Mapping[int, frozenset[str]]
     gamma: Fraction
-    players: tuple[int, ...] = field(repr=False)
-    total_target: frozenset[str] = field(repr=False)
-    choice_vertices: tuple[str, ...] = field(repr=False)
-    _succ: Mapping[str, tuple[str, ...]] = field(repr=False)
+    players: tuple[int, ...]
+    total_target: frozenset[str]
+    choice_vertices: tuple[str, ...]
+    _succ: Mapping[str, tuple[str, ...]]
+    # The int adjacency, for the solvers; equality skips it, `_succ` says the same.
+    _index: Mapping[str, int] = field(compare=False)
+    _isucc: tuple[tuple[int, ...], ...] = field(compare=False)
 
     def successors(self, v: str) -> tuple[str, ...]:
         """Out-neighbours of `v` in lexicographic order."""
         return self._succ[v]
+
+    @cached_property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """Every edge (u, w), sorted by u and then by w."""
+        return tuple((u, w) for u in self.vertices for w in self._succ[u])
+
+    def __repr__(self) -> str:
+        return (
+            f"Game(vertices={self.vertices!r}, edges={self.edges!r}, owner={self.owner!r},"
+            f" roles={self.roles!r}, targets={self.targets!r}, gamma={self.gamma!r})"
+        )
 
     @cached_property
     def _core(self):
@@ -161,11 +179,8 @@ def validate_game(spec: GameSpec) -> Game:
                 Violation(ViolationKind.BAD_ROLE, f"player {n} has unknown role {spec.roles[n]!r}")
             )
 
-    # An edge u -> w is kept as the int index(u) * size + index(w). Index
-    # order is name order, so sorting these ints sorts the edges, and every
-    # vertex's successors, by name.
-    size = len(vertices)
-    pairs = set()
+    # The int adjacency: out[i] collects vertex i's successor indices.
+    out: list[set[int]] = [set() for _ in vertices]
     for edge in spec.edges:
         try:
             u, w = edge
@@ -177,7 +192,7 @@ def validate_game(spec: GameSpec) -> Game:
         u, w = str(u), str(w)
         i, j = index.get(u), index.get(w)
         if i is not None and j is not None:
-            pairs.add(i * size + j)
+            out[i].add(j)
             continue
         for end in (u, w):
             if end not in vset:
@@ -243,14 +258,9 @@ def validate_game(spec: GameSpec) -> Game:
 
     total_target = frozenset().union(*targets.values()) if targets else frozenset()
 
-    edges = []
-    succ: dict[str, list[str]] = {v: [] for v in vertices}
-    for e in sorted(pairs):
-        u, w = vertices[e // size], vertices[e % size]
-        edges.append((u, w))
-        succ[u].append(w)
-    for v in vertices:
-        if v not in total_target and not succ[v]:
+    isucc = tuple(tuple(sorted(ws)) for ws in out)
+    for v, ws in zip(vertices, isucc):
+        if not ws and v not in total_target:
             violations.append(
                 Violation(
                     ViolationKind.DEAD_END,
@@ -277,7 +287,6 @@ def validate_game(spec: GameSpec) -> Game:
 
     return Game(
         vertices=tuple(vertices),
-        edges=tuple(edges),
         owner=owner,
         roles=roles,
         targets=targets,
@@ -285,7 +294,9 @@ def validate_game(spec: GameSpec) -> Game:
         players=tuple(players),
         total_target=total_target,
         choice_vertices=tuple(v for v in vertices if v not in total_target),
-        _succ={v: tuple(ws) for v, ws in succ.items()},
+        _succ={v: tuple(map(vertices.__getitem__, ws)) for v, ws in zip(vertices, isucc)},
+        _index=index,
+        _isucc=isucc,
     )
 
 

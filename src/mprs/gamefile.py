@@ -123,10 +123,9 @@ def _parse_vertices(raw: Any) -> tuple[list[str], dict[str, int]]:
     return vertices, owner
 
 
-def _parse_edges(raw: Any) -> list[tuple[str, str]]:
+def _parse_edges(raw: Any) -> list[list[str]]:
     if not isinstance(raw, list):
         raise ParseError("'edges' must be a list")
-    edges = []
     for entry in raw:
         if not (
             isinstance(entry, list)
@@ -135,8 +134,7 @@ def _parse_edges(raw: Any) -> list[tuple[str, str]]:
             and isinstance(entry[1], str)
         ):
             raise ParseError(f"each edge must be a pair of vertex ids, got {entry!r}")
-        edges.append((entry[0], entry[1]))
-    return edges
+    return raw
 
 
 def _parse_profiles(raw: Any, game: Game) -> dict[str, Profile]:
@@ -215,7 +213,7 @@ def emit_game(game: Game, profiles: Mapping[str, Profile] | None = None) -> str:
             for n in game.players
         ],
         "vertices": [{"id": v, "owner": game.owner[v]} for v in game.vertices],
-        "edges": [[u, w] for u, w in game.edges],
+        "edges": [[u, w] for u in game.vertices for w in game.successors(u)],
     }
     if profiles:
         doc["profiles"] = {
@@ -263,8 +261,9 @@ def export_dot(
         if v in game.total_target:
             attrs.append("peripheries=2")
         lines.append(f"  {_dot_quote(v)} [{', '.join(attrs)}];")
-    for u, w in game.edges:
-        attr = ' [penwidth=2.5, color="royalblue"]' if (u, w) in chosen else ""
-        lines.append(f"  {_dot_quote(u)} -> {_dot_quote(w)}{attr};")
+    for u in game.vertices:
+        for w in game.successors(u):
+            attr = ' [penwidth=2.5, color="royalblue"]' if (u, w) in chosen else ""
+            lines.append(f"  {_dot_quote(u)} -> {_dot_quote(w)}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -301,12 +301,9 @@ class _Core:
     __slots__ = ("names", "index", "base", "owner", "succ", "pred", "choice", "own", "signs")
 
     def __init__(self, game: Game):
-        names, targets = game.vertices, game.total_target
-        index = {v: i for i, v in enumerate(names)}
-        succ = tuple(
-            () if v in targets else tuple(map(index.__getitem__, game.successors(v)))
-            for v in names
-        )
+        names, index = game.vertices, game._index
+        self.own = {n: tuple(sorted(map(index.__getitem__, game.targets[n]))) for n in game.players}
+        succ = [() if v in game.total_target else ws for v, ws in zip(names, game._isucc)]
         pred: list[list[int]] = [[] for _ in names]
         for v, ws in enumerate(succ):
             for w in ws:
@@ -315,10 +312,9 @@ class _Core:
         self.index = index
         self.base = len(names) + 1
         self.owner = tuple(map(game.owner.__getitem__, names))
-        self.succ = succ
+        self.succ = tuple(succ)
         self.pred = tuple(map(tuple, pred))
         self.choice = tuple(v for v, ws in enumerate(succ) if ws)
-        self.own = {n: tuple(sorted(map(index.__getitem__, game.targets[n]))) for n in game.players}
         self.signs = {}
         for n, own in self.own.items():
             sign = [0] * self.base
@@ -344,10 +340,6 @@ def _decode(code: int, base: int) -> PayoffValue:
     if code == 0:
         return ZERO
     return PayoffValue(1, base - code) if code > 0 else PayoffValue(-1, base + code)
-
-
-def _discount(code: int) -> int:
-    return code - 1 if code > 0 else code + 1 if code < 0 else 0
 
 
 def _payoffs(core: _Core, codes: list[int]) -> dict[str, PayoffValue]:
@@ -378,6 +370,23 @@ def _moves(core: _Core, profile: Profile, skip: int | None = None) -> list[int]:
             w = profile.choice(owner[v], core.names[v])  # raises if missing
             raise ProfileError(f"opponent move {core.names[v]!r} -> {w!r} is not an edge")
     return nxt
+
+
+def _checked_moves(game: Game, profile: Profile) -> list[int]:
+    """The move array of a full `profile`, checked in the same pass.
+
+    With one entry per choice vertex, any entry `_moves` passes over
+    leaves a choice vertex without a move, which `_moves` rejects. Every
+    rejected profile goes to `check_profile` for its exact ProfileError.
+    """
+    core = game._core
+    if sum(len(moves) for _, moves in profile._items) == len(core.choice):
+        try:
+            return _moves(core, profile)
+        except ProfileError:
+            pass
+    check_profile(game, profile)
+    raise AssertionError(f"check_profile accepts {profile!r}, which has no move array")
 
 
 def _hits(core: _Core, nxt: list[int]) -> tuple[list[int], list[int]]:
@@ -425,17 +434,16 @@ def value_table(game: Game, profile: Profile) -> dict[int, dict[str, PayoffValue
     The result maps player to vertex to payoff, so ``value_table(g, p)[n]``
     has the shape of the value map `best_response` returns.
     """
-    check_profile(game, profile)
     core = game._core
-    hits = _hits(core, _moves(core, profile))
+    hits = _hits(core, _checked_moves(game, profile))
     return {n: _payoffs(core, _codes(core, n, hits)) for n in game.players}
 
 
-def _reach(core: _Core, nxt: list[int], own: tuple[int, ...]) -> list[int]:
+def _reach(core: _Core, nxt: list[int], n: int) -> list[int]:
     # Earliest-arrival layering toward the player's own targets. Paths may
     # not cross other target vertices: those stop the play with payoff 0,
     # and being nobody's predecessor they are never reached.
-    pred = core.pred
+    pred, owner, own = core.pred, core.owner, core.own[n]
     dist = [-1] * len(core.names)  # -1: the own targets are out of reach
     for v in own:
         dist[v] = 0
@@ -445,19 +453,19 @@ def _reach(core: _Core, nxt: list[int], own: tuple[int, ...]) -> list[int]:
         layer = []
         for w in frontier:
             for v in pred[w]:
-                if dist[v] < 0 and (nxt[v] < 0 or nxt[v] == w):
+                if dist[v] < 0 and (owner[v] == n or nxt[v] == w):
                     dist[v] = d
                     layer.append(v)
         frontier = layer
     return dist
 
 
-def _avoid(core: _Core, nxt: list[int], own: tuple[int, ...]) -> list[int]:
+def _avoid(core: _Core, nxt: list[int], n: int) -> list[int]:
     # A vertex is doomed when every available continuation leads into the
     # player's own target set. Vertices are doomed in an order where all of
     # a vertex's continuations come first, so the longest delay it can
     # force is known the moment it is doomed.
-    succ, pred = core.succ, core.pred
+    succ, pred, owner, own = core.succ, core.pred, core.owner, core.own[n]
     delay = [-1] * len(core.names)  # -1 outside the doomed region
     for v in own:
         delay[v] = 0
@@ -465,29 +473,29 @@ def _avoid(core: _Core, nxt: list[int], own: tuple[int, ...]) -> list[int]:
     need: dict[int, int] = {}
     for w in queue:  # grows while it is walked
         for v in pred[w]:
-            forced = nxt[v]
-            if delay[v] >= 0 or forced not in (-1, w):
+            free = owner[v] == n
+            if delay[v] >= 0 or not (free or nxt[v] == w):
                 continue
-            need[v] = need.get(v, 1 if forced >= 0 else len(succ[v])) - 1
+            need[v] = need.get(v, len(succ[v]) if free else 1) - 1
             if need[v] == 0:
-                delay[v] = 1 + (delay[w] if forced >= 0 else max(delay[x] for x in succ[v]))
+                delay[v] = 1 + (max(delay[x] for x in succ[v]) if free else delay[w])
                 queue.append(v)
     return delay
 
 
 def _respond(core: _Core, nxt: list[int], n: int) -> tuple[dict[int, int], list[int]]:
-    """Player `n`'s best response where `nxt` is -1 at each of n's choice
-    vertices and fixes the opponents' moves everywhere else.
+    """Player `n`'s best response to the opponents' moves in `nxt`; its
+    entries at n's own choice vertices are never read.
 
     Returns the chosen successor at each of n's choice vertices and n's
     payoff code from every start vertex. Ties break toward the smallest
     successor index, which is the lexicographically smallest successor.
     """
-    own, succ = core.own[n], core.succ
+    succ, owner = core.succ, core.owner
     # Every own target carries the sign of the player's role: +1 for a
     # reacher, -1 for an avoider.
-    s = core.signs[n][own[0]]
-    time = (_reach if s > 0 else _avoid)(core, nxt, own)  # until an own target is hit, or -1
+    s = core.signs[n][core.own[n][0]]
+    time = (_reach if s > 0 else _avoid)(core, nxt, n)  # until an own target is hit, or -1
     # Each own vertex moves one layer down: to a successor with time - 1,
     # or, where it has no time, to a successor without one. Such a move
     # exists: a reacher's vertex out of reach has only successors out of
@@ -495,7 +503,7 @@ def _respond(core: _Core, nxt: list[int], n: int) -> tuple[dict[int, int], list[
     # to stay outside.
     moves = {}
     for v in core.choice:
-        if nxt[v] < 0:
+        if owner[v] == n:
             want = time[v] - 1 if time[v] > 0 else -1
             for w in succ[v]:
                 if time[w] == want:

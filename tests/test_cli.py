@@ -62,6 +62,16 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_directory(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_undecodable_bytes(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"gamma": "½"}'.encode("latin-1"))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text")
+
 
 class TestSimulate:
     def test_play_outcome_payoffs(self, g1_file, capsys):
@@ -194,6 +204,13 @@ class TestGen:
         argv = ["gen", "--seed", "0", "--vertices", "0", "--players", "1"]
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_output_to_a_directory(self, tmp_path, capsys):
+        argv = ["gen", "--seed", "3", "--vertices", "5", "--players", "2", "-o", str(tmp_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
 
 class TestExportDot:

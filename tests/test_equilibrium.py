@@ -12,11 +12,13 @@ from mprs import (
     GameSpec,
     PayoffValue,
     Profile,
+    ProfileError,
     Role,
     TooLargeError,
     all_profiles,
     best_response,
     check_certificate,
+    check_profile,
     enumerate_ne,
     is_nash,
     is_nash_qualitative,
@@ -50,6 +52,32 @@ def detour_game():
             targets={1: ["t"]},
         )
     )
+
+
+# Malformed profiles of G1 (v1 is player 1's, v2 player 2's, v3 the target).
+MALFORMED = {
+    "undeclared player": {1: {"v1": "v3"}, 3: {"v2": "v1"}},
+    "unknown vertex": {1: {"v9": "v1"}, 2: {"v2": "v1"}},
+    "stranger's vertex": {1: {"v1": "v3", "v2": "v1"}},
+    "target vertex": {1: {"v1": "v3"}, 2: {"v3": "v1"}},
+    "non-edge": {1: {"v1": "v1"}, 2: {"v2": "v1"}},
+    "missing move": {1: {"v1": "v3"}},
+    # Complete and legal but for one entry, so only the entry count is off.
+    "illegal extra entry": {1: {"v1": "v3"}, 2: {"v2": "v1", "v1": "v2"}},
+}
+
+
+@pytest.mark.parametrize("strategies", MALFORMED.values(), ids=MALFORMED.keys())
+@pytest.mark.parametrize(
+    "solver", [value_table, check_certificate, is_nash, solve_br_dynamics]
+)
+def test_solvers_reject_a_malformed_profile_like_check_profile(g1, solver, strategies):
+    profile = Profile(strategies)
+    with pytest.raises(ProfileError) as expected:
+        check_profile(g1, profile)
+    with pytest.raises(ProfileError) as raised:
+        solver(g1, profile)
+    assert str(raised.value) == str(expected.value)
 
 
 class TestCertificate:

@@ -33,6 +33,18 @@ class TestValidation:
         assert g1.total_target == {"v3"}
         assert g1.choice_vertices == ("v1", "v2")
 
+    def test_successors_and_edges_are_in_name_order(self):
+        # Past eight vertices a set of successor indices no longer iterates
+        # in index order, so only a sort puts the successors in name order.
+        names = [f"v{i:02d}" for i in range(12)]
+        edges = [(u, w) for k, u in enumerate(names) for w in names[k % 3 :: 3][::-1]]
+        game = validate_game(
+            GameSpec(names, edges, dict.fromkeys(names, 1), {1: Role.REACHER}, {1: ["v00"]})
+        )
+        assert game.edges == tuple(sorted(set(edges)))
+        for u in names:
+            assert game.successors(u) == tuple(sorted(w for v, w in edges if v == u))
+
     def test_dangling_edge(self):
         spec = GameSpec(
             vertices=["v1", "v2", "v3"],

@@ -110,6 +110,28 @@ def test_document_round_trip_after_evaluation(drawn):
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(games_and_profiles())
+def test_core_matches_the_public_graph(drawn):
+    """The solvers' int form, built from validation's adjacency, is the
+    public graph with targets made absorbing, and neither it nor solving
+    shows up in equality or in the document."""
+    game, profile = drawn
+    core = game._core
+    assert core.names == game.vertices
+    assert core.index == {v: i for i, v in enumerate(core.names)}
+    for i, v in enumerate(core.names):
+        successors = () if v in game.total_target else game.successors(v)
+        assert tuple(core.names[j] for j in core.succ[i]) == successors
+        assert core.pred[i] == tuple(u for u, ws in enumerate(core.succ) if i in ws)
+    text = emit_game(game)
+    again = parse_document(text).game
+    solve_br_dynamics(game, profile)
+    solve_br_dynamics(again, profile)
+    assert again == game
+    assert emit_game(again) == emit_game(game) == text
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(specs(), st.data())
 def test_validation_ignores_edge_order_and_repeats(spec, data):
     def validate(edges):

@@ -30,7 +30,7 @@ from mprs import (
     turn_payoff,
     value_table,
 )
-from mprs.valuation import _decode, _discount, _encode
+from mprs.valuation import _decode, _encode
 
 from conftest import random_profile, small_game
 
@@ -84,7 +84,7 @@ class TestPayoffValue:
         for a in values:
             code = _encode(a, base)
             assert _decode(code, base) == a
-            assert _decode(_discount(code), base) == a.discounted()
+            assert _decode(code - (code > 0) + (code < 0), base) == a.discounted()
             for b in values:
                 assert (code < _encode(b, base)) == (a < b), (a, b)
                 assert (code == _encode(b, base)) == (a == b), (a, b)
