@@ -236,18 +236,21 @@ def solve_br_dynamics(
     does, those codes solve the one-step recursion along the profile and
     so are its payoffs; if one does, the player gains there, because no
     code is 1 or -1 and so one discount step keeps distinct codes apart.
+    The codes are compared through the response's hit times: for one
+    player a time t >= 0 has the code sign * (|V| + 1 - t), which is never
+    0, and a time of -1 has the code 0, so two codes differ exactly when
+    their times do.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     core = game._core
     nxt = _checked_moves(game, seed)
-    owner = core.owner
     visited = {tuple(nxt)}
     for _ in range(max_rounds):
         changed = False
         for n in game.players:
-            moves, codes = _respond(core, nxt, n)
-            if any(codes[nxt[v]] != codes[w] for v, w in moves.items()):
+            moves, time = _respond(core, nxt, n)
+            if any(time[nxt[v]] != time[w] for v, w in moves.items()):
                 for v, w in moves.items():
                     nxt[v] = w
                 key = tuple(nxt)
@@ -256,11 +259,10 @@ def solve_br_dynamics(
                 visited.add(key)
                 changed = True
         if not changed:
-            strategies: dict[int, dict[str, str]] = {}
             names = core.names
-            for v in core.choice:
-                strategies.setdefault(owner[v], {})[names[v]] = names[nxt[v]]
-            return Profile(strategies)
+            return Profile(
+                {n: {names[v]: names[nxt[v]] for v in mine} for n, mine in core.mine.items()}
+            )
     return None
 
 

@@ -17,12 +17,15 @@ worth to each player.
 
 Validation builds the game's one int adjacency: vertex i is the i-th id
 in lexicographic order and keeps the sorted indices of its successors.
-The named successor tuples are read off it, `Game.edges` is derived from
-them on first access, and the solvers' `valuation._Core` reuses it as is.
+Successor lists are sorted only where the input order needs it, so a
+canonical document needs no sort at all. The named successor tuples and
+`Game.edges` are derived from it on first use, and the solvers'
+`valuation._Core` reuses it as is.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -71,6 +74,7 @@ class ViolationKind(Enum):
     TARGET_OUTSIDE_GRAPH = "target_outside_graph"
     DEAD_END = "dead_end"
     BAD_GAMMA = "bad_gamma"
+    BAD_VERTEX_SET = "bad_vertex_set"
 
 
 @dataclass(frozen=True)
@@ -104,14 +108,20 @@ class Game:
     players: tuple[int, ...]
     total_target: frozenset[str]
     choice_vertices: tuple[str, ...]
-    _succ: Mapping[str, tuple[str, ...]]
-    # The int adjacency, for the solvers; equality skips it, `_succ` says the same.
+    # The int adjacency: vertex i is ``vertices[i]``, `_index` maps each id
+    # back to its i, and `_isucc[i]` holds the successors' indices in
+    # increasing order. Equality compares `_isucc`, which carries the edges.
+    _isucc: tuple[tuple[int, ...], ...]
     _index: Mapping[str, int] = field(compare=False)
-    _isucc: tuple[tuple[int, ...], ...] = field(compare=False)
 
     def successors(self, v: str) -> tuple[str, ...]:
         """Out-neighbours of `v` in lexicographic order."""
         return self._succ[v]
+
+    @cached_property
+    def _succ(self) -> dict[str, tuple[str, ...]]:
+        names = self.vertices
+        return {v: tuple(map(names.__getitem__, ws)) for v, ws in zip(names, self._isucc)}
 
     @cached_property
     def edges(self) -> tuple[tuple[str, str], ...]:
@@ -144,141 +154,121 @@ def validate_game(spec: GameSpec) -> Game:
     """
     violations: list[Violation] = []
 
-    vertices = sorted({str(v) for v in spec.vertices})
+    def bad(kind: ViolationKind, detail: str) -> None:
+        violations.append(Violation(kind, detail))
+
+    def vertex_ids(raw: Iterable[str], what: str) -> list[str] | None:
+        # A bare string would be read one character at a time, so it is refused.
+        if not isinstance(raw, str):
+            try:
+                return list(map(str, raw))
+            except TypeError:
+                pass
+        bad(ViolationKind.BAD_VERTEX_SET, f"{what} must be a collection of vertex ids, got {raw!r}")
+        return None
+
+    # Sorted before deduplicated: a sort is linear on ids that come in order.
+    vertices = sorted(vertex_ids(spec.vertices, "the vertex list") or ())
     vset = frozenset(vertices)
-    index = {v: i for i, v in enumerate(vertices)}
+    if len(vset) < len(vertices):
+        vertices = sorted(vset)
+    index = dict(zip(vertices, range(len(vertices))))
 
     players = sorted(
         n for n in spec.roles if isinstance(n, int) and not isinstance(n, bool)
     )
     count = len(players)
     if count < len(spec.roles):
-        violations.append(
-            Violation(
-                ViolationKind.BAD_PLAYERS,
-                f"player ids must be integers, got {list(spec.roles)}",
-            )
-        )
+        bad(ViolationKind.BAD_PLAYERS, f"player ids must be integers, got {list(spec.roles)}")
     elif count == 0:
-        violations.append(
-            Violation(ViolationKind.BAD_PLAYERS, "at least one player is required")
-        )
+        bad(ViolationKind.BAD_PLAYERS, "at least one player is required")
     elif players != list(range(1, count + 1)):
-        violations.append(
-            Violation(
-                ViolationKind.BAD_PLAYERS,
-                f"player ids must be 1..N, got {players}",
-            )
-        )
+        bad(ViolationKind.BAD_PLAYERS, f"player ids must be 1..N, got {players}")
     roles: dict[int, Role] = {}
     for n in players:
         try:
             roles[n] = Role(spec.roles[n])
         except ValueError:
-            violations.append(
-                Violation(ViolationKind.BAD_ROLE, f"player {n} has unknown role {spec.roles[n]!r}")
-            )
+            bad(ViolationKind.BAD_ROLE, f"player {n} has unknown role {spec.roles[n]!r}")
 
-    # The int adjacency: out[i] collects vertex i's successor indices.
-    out: list[set[int]] = [set() for _ in vertices]
+    # The int adjacency: out[i] lists vertex i's successor indices in input
+    # order. A list whose indices do not arrive strictly increasing, through
+    # a repeat or an out-of-order edge, is marked and repaired afterwards.
+    out: list[list[int]] = [[] for _ in vertices]
+    unsorted = set()
     for edge in spec.edges:
         try:
             u, w = edge
         except (TypeError, ValueError):
-            violations.append(
-                Violation(ViolationKind.BAD_EDGE, f"edge {edge!r} is not a pair of vertices")
-            )
+            bad(ViolationKind.BAD_EDGE, f"edge {edge!r} is not a pair of vertices")
             continue
-        u, w = str(u), str(w)
-        i, j = index.get(u), index.get(w)
-        if i is not None and j is not None:
-            out[i].add(j)
-            continue
-        for end in (u, w):
-            if end not in vset:
-                violations.append(
-                    Violation(
+        if type(u) is not str or type(w) is not str:
+            u, w = str(u), str(w)
+        try:
+            i, j = index[u], index[w]
+        except KeyError:
+            for end in (u, w):
+                if end not in vset:
+                    bad(
                         ViolationKind.DANGLING_EDGE,
                         f"edge ({u}, {w}) mentions undeclared vertex {end!r}",
                     )
-                )
+            continue
+        ws = out[i]
+        if ws and ws[-1] >= j:
+            unsorted.add(i)
+        ws.append(j)
+    for i in unsorted:
+        out[i] = sorted(set(out[i]))
+    isucc = tuple(map(tuple, out))
 
     owner: dict[str, int] = {}
     for v, n in spec.owner.items():
         v = str(v)
         if v not in vset:
-            violations.append(
-                Violation(
-                    ViolationKind.UNKNOWN_VERTEX,
-                    f"owner map mentions undeclared vertex {v!r}",
-                )
-            )
+            bad(ViolationKind.UNKNOWN_VERTEX, f"owner map mentions undeclared vertex {v!r}")
             continue
-        if n not in spec.roles:
-            violations.append(
-                Violation(
-                    ViolationKind.UNKNOWN_PLAYER,
-                    f"vertex {v!r} is owned by undeclared player {n!r}",
-                )
-            )
+        try:
+            declared = n in spec.roles
+        except TypeError:  # unhashable, so no player id
+            declared = False
+        if not declared:
+            bad(ViolationKind.UNKNOWN_PLAYER, f"vertex {v!r} is owned by undeclared player {n!r}")
             continue
         owner[v] = n
-    for v in vertices:
-        if v not in owner:
-            violations.append(
-                Violation(ViolationKind.UNOWNED_VERTEX, f"vertex {v!r} has no owner")
-            )
+    for v in vset.difference(owner):
+        bad(ViolationKind.UNOWNED_VERTEX, f"vertex {v!r} has no owner")
 
     targets: dict[int, frozenset[str]] = {}
     for n in spec.targets:
         if n not in spec.roles:
-            violations.append(
-                Violation(
-                    ViolationKind.UNKNOWN_PLAYER,
-                    f"target set declared for undeclared player {n!r}",
-                )
-            )
+            bad(ViolationKind.UNKNOWN_PLAYER, f"target set declared for undeclared player {n!r}")
     for n in players:
-        tset = frozenset(str(v) for v in spec.targets.get(n, ()))
-        for v in sorted(tset - vset):
-            violations.append(
-                Violation(
-                    ViolationKind.TARGET_OUTSIDE_GRAPH,
-                    f"target vertex {v!r} of player {n} is not in the graph",
-                )
+        tset = vertex_ids(spec.targets.get(n, ()), f"target set of player {n}")
+        if tset is None:
+            continue
+        for v in sorted(set(tset).difference(vset)):
+            bad(
+                ViolationKind.TARGET_OUTSIDE_GRAPH,
+                f"target vertex {v!r} of player {n} is not in the graph",
             )
         if not tset:
-            violations.append(
-                Violation(
-                    ViolationKind.EMPTY_TARGET_SET,
-                    f"player {n} has an empty target set",
-                )
-            )
-        targets[n] = tset & vset
+            bad(ViolationKind.EMPTY_TARGET_SET, f"player {n} has an empty target set")
+        targets[n] = vset.intersection(tset)
 
     total_target = frozenset().union(*targets.values()) if targets else frozenset()
-
-    isucc = tuple(tuple(sorted(ws)) for ws in out)
     for v, ws in zip(vertices, isucc):
         if not ws and v not in total_target:
-            violations.append(
-                Violation(
-                    ViolationKind.DEAD_END,
-                    f"non-target vertex {v!r} has no outgoing edge",
-                )
-            )
+            bad(ViolationKind.DEAD_END, f"non-target vertex {v!r} has no outgoing edge")
 
     try:
         gamma = Fraction(spec.gamma)
     except (ValueError, TypeError, ZeroDivisionError):
         gamma = None
     if gamma is None or not (0 < gamma < 1):
-        violations.append(
-            Violation(
-                ViolationKind.BAD_GAMMA,
-                f"discount factor must be a rational strictly between 0 and 1,"
-                f" got {spec.gamma!r}",
-            )
+        bad(
+            ViolationKind.BAD_GAMMA,
+            f"discount factor must be a rational strictly between 0 and 1, got {spec.gamma!r}",
         )
         gamma = Fraction(1, 2)
 
@@ -293,10 +283,9 @@ def validate_game(spec: GameSpec) -> Game:
         gamma=gamma,
         players=tuple(players),
         total_target=total_target,
-        choice_vertices=tuple(v for v in vertices if v not in total_target),
-        _succ={v: tuple(map(vertices.__getitem__, ws)) for v, ws in zip(vertices, isucc)},
-        _index=index,
+        choice_vertices=tuple(itertools.filterfalse(total_target.__contains__, vertices)),
         _isucc=isucc,
+        _index=index,
     )
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import AbstractSet, Any, Mapping
 
 from .game import Game, GameSpec, Role, validate_game
 from .valuation import PayoffValue, Profile, check_profile
@@ -52,7 +52,10 @@ class GameDocument:
     profiles: dict[str, Profile] = field(default_factory=dict)
 
 
-def _require_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
+_VERTEX_KEYS = frozenset({"id", "owner"})
+
+
+def _require_keys(obj: Mapping[str, Any], allowed: AbstractSet[str], where: str) -> None:
     unknown = obj.keys() - allowed
     if unknown:
         raise ParseError(f"unknown key {min(unknown)!r} in {where}")
@@ -105,10 +108,11 @@ def _parse_vertices(raw: Any) -> tuple[list[str], dict[str, int]]:
     vertices: list[str] = []
     owner: dict[str, int] = {}
     for entry in raw:
-        if not isinstance(entry, dict):
-            raise ParseError("each vertex must be an object")
-        _require_keys(entry, {"id", "owner"}, "vertex")
-        if "id" not in entry or "owner" not in entry:
+        # One test settles a well-formed entry; the others find the message.
+        if not isinstance(entry, dict) or entry.keys() != _VERTEX_KEYS:
+            if not isinstance(entry, dict):
+                raise ParseError("each vertex must be an object")
+            _require_keys(entry, _VERTEX_KEYS, "vertex")
             raise ParseError("each vertex needs 'id' and 'owner'")
         vid = entry["id"]
         if not isinstance(vid, str):
@@ -126,12 +130,13 @@ def _parse_vertices(raw: Any) -> tuple[list[str], dict[str, int]]:
 def _parse_edges(raw: Any) -> list[list[str]]:
     if not isinstance(raw, list):
         raise ParseError("'edges' must be a list")
+    # JSON values have exact types, so `type` tests stand in for `isinstance`.
     for entry in raw:
         if not (
-            isinstance(entry, list)
+            type(entry) is list
             and len(entry) == 2
-            and isinstance(entry[0], str)
-            and isinstance(entry[1], str)
+            and type(entry[0]) is str
+            and type(entry[1]) is str
         ):
             raise ParseError(f"each edge must be a pair of vertex ids, got {entry!r}")
     return raw

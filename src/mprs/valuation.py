@@ -17,9 +17,10 @@ reachers, escape sets plus forced longest delay for avoiders), and
 whole strategy space; the two must agree exactly and serve as independent
 checks of one another. The fixpoints and the tie-break toward the smallest
 successor live in `_respond`, which works on a move array (one successor
-index per vertex); `best_response` wraps it for a `Profile`, and
-best-response dynamics (`equilibrium.solve_br_dynamics`) call it directly
-on their own move array.
+index per vertex) and returns the response's hit times, from which the
+callers make payoff codes as they need them; `best_response` wraps it for
+a `Profile`, and best-response dynamics (`equilibrium.solve_br_dynamics`)
+call it directly on their own move array and compare times.
 """
 
 from __future__ import annotations
@@ -291,19 +292,23 @@ class _Core:
 
     Vertex i is ``game.vertices[i]``, so index order is lexicographic
     order. Target vertices are absorbing: they have no successors and are
-    nobody's predecessor. `own[n]` lists player n's target vertices in
-    index order, and `signs[n][i]` is the sign of player n's payoff when a
-    play first hits vertex i, with a trailing 0 at index
-    ``len(vertices)`` that stands for "no hit". Payoffs are integer codes
-    (see `_encode`). Built once per game, on first use, by `Game._core`.
+    nobody's predecessor. `own[n]` lists player n's target vertices and
+    `mine[n]` player n's choice vertices, both in index order.
+    `signs[n][i]` is the sign of player n's payoff when a play first hits
+    vertex i, with a trailing 0 at index ``len(vertices)`` that stands for
+    "no hit". Payoffs are integer codes (see `_encode`). Built once per
+    game, on first use, by `Game._core`.
     """
 
-    __slots__ = ("names", "index", "base", "owner", "succ", "pred", "choice", "own", "signs")
+    __slots__ = ("names", "index", "base", "owner", "succ", "pred", "choice", "mine", "own", "signs")
 
     def __init__(self, game: Game):
         names, index = game.vertices, game._index
         self.own = {n: tuple(sorted(map(index.__getitem__, game.targets[n]))) for n in game.players}
-        succ = [() if v in game.total_target else ws for v, ws in zip(names, game._isucc)]
+        succ = list(game._isucc)
+        for own in self.own.values():
+            for v in own:
+                succ[v] = ()
         pred: list[list[int]] = [[] for _ in names]
         for v, ws in enumerate(succ):
             for w in ws:
@@ -311,10 +316,14 @@ class _Core:
         self.names = names
         self.index = index
         self.base = len(names) + 1
-        self.owner = tuple(map(game.owner.__getitem__, names))
+        self.owner = owner = tuple(map(game.owner.__getitem__, names))
         self.succ = tuple(succ)
         self.pred = tuple(map(tuple, pred))
-        self.choice = tuple(v for v, ws in enumerate(succ) if ws)
+        self.choice = tuple(itertools.compress(range(len(succ)), succ))
+        mine: dict[int, list[int]] = {n: [] for n in game.players}
+        for v in self.choice:
+            mine[owner[v]].append(v)
+        self.mine = {n: tuple(vs) for n, vs in mine.items()}
         self.signs = {}
         for n, own in self.own.items():
             sign = [0] * self.base
@@ -483,34 +492,38 @@ def _avoid(core: _Core, nxt: list[int], n: int) -> list[int]:
     return delay
 
 
+def _sign(core: _Core, n: int) -> int:
+    # Every own target carries the sign of the player's role: +1 for a
+    # reacher, -1 for an avoider.
+    return core.signs[n][core.own[n][0]]
+
+
 def _respond(core: _Core, nxt: list[int], n: int) -> tuple[dict[int, int], list[int]]:
     """Player `n`'s best response to the opponents' moves in `nxt`; its
     entries at n's own choice vertices are never read.
 
-    Returns the chosen successor at each of n's choice vertices and n's
-    payoff code from every start vertex. Ties break toward the smallest
-    successor index, which is the lexicographically smallest successor.
+    Returns the chosen successor at each of n's choice vertices and, from
+    every start vertex, the time until the response first hits one of n's
+    own targets, or -1 when it never does. That payoff's code is
+    ``sign * (base - time)``, or 0 for -1 (see `_encode`). Ties break
+    toward the smallest successor index, which is the lexicographically
+    smallest successor.
     """
-    succ, owner = core.succ, core.owner
-    # Every own target carries the sign of the player's role: +1 for a
-    # reacher, -1 for an avoider.
-    s = core.signs[n][core.own[n][0]]
-    time = (_reach if s > 0 else _avoid)(core, nxt, n)  # until an own target is hit, or -1
+    succ = core.succ
+    time = (_reach if _sign(core, n) > 0 else _avoid)(core, nxt, n)
     # Each own vertex moves one layer down: to a successor with time - 1,
     # or, where it has no time, to a successor without one. Such a move
     # exists: a reacher's vertex out of reach has only successors out of
     # reach, and an avoider's vertex outside the doomed region has a way
     # to stay outside.
     moves = {}
-    for v in core.choice:
-        if owner[v] == n:
-            want = time[v] - 1 if time[v] > 0 else -1
-            for w in succ[v]:
-                if time[w] == want:
-                    moves[v] = w
-                    break
-    base = core.base
-    return moves, [s * (base - t) if t >= 0 else 0 for t in time]
+    for v in core.mine[n]:
+        want = time[v] - 1 if time[v] > 0 else -1
+        for w in succ[v]:
+            if time[w] == want:
+                moves[v] = w
+                break
+    return moves, time
 
 
 def best_response(
@@ -528,7 +541,9 @@ def best_response(
     if n not in game.roles:
         raise ValueError(f"unknown player {n!r}")
     core = game._core
-    moves, codes = _respond(core, _moves(core, opponents, skip=n), n)
+    moves, time = _respond(core, _moves(core, opponents, skip=n), n)
+    s, base = _sign(core, n), core.base
+    codes = [s * (base - t) if t >= 0 else 0 for t in time]
     names = core.names
     return {names[v]: names[w] for v, w in moves.items()}, _payoffs(core, codes)
 
@@ -550,7 +565,7 @@ def best_response_enum(
         raise ValueError(f"unknown player {n!r}")
     core = game._core
     nxt = _moves(core, opponents, skip=n)
-    mine = [v for v in core.choice if core.owner[v] == n]
+    mine = core.mine[n]
     check_guard(math.prod(len(core.succ[v]) for v in mine), guard)
 
     def evaluate(choice: tuple[int, ...]) -> list[int]:

@@ -34,8 +34,8 @@ class TestValidation:
         assert g1.choice_vertices == ("v1", "v2")
 
     def test_successors_and_edges_are_in_name_order(self):
-        # Past eight vertices a set of successor indices no longer iterates
-        # in index order, so only a sort puts the successors in name order.
+        # Each vertex's edges arrive in decreasing order, so every successor
+        # list must be repaired before it is in name order.
         names = [f"v{i:02d}" for i in range(12)]
         edges = [(u, w) for k, u in enumerate(names) for w in names[k % 3 :: 3][::-1]]
         game = validate_game(
@@ -176,6 +176,58 @@ class TestValidation:
             validate_game(spec)
         assert kinds(e) == {ViolationKind.BAD_PLAYERS}
         assert "must be integers" in str(e.value)
+
+    @staticmethod
+    def two_cycle(**changes) -> GameSpec:
+        spec = GameSpec(
+            ["a", "b"], [("a", "b"), ("b", "a")], {"a": 1, "b": 1}, {1: Role.REACHER}, {1: ["b"]}
+        )
+        return GameSpec(**{**vars(spec), **changes})
+
+    @pytest.mark.parametrize(
+        "changes, expected",
+        [
+            ({"targets": {1: "ab"}}, {ViolationKind.BAD_VERTEX_SET}),
+            ({"targets": {1: None}}, {ViolationKind.BAD_VERTEX_SET}),
+            ({"vertices": "ab"}, {ViolationKind.BAD_VERTEX_SET}),
+            ({"vertices": 2}, {ViolationKind.BAD_VERTEX_SET}),
+            ({"owner": {"a": [1], "b": 1}}, {ViolationKind.UNKNOWN_PLAYER}),
+        ],
+        ids=["str-targets", "none-targets", "str-vertices", "int-vertices", "unhashable-owner"],
+    )
+    def test_malformed_collections_are_violations(self, changes, expected):
+        with pytest.raises(InvalidGameError) as e:
+            validate_game(self.two_cycle(**changes))
+        assert expected <= kinds(e)
+        # An unusable vertex list also leaves every edge and owner dangling;
+        # otherwise only a refused owner adds its unowned vertex.
+        if "vertices" not in changes:
+            assert kinds(e) - expected <= {ViolationKind.UNOWNED_VERTEX}
+
+
+class TestEquality:
+    def test_games_that_differ_in_one_edge_differ(self):
+        names = ["a", "b", "c"]
+        owner = dict.fromkeys(names, 1)
+
+        def game(last: str):
+            edges = [("a", "b"), ("b", "c"), ("c", last)]
+            return validate_game(GameSpec(names, edges, owner, {1: Role.REACHER}, {1: ["a"]}))
+
+        one, other = game("a"), game("b")
+        assert one.vertices == other.vertices and one.owner == other.owner
+        assert one != other
+
+    def test_input_edge_order_and_repeats_do_not_matter(self):
+        names = [f"v{i:02d}" for i in range(10)]
+        canonical = [(u, w) for k, u in enumerate(names) for w in names[k + 1 :] or names[:1]]
+        spec = GameSpec(names, canonical, dict.fromkeys(names, 1), {1: Role.AVOIDER}, {1: ["v00"]})
+        jumbled = GameSpec(**{**vars(spec), "edges": canonical[::-1] + canonical[::3]})
+        one, other = validate_game(spec), validate_game(jumbled)
+        assert one == other
+        assert one.edges == other.edges == tuple(canonical)
+        assert all(one.successors(v) == other.successors(v) for v in names)
+        assert repr(one) == repr(other)
 
 
 class TestActionsAndMoves:

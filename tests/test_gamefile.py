@@ -136,6 +136,48 @@ class TestParse:
         with pytest.raises(ProfileError):
             parse_document(text)
 
+    V2 = '{"id": "v2", "owner": 2}'
+    E21 = '["v2", "v1"]'
+    EDGES = '[["v1", "v2"], ["v1", "v3"], ["v2", "v1"]]'
+    PAIR = "each edge must be a pair of vertex ids, got "
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (V2, "7", "each vertex must be an object"),
+            (V2, '{"owner": 2}', "each vertex needs 'id' and 'owner'"),
+            (V2, '{"id": "v2"}', "each vertex needs 'id' and 'owner'"),
+            (V2, '{"id": "v2", "z": 0, "owner": 2, "color": 1}', "unknown key 'color' in vertex"),
+            (V2, '{"id": 2, "owner": 2}', "vertex id must be a string, got 2"),
+            (V2, '{"id": "v1", "owner": 2}', "duplicate vertex id 'v1'"),
+            (V2, '{"id": "v2", "owner": true}', "owner of 'v2' must be an integer player id"),
+            (EDGES, '{"v2": "v1"}', "'edges' must be a list"),
+            (E21, '{"v2": "v1"}', PAIR + "{'v2': 'v1'}"),
+            (E21, '"v2"', PAIR + "'v2'"),
+            (E21, "21", PAIR + "21"),
+            (E21, '["v2"]', PAIR + "['v2']"),
+            (E21, '["v2", "v1", "v3"]', PAIR + "['v2', 'v1', 'v3']"),
+            (E21, '["v2", 1]', PAIR + "['v2', 1]"),
+            (E21, '["v2", null]', PAIR + "['v2', None]"),
+            (E21, '[true, "v1"]', PAIR + "[True, 'v1']"),
+            (EDGES, '[["v1"], ["v1", "v3"], [3]]', PAIR + "['v1']"),
+        ],
+        ids=[
+            "vertex-not-object", "vertex-no-id", "vertex-no-owner", "vertex-unknown-keys",
+            "vertex-int-id", "vertex-dup-id", "vertex-bool-owner", "edges-not-list",
+            "edge-object", "edge-string", "edge-number", "edge-one-item", "edge-three-items",
+            "edge-number-end", "edge-null-end", "edge-bool-end", "edge-first-bad-entry",
+        ],
+    )
+    def test_entry_messages(self, old, new, message):
+        """Each malformed vertex or edge entry has its exact message, and
+        the first bad entry is the one named."""
+        text = G1_TEXT.replace(old, new)
+        assert text != G1_TEXT
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert str(err.value) == message
+
 
 class TestEmit:
     def test_roundtrip_preserves_the_game(self):

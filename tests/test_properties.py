@@ -113,8 +113,9 @@ def test_document_round_trip_after_evaluation(drawn):
 @given(games_and_profiles())
 def test_core_matches_the_public_graph(drawn):
     """The solvers' int form, built from validation's adjacency, is the
-    public graph with targets made absorbing, and neither it nor solving
-    shows up in equality or in the document."""
+    public graph with targets made absorbing, with each player's choice
+    vertices in order, and neither it nor solving shows up in equality or
+    in the document."""
     game, profile = drawn
     core = game._core
     assert core.names == game.vertices
@@ -123,6 +124,9 @@ def test_core_matches_the_public_graph(drawn):
         successors = () if v in game.total_target else game.successors(v)
         assert tuple(core.names[j] for j in core.succ[i]) == successors
         assert core.pred[i] == tuple(u for u, ws in enumerate(core.succ) if i in ws)
+    for n in game.players:
+        owned = [v for v in game.choice_vertices if game.owner[v] == n]
+        assert tuple(core.names[i] for i in core.mine[n]) == tuple(owned)
     text = emit_game(game)
     again = parse_document(text).game
     solve_br_dynamics(game, profile)
