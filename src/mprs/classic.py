@@ -66,7 +66,7 @@ class TwoPlayerArena:
         object.__setattr__(self, "target", frozenset(target))
 
 
-def _arena_owner(arena: TwoPlayerArena) -> dict[str, int]:
+def _two_player(arena: TwoPlayerArena, gamma: Fraction, first: Role, second: Role) -> Game:
     overlap = arena.reacher_owned & arena.avoider_owned
     if overlap:
         raise InvalidGameError(
@@ -80,35 +80,26 @@ def _arena_owner(arena: TwoPlayerArena) -> dict[str, int]:
         )
     owner = {v: 1 for v in arena.reacher_owned}
     owner.update({v: 2 for v in arena.avoider_owned})
-    return owner
+    return validate_game(
+        GameSpec(
+            vertices=arena.vertices,
+            edges=arena.edges,
+            owner=owner,
+            roles={1: first, 2: second},
+            targets={1: arena.target, 2: arena.target},
+            gamma=gamma,
+        )
+    )
 
 
 def make_reachability(arena: TwoPlayerArena, gamma: Fraction = DEFAULT_GAMMA) -> Game:
     """Two-player game: player 1 reaches, player 2 avoids, shared target."""
-    return validate_game(
-        GameSpec(
-            vertices=arena.vertices,
-            edges=arena.edges,
-            owner=_arena_owner(arena),
-            roles={1: Role.REACHER, 2: Role.AVOIDER},
-            targets={1: arena.target, 2: arena.target},
-            gamma=gamma,
-        )
-    )
+    return _two_player(arena, gamma, Role.REACHER, Role.AVOIDER)
 
 
 def make_safety(arena: TwoPlayerArena, gamma: Fraction = DEFAULT_GAMMA) -> Game:
     """The same board with the objectives interchanged: player 1 avoids."""
-    return validate_game(
-        GameSpec(
-            vertices=arena.vertices,
-            edges=arena.edges,
-            owner=_arena_owner(arena),
-            roles={1: Role.AVOIDER, 2: Role.REACHER},
-            targets={1: arena.target, 2: arena.target},
-            gamma=gamma,
-        )
-    )
+    return _two_player(arena, gamma, Role.AVOIDER, Role.REACHER)
 
 
 def attractor(arena: TwoPlayerArena) -> frozenset[str]:

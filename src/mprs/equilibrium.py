@@ -23,16 +23,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .game import Game, turn_payoff
+from .game import Game
 from .limits import check_guard
 from .valuation import (
     PayoffValue,
     Profile,
-    _checked_moves,
     _codes,
     _Core,
     _decode,
     _hits,
+    _moves,
     _respond,
     best_response,
     value_table,
@@ -64,18 +64,16 @@ class NEReport:
     violations: tuple[Deviation, ...]
 
 
-def _assert_consistent(
-    game: Game, core: _Core, nxt: list[int], codes: dict[int, list[int]]
-) -> None:
+def _assert_consistent(core: _Core, nxt: list[int], codes: dict[int, list[int]]) -> None:
     # Internal self-check: every player's payoff codes satisfy the one-step
     # recursion: code(v) is the successor's code moved one toward 0, and at
-    # a target (no successor, -1) the turn payoff times base (see `_encode`).
+    # a target (no successor, -1) its `signs` entry times base (see `_encode`).
     names, base = core.names, core.base
     ends = [v for v, w in enumerate(nxt) if w < 0]
     for m, mine in codes.items():
         expected = [c - 1 if c > 0 else c + 1 if c else 0 for c in map(mine.__getitem__, nxt)]
         for v in ends:
-            expected[v] = turn_payoff(game, m, names[v]) * base
+            expected[v] = core.signs[m][v] * base
         if expected != mine:
             name = next(name for name, e, c in zip(names, expected, mine) if e != c)
             raise AssertionError(
@@ -93,10 +91,10 @@ def check_certificate(game: Game, profile: Profile) -> NEReport:
     move permanently would make it.
     """
     core = game._core
-    nxt = _checked_moves(game, profile)
+    nxt = _moves(core, profile)
     hits = _hits(core, nxt)
     codes = {m: _codes(core, m, hits) for m in game.players}
-    _assert_consistent(game, core, nxt, codes)
+    _assert_consistent(core, nxt, codes)
 
     violations = []
     names, base = core.names, core.base
@@ -244,7 +242,7 @@ def solve_br_dynamics(
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     core = game._core
-    nxt = _checked_moves(game, seed)
+    nxt = _moves(core, seed)
     visited = {tuple(nxt)}
     for _ in range(max_rounds):
         changed = False

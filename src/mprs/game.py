@@ -12,8 +12,8 @@ vertex id it is taken from.
 
 `validate_game` checks a raw `GameSpec` and returns the immutable `Game`
 handle consumed by every other module; `Game.successors` lists the moves
-open to a vertex's owner. `turn_payoff` gives what each visited vertex is
-worth to each player.
+open to a vertex's owner. `turn_payoff`, the one home of the role-to-sign
+rule, gives what each visited vertex is worth to each player.
 
 Validation builds the game's one int adjacency: vertex i is the i-th id
 in lexicographic order and keeps the sorted indices of its successors.
@@ -26,11 +26,11 @@ canonical document needs no sort at all. The named successor tuples and
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
 
 
 class Role(Enum):
@@ -191,12 +191,24 @@ def validate_game(spec: GameSpec) -> Game:
         except ValueError:
             bad(ViolationKind.BAD_ROLE, f"player {n} has unknown role {spec.roles[n]!r}")
 
+    # An unusable edge list, owner map or target map is reported, then read as empty.
+    edges, owners, target_sets = spec.edges, spec.owner, spec.targets
+    if not isinstance(edges, Iterable):
+        bad(ViolationKind.BAD_EDGE, f"the edge list must be a collection of pairs, got {edges!r}")
+        edges = ()
+    if not isinstance(owners, Mapping):
+        bad(ViolationKind.BAD_VERTEX_SET, f"the owner map must be a mapping, got {owners!r}")
+        owners = {}
+    if not isinstance(target_sets, Mapping):
+        bad(ViolationKind.BAD_VERTEX_SET, f"the target sets must be a mapping, got {target_sets!r}")
+        target_sets = {}
+
     # The int adjacency: out[i] lists vertex i's successor indices in input
     # order. A list whose indices do not arrive strictly increasing, through
     # a repeat or an out-of-order edge, is marked and repaired afterwards.
     out: list[list[int]] = [[] for _ in vertices]
     unsorted = set()
-    for edge in spec.edges:
+    for edge in edges:
         try:
             u, w = edge
         except (TypeError, ValueError):
@@ -223,7 +235,7 @@ def validate_game(spec: GameSpec) -> Game:
     isucc = tuple(map(tuple, out))
 
     owner: dict[str, int] = {}
-    for v, n in spec.owner.items():
+    for v, n in owners.items():
         v = str(v)
         if v not in vset:
             bad(ViolationKind.UNKNOWN_VERTEX, f"owner map mentions undeclared vertex {v!r}")
@@ -240,11 +252,11 @@ def validate_game(spec: GameSpec) -> Game:
         bad(ViolationKind.UNOWNED_VERTEX, f"vertex {v!r} has no owner")
 
     targets: dict[int, frozenset[str]] = {}
-    for n in spec.targets:
+    for n in target_sets:
         if n not in spec.roles:
             bad(ViolationKind.UNKNOWN_PLAYER, f"target set declared for undeclared player {n!r}")
     for n in players:
-        tset = vertex_ids(spec.targets.get(n, ()), f"target set of player {n}")
+        tset = vertex_ids(target_sets.get(n, ()), f"target set of player {n}")
         if tset is None:
             continue
         for v in sorted(set(tset).difference(vset)):

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import AbstractSet, Any, Mapping
 
 from .game import Game, GameSpec, Role, validate_game
-from .valuation import PayoffValue, Profile, check_profile
+from .valuation import PayoffValue, Profile, _moves, check_profile
 
 
 class ParseError(ValueError):
@@ -245,10 +245,8 @@ def export_dot(
     """
     chosen: set[tuple[str, str]] = set()
     if profile is not None:
-        check_profile(game, profile)
-        chosen = {
-            (v, profile.choice(game.owner[v], v)) for v in game.choice_vertices
-        }
+        names, nxt = game.vertices, _moves(game._core, profile)
+        chosen = {(names[v], names[nxt[v]]) for v in game._core.choice}
 
     lines = ["digraph game {", "  rankdir=LR;"]
     for v in game.vertices:

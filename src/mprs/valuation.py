@@ -10,17 +10,20 @@ for every discount strictly between 0 and 1. Inside the package the
 solvers run on an int-indexed form of each game (`_Core`) and on integer
 payoff codes (`_encode`); `PayoffValue` maps appear only at the API.
 
+Every profile goes through one routine, `_moves`, which checks it and
+builds its move array (one successor index per vertex) in the same pass.
+
 `best_response` computes a payoff-maximizing memoryless strategy for one
 player against fixed opponents by graph fixpoints (earliest arrival for
 reachers, escape sets plus forced longest delay for avoiders), and
 `best_response_enum` recomputes the same values by brute force over the
 whole strategy space; the two must agree exactly and serve as independent
 checks of one another. The fixpoints and the tie-break toward the smallest
-successor live in `_respond`, which works on a move array (one successor
-index per vertex) and returns the response's hit times, from which the
-callers make payoff codes as they need them; `best_response` wraps it for
-a `Profile`, and best-response dynamics (`equilibrium.solve_br_dynamics`)
-call it directly on their own move array and compare times.
+successor live in `_respond`, which works on a move array and returns the
+response's hit times, from which the callers make payoff codes as they
+need them; `best_response` wraps it for a `Profile`, and best-response
+dynamics (`equilibrium.solve_br_dynamics`) call it directly on their own
+move array and compare times.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .game import Game, Role
+from .game import Game, turn_payoff
 from .limits import check_guard
 
 # A memoryless strategy: each of the player's non-target vertices to the
@@ -108,34 +111,7 @@ def check_profile(game: Game, profile: Profile) -> None:
     Raises:
         ProfileError: listing every way the profile fails to fit `game`.
     """
-    problems = []
-    legal = 0
-    owner, targets = game.owner, game.total_target
-    for n, moves in profile._items:
-        if n not in game.roles:
-            problems.append(f"strategy given for undeclared player {n}")
-            continue
-        for v, w in moves:
-            m = owner.get(v)
-            if m is None:
-                problems.append(f"player {n} moves at unknown vertex {v!r}")
-            elif m != n:
-                problems.append(f"player {n} moves at {v!r}, owned by player {m}")
-            elif v in targets:
-                problems.append(f"player {n} moves at target vertex {v!r}")
-            elif w not in game.successors(v):
-                problems.append(f"chosen move {v!r} -> {w!r} is not an edge")
-            else:
-                legal += 1
-    # Legal moves sit at distinct choice vertices, so as many legal moves
-    # as choice vertices leave none of them open.
-    if legal < len(game.choice_vertices):
-        for v in game.choice_vertices:
-            n = game.owner[v]
-            if v not in profile._lookup.get(n, {}):
-                problems.append(f"no move fixed at {v!r} for player {n}")
-    if problems:
-        raise ProfileError("; ".join(problems))
+    _moves(game._core, profile)
 
 
 @dataclass(frozen=True)
@@ -241,20 +217,19 @@ def play(game: Game, profile: Profile, start: str) -> Play:
     cycle forever), so it always has at most ``len(game.vertices) + 1``
     entries.
     """
-    check_profile(game, profile)
-    if start not in game.owner:
+    core = game._core
+    nxt = _moves(core, profile)
+    if start not in core.index:
         raise ValueError(f"unknown start vertex {start!r}")
-    steps: list[str | None] = [start]
-    seen = {start}
-    v = start
-    while v not in game.total_target:
-        v = profile.choice(game.owner[v], v)
+    v = core.index[start]
+    steps, seen = [v], {v}
+    while nxt[v] >= 0:
+        v = nxt[v]
         steps.append(v)
         if v in seen:
-            return tuple(steps)
+            return tuple(map(core.names.__getitem__, steps))
         seen.add(v)
-    steps.append(None)
-    return tuple(steps)
+    return (*map(core.names.__getitem__, steps), None)
 
 
 def outcome(game: Game, profile: Profile, start: str) -> Outcome:
@@ -265,21 +240,11 @@ def outcome(game: Game, profile: Profile, start: str) -> Outcome:
     return NEVER
 
 
-def _payoff(game: Game, n: int, hit: tuple[int, str] | None) -> PayoffValue:
-    """Payoff of player `n` for a first hit (time, vertex), or for no hit.
-
-    Hitting the player's own target set at time t is worth gamma**t to a
-    reacher and -gamma**t to an avoider; hitting only other players'
-    targets, or never hitting at all, is worth zero.
-    """
-    if hit is None or hit[1] not in game.targets[n]:
-        return ZERO
-    return PayoffValue(1 if game.roles[n] is Role.REACHER else -1, hit[0])
-
-
 def total_payoff(game: Game, n: int, o: Outcome) -> PayoffValue:
-    """Discounted total payoff of player `n` for outcome `o`."""
-    return _payoff(game, n, (o.time, o.vertex) if o.is_hit else None)
+    """Discounted total payoff of player `n` for outcome `o`: the hit
+    vertex's `turn_payoff` times gamma**time, or zero without a hit."""
+    sign = turn_payoff(game, n, o.vertex) if o.is_hit else 0
+    return PayoffValue(sign, o.time) if sign else ZERO
 
 
 def qualitative_payoff(game: Game, n: int, o: Outcome) -> int:
@@ -328,7 +293,7 @@ class _Core:
         for n, own in self.own.items():
             sign = [0] * self.base
             for v in own:
-                sign[v] = _payoff(game, n, (0, names[v])).sign
+                sign[v] = turn_payoff(game, n, names[v])
             self.signs[n] = tuple(sign)
 
 
@@ -358,44 +323,52 @@ def _payoffs(core: _Core, codes: list[int]) -> dict[str, PayoffValue]:
 
 
 def _moves(core: _Core, profile: Profile, skip: int | None = None) -> list[int]:
-    """The successor `profile` picks at every choice vertex not owned by
-    `skip`, and -1 at every other vertex.
+    """The move array of `profile`, checked in the same pass: the successor
+    it picks at every choice vertex not owned by `skip`, and -1 elsewhere.
+    Player `skip`'s entries, and their missing moves, are ignored.
 
     Raises:
-        ProfileError: when a move is missing or is not an edge.
+        ProfileError: listing every way the profile fails to fit the game,
+            entry by entry and then each choice vertex left open.
     """
     size = len(core.names)
     nxt = [-1] * size
     index, owner, succ = core.index, core.owner, core.succ
-    for m, moves in profile._items:
-        if m == skip:
+    problems = []
+    legal = 0
+    for n, moves in profile._items:
+        if n == skip:
+            continue
+        if n not in core.mine:
+            problems.append(f"strategy given for undeclared player {n}")
             continue
         for v, w in moves:
-            v = index.get(v)
-            if v is not None and owner[v] == m and succ[v]:
-                nxt[v] = index.get(w, size)  # `size` is never an edge
-    for v in core.choice:
-        if nxt[v] not in succ[v] and owner[v] != skip:
-            w = profile.choice(owner[v], core.names[v])  # raises if missing
-            raise ProfileError(f"opponent move {core.names[v]!r} -> {w!r} is not an edge")
+            i = index.get(v)
+            if i is None:
+                problems.append(f"player {n} moves at unknown vertex {v!r}")
+            elif owner[i] != n:
+                problems.append(f"player {n} moves at {v!r}, owned by player {owner[i]}")
+            elif not succ[i]:
+                problems.append(f"player {n} moves at target vertex {v!r}")
+            else:
+                try:
+                    j = index[w]
+                except (KeyError, TypeError):  # no vertex id, so no edge
+                    j = size
+                nxt[i] = j
+                if j in succ[i]:
+                    legal += 1
+                else:
+                    problems.append(f"chosen move {v!r} -> {w!r} is not an edge")
+    # Legal moves sit at distinct choice vertices, so as many legal moves
+    # as choice vertices to fill leave none of them open.
+    if legal < len(core.choice) - len(core.mine.get(skip, ())):
+        for i in core.choice:
+            if nxt[i] < 0 and owner[i] != skip:
+                problems.append(f"no move fixed at {core.names[i]!r} for player {owner[i]}")
+    if problems:
+        raise ProfileError("; ".join(problems))
     return nxt
-
-
-def _checked_moves(game: Game, profile: Profile) -> list[int]:
-    """The move array of a full `profile`, checked in the same pass.
-
-    With one entry per choice vertex, any entry `_moves` passes over
-    leaves a choice vertex without a move, which `_moves` rejects. Every
-    rejected profile goes to `check_profile` for its exact ProfileError.
-    """
-    core = game._core
-    if sum(len(moves) for _, moves in profile._items) == len(core.choice):
-        try:
-            return _moves(core, profile)
-        except ProfileError:
-            pass
-    check_profile(game, profile)
-    raise AssertionError(f"check_profile accepts {profile!r}, which has no move array")
 
 
 def _hits(core: _Core, nxt: list[int]) -> tuple[list[int], list[int]]:
@@ -444,7 +417,7 @@ def value_table(game: Game, profile: Profile) -> dict[int, dict[str, PayoffValue
     has the shape of the value map `best_response` returns.
     """
     core = game._core
-    hits = _hits(core, _checked_moves(game, profile))
+    hits = _hits(core, _moves(core, profile))
     return {n: _payoffs(core, _codes(core, n, hits)) for n in game.players}
 
 
@@ -493,8 +466,8 @@ def _avoid(core: _Core, nxt: list[int], n: int) -> list[int]:
 
 
 def _sign(core: _Core, n: int) -> int:
-    # Every own target carries the sign of the player's role: +1 for a
-    # reacher, -1 for an avoider.
+    # Every own target carries the same sign: the player's `turn_payoff`
+    # there.
     return core.signs[n][core.own[n][0]]
 
 
@@ -531,12 +504,18 @@ def best_response(
 ) -> tuple[Strategy, dict[str, PayoffValue]]:
     """Payoff-maximizing memoryless strategy of player `n` against `opponents`.
 
-    `opponents` must fix a move at every non-target vertex not owned by
-    `n`; an entry for `n` itself is ignored, so a full profile can be
-    passed directly. Returns the strategy together with the value it
-    guarantees from every start vertex. The result is deterministic (ties
-    break toward the lexicographically smallest successor) and never
-    depends on the discount factor.
+    `opponents` must fix a legal move at every non-target vertex not owned
+    by `n` and hold no illegal entry, as `check_profile` demands of a full
+    profile; `n`'s own entries are ignored, so a full profile can be passed
+    directly. Returns the strategy together with the value it guarantees
+    from every start vertex. The result is deterministic (ties break
+    toward the lexicographically smallest successor) and never depends on
+    the discount factor.
+
+    Raises:
+        ValueError: when `n` is not a player of `game`.
+        ProfileError: when `opponents` do not fit `game`, with the message
+            `check_profile` gives once `n`'s entries are legal and complete.
     """
     if n not in game.roles:
         raise ValueError(f"unknown player {n!r}")

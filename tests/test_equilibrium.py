@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 
@@ -17,9 +18,11 @@ from mprs import (
     TooLargeError,
     all_profiles,
     best_response,
+    best_response_enum,
     check_certificate,
     check_profile,
     enumerate_ne,
+    export_dot,
     is_nash,
     is_nash_qualitative,
     profile_space,
@@ -69,14 +72,54 @@ MALFORMED = {
 
 @pytest.mark.parametrize("strategies", MALFORMED.values(), ids=MALFORMED.keys())
 @pytest.mark.parametrize(
-    "solver", [value_table, check_certificate, is_nash, solve_br_dynamics]
+    "solver",
+    [
+        value_table,
+        check_certificate,
+        is_nash,
+        solve_br_dynamics,
+        best_response,
+        best_response_enum,
+        export_dot,
+    ],
 )
-def test_solvers_reject_a_malformed_profile_like_check_profile(g1, solver, strategies):
+def test_solvers_reject_a_malformed_profile_like_check_profile(g1, g1_hat, solver, strategies):
+    profile = Profile(strategies)
+    checked = profile
+    if solver in (best_response, best_response_enum):
+        # Respond as a player whose own entries are legal, so the fault lies
+        # with the opponents. The responder's own moves are never asked for,
+        # so the message is the one of the profile with them filled in.
+        n = next(n for n in g1.players if strategies.get(n, {}) in ({}, g1_hat.strategy(n)))
+        checked = profile.replace(n, g1_hat.strategy(n))
+        solver = functools.partial(solver, n=n)
+    with pytest.raises(ProfileError) as expected:
+        check_profile(g1, checked)
+    with pytest.raises(ProfileError) as raised:
+        solver(g1, profile)
+    assert str(raised.value) == str(expected.value)
+
+
+# Stray entries next to a complete set of opponent moves, which a best
+# response must not pass over.
+STRAY = {
+    "undeclared player": {3: {"zz": "v1"}},
+    "unknown vertex": {2: {"v9": "v1"}},
+    "target vertex": {2: {"v3": "v1"}},
+}
+
+
+@pytest.mark.parametrize("stray", STRAY.values(), ids=STRAY.keys())
+@pytest.mark.parametrize("solver", [best_response, best_response_enum])
+def test_best_responses_reject_stray_opponent_entries(g1, g1_hat, solver, stray):
+    strategies = g1_hat.as_dict()
+    for m, moves in stray.items():
+        strategies.setdefault(m, {}).update(moves)
     profile = Profile(strategies)
     with pytest.raises(ProfileError) as expected:
         check_profile(g1, profile)
     with pytest.raises(ProfileError) as raised:
-        solver(g1, profile)
+        solver(g1, profile, 1)
     assert str(raised.value) == str(expected.value)
 
 

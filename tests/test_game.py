@@ -192,8 +192,27 @@ class TestValidation:
             ({"vertices": "ab"}, {ViolationKind.BAD_VERTEX_SET}),
             ({"vertices": 2}, {ViolationKind.BAD_VERTEX_SET}),
             ({"owner": {"a": [1], "b": 1}}, {ViolationKind.UNKNOWN_PLAYER}),
+            # An unusable edge list, owner map or target map is read as empty,
+            # which leaves a dead end, unowned vertices or an empty target set.
+            ({"edges": None}, {ViolationKind.BAD_EDGE, ViolationKind.DEAD_END}),
+            ({"edges": 5}, {ViolationKind.BAD_EDGE, ViolationKind.DEAD_END}),
+            ({"owner": [("a", 1)]}, {ViolationKind.BAD_VERTEX_SET}),
+            (
+                {"targets": [["b"]]},
+                {ViolationKind.BAD_VERTEX_SET, ViolationKind.EMPTY_TARGET_SET},
+            ),
         ],
-        ids=["str-targets", "none-targets", "str-vertices", "int-vertices", "unhashable-owner"],
+        ids=[
+            "str-targets",
+            "none-targets",
+            "str-vertices",
+            "int-vertices",
+            "unhashable-owner",
+            "none-edges",
+            "int-edges",
+            "list-owner",
+            "list-targets",
+        ],
     )
     def test_malformed_collections_are_violations(self, changes, expected):
         with pytest.raises(InvalidGameError) as e:

@@ -151,6 +151,12 @@ class TestProfile:
         with pytest.raises(ProfileError):
             check_profile(g1, Profile({1: {"v1": "v3"}}))  # v2 unassigned
 
+    def test_a_move_to_no_vertex_id_is_not_an_edge(self, g1):
+        for w in ("v9", ["v3"], 3):
+            with pytest.raises(ProfileError) as err:
+                check_profile(g1, Profile({1: {"v1": w}, 2: {"v2": "v1"}}))
+            assert str(err.value) == f"chosen move 'v1' -> {w!r} is not an edge"
+
 
 class TestPlay:
     def test_g1_plays_under_the_equilibrium(self, g1, g1_hat):
@@ -173,6 +179,10 @@ class TestPlay:
     def test_unknown_start_rejected(self, g1, g1_hat):
         with pytest.raises(ValueError):
             play(g1, g1_hat, "nope")
+
+    def test_a_malformed_profile_is_reported_before_an_unknown_start(self, g1):
+        with pytest.raises(ProfileError, match="no move fixed at 'v2'"):
+            play(g1, Profile({1: {"v1": "v3"}}), "nope")
 
     def test_play_length_is_bounded(self, g1):
         bound = len(g1.vertices) + 1
