@@ -61,7 +61,6 @@ from .valuation import (
     check_profile,
     outcome,
     play,
-    qualitative_payoff,
     total_payoff,
     value_table,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "play",
     "profile_space",
     "profile_to_json",
-    "qualitative_payoff",
     "random_game",
     "solve_br_dynamics",
     "total_payoff",

@@ -32,7 +32,7 @@ from .game import (
     ViolationKind,
     validate_game,
 )
-from .valuation import Profile, outcome, qualitative_payoff
+from .valuation import Profile, outcome, total_payoff
 
 DEFAULT_GAMMA = Fraction(1, 2)
 
@@ -169,7 +169,7 @@ def cross_check_two_player(
     mismatches = []
     for profile in equilibria:
         for v in game.vertices:
-            wins = qualitative_payoff(game, 1, outcome(game, profile, v)) == 1
+            wins = total_payoff(game, 1, outcome(game, profile, v)).sign == 1
             if wins != (v in region):
                 mismatches.append(Mismatch(profile, v, wins, v in region))
     return CrossCheckReport(not mismatches, region, equilibria, tuple(mismatches))

@@ -181,7 +181,7 @@ def cmd_cross_check(args: argparse.Namespace) -> int:
     reacher = by_role[Role.REACHER]
     arena = TwoPlayerArena(
         vertices=game.vertices,
-        edges=((u, w) for u in game.vertices for w in game.successors(u)),
+        edges=game.edges,
         reacher_owned=[v for v in game.vertices if game.owner[v] == reacher],
         avoider_owned=[v for v in game.vertices if game.owner[v] != reacher],
         target=game.targets[1],

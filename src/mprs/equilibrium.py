@@ -67,7 +67,7 @@ class NEReport:
 def _assert_consistent(core: _Core, nxt: list[int], codes: dict[int, list[int]]) -> None:
     # Internal self-check: every player's payoff codes satisfy the one-step
     # recursion: code(v) is the successor's code moved one toward 0, and at
-    # a target (no successor, -1) its `signs` entry times base (see `_encode`).
+    # a target (no successor, -1) its `signs` entry times base (see `_decode`).
     names, base = core.names, core.base
     ends = [v for v, w in enumerate(nxt) if w < 0]
     for m, mine in codes.items():

@@ -174,25 +174,12 @@ def validate_game(spec: GameSpec) -> Game:
         vertices = sorted(vset)
     index = dict(zip(vertices, range(len(vertices))))
 
-    players = sorted(
-        n for n in spec.roles if isinstance(n, int) and not isinstance(n, bool)
-    )
-    count = len(players)
-    if count < len(spec.roles):
-        bad(ViolationKind.BAD_PLAYERS, f"player ids must be integers, got {list(spec.roles)}")
-    elif count == 0:
-        bad(ViolationKind.BAD_PLAYERS, "at least one player is required")
-    elif players != list(range(1, count + 1)):
-        bad(ViolationKind.BAD_PLAYERS, f"player ids must be 1..N, got {players}")
-    roles: dict[int, Role] = {}
-    for n in players:
-        try:
-            roles[n] = Role(spec.roles[n])
-        except ValueError:
-            bad(ViolationKind.BAD_ROLE, f"player {n} has unknown role {spec.roles[n]!r}")
-
-    # An unusable edge list, owner map or target map is reported, then read as empty.
-    edges, owners, target_sets = spec.edges, spec.owner, spec.targets
+    # An unusable role map, edge list, owner map or target map is reported,
+    # then read as empty.
+    role_map, edges, owners, target_sets = spec.roles, spec.edges, spec.owner, spec.targets
+    if not isinstance(role_map, Mapping):
+        bad(ViolationKind.BAD_PLAYERS, f"the role map must be a mapping, got {role_map!r}")
+        role_map = {}
     if not isinstance(edges, Iterable):
         bad(ViolationKind.BAD_EDGE, f"the edge list must be a collection of pairs, got {edges!r}")
         edges = ()
@@ -202,6 +189,21 @@ def validate_game(spec: GameSpec) -> Game:
     if not isinstance(target_sets, Mapping):
         bad(ViolationKind.BAD_VERTEX_SET, f"the target sets must be a mapping, got {target_sets!r}")
         target_sets = {}
+
+    players = sorted(n for n in role_map if isinstance(n, int) and not isinstance(n, bool))
+    count = len(players)
+    if count < len(role_map):
+        bad(ViolationKind.BAD_PLAYERS, f"player ids must be integers, got {list(role_map)}")
+    elif count == 0:
+        bad(ViolationKind.BAD_PLAYERS, "at least one player is required")
+    elif players != list(range(1, count + 1)):
+        bad(ViolationKind.BAD_PLAYERS, f"player ids must be 1..N, got {players}")
+    roles: dict[int, Role] = {}
+    for n in players:
+        try:
+            roles[n] = Role(role_map[n])
+        except ValueError:
+            bad(ViolationKind.BAD_ROLE, f"player {n} has unknown role {role_map[n]!r}")
 
     # The int adjacency: out[i] lists vertex i's successor indices in input
     # order. A list whose indices do not arrive strictly increasing, through
@@ -241,7 +243,7 @@ def validate_game(spec: GameSpec) -> Game:
             bad(ViolationKind.UNKNOWN_VERTEX, f"owner map mentions undeclared vertex {v!r}")
             continue
         try:
-            declared = n in spec.roles
+            declared = n in role_map
         except TypeError:  # unhashable, so no player id
             declared = False
         if not declared:
@@ -253,7 +255,7 @@ def validate_game(spec: GameSpec) -> Game:
 
     targets: dict[int, frozenset[str]] = {}
     for n in target_sets:
-        if n not in spec.roles:
+        if n not in role_map:
             bad(ViolationKind.UNKNOWN_PLAYER, f"target set declared for undeclared player {n!r}")
     for n in players:
         tset = vertex_ids(target_sets.get(n, ()), f"target set of player {n}")

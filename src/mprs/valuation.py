@@ -8,7 +8,7 @@ kept symbolically as a sign and an exponent (`PayoffValue`) and compared
 without ever evaluating the discount factor: the induced order is the same
 for every discount strictly between 0 and 1. Inside the package the
 solvers run on an int-indexed form of each game (`_Core`) and on integer
-payoff codes (`_encode`); `PayoffValue` maps appear only at the API.
+payoff codes (see `_decode`); `PayoffValue` maps appear only at the API.
 
 Every profile goes through one routine, `_moves`, which checks it and
 builds its move array (one successor index per vertex) in the same pass.
@@ -59,7 +59,7 @@ class Profile:
     compare by content.
     """
 
-    __slots__ = ("_items", "_lookup")
+    __slots__ = ("_items",)
 
     def __init__(self, strategies: Mapping[int, Mapping[str, str]]):
         self._items = tuple(
@@ -67,19 +67,10 @@ class Profile:
             for n in sorted(strategies)
             if strategies[n]
         )
-        self._lookup = {n: dict(moves) for n, moves in self._items}
-
-    @property
-    def players(self) -> tuple[int, ...]:
-        """Players with a nonempty strategy."""
-        return tuple(n for n, _ in self._items)
-
-    def strategy(self, n: int) -> Strategy:
-        return dict(self._lookup.get(n, {}))
 
     def choice(self, n: int, v: str) -> str:
         try:
-            return self._lookup[n][v]
+            return dict(dict(self._items)[n])[v]
         except KeyError:
             raise ProfileError(f"profile fixes no move for player {n} at {v!r}") from None
 
@@ -88,9 +79,6 @@ class Profile:
         merged = {m: dict(moves) for m, moves in self._items}
         merged[n] = dict(strategy)
         return Profile(merged)
-
-    def without(self, n: int) -> "Profile":
-        return Profile({m: dict(moves) for m, moves in self._items if m != n})
 
     def as_dict(self) -> dict[int, Strategy]:
         return {n: dict(moves) for n, moves in self._items}
@@ -120,10 +108,6 @@ class Outcome:
 
     time: int | None = None
     vertex: str | None = None
-
-    @classmethod
-    def hit(cls, time: int, vertex: str) -> "Outcome":
-        return cls(time, vertex)
 
     @property
     def is_hit(self) -> bool:
@@ -158,14 +142,6 @@ class PayoffValue:
             raise ValueError("exponent must be nonnegative")
         if self.sign == 0 and self.exponent != 0:
             raise ValueError("the zero payoff carries no exponent")
-
-    @classmethod
-    def pos(cls, exponent: int) -> "PayoffValue":
-        return cls(1, exponent)
-
-    @classmethod
-    def neg(cls, exponent: int) -> "PayoffValue":
-        return cls(-1, exponent)
 
     def discounted(self) -> "PayoffValue":
         """The value one discount step later; zero is a fixed point."""
@@ -236,7 +212,7 @@ def outcome(game: Game, profile: Profile, start: str) -> Outcome:
     """First hit of the union target set on the play from vertex `start`."""
     for t, v in enumerate(play(game, profile, start)):
         if v in game.total_target:
-            return Outcome.hit(t, v)
+            return Outcome(t, v)
     return NEVER
 
 
@@ -245,11 +221,6 @@ def total_payoff(game: Game, n: int, o: Outcome) -> PayoffValue:
     vertex's `turn_payoff` times gamma**time, or zero without a hit."""
     sign = turn_payoff(game, n, o.vertex) if o.is_hit else 0
     return PayoffValue(sign, o.time) if sign else ZERO
-
-
-def qualitative_payoff(game: Game, n: int, o: Outcome) -> int:
-    """Sign of the total payoff: 1 for a win, -1 for a loss, 0 otherwise."""
-    return total_payoff(game, n, o).sign
 
 
 class _Core:
@@ -261,7 +232,7 @@ class _Core:
     `mine[n]` player n's choice vertices, both in index order.
     `signs[n][i]` is the sign of player n's payoff when a play first hits
     vertex i, with a trailing 0 at index ``len(vertices)`` that stands for
-    "no hit". Payoffs are integer codes (see `_encode`). Built once per
+    "no hit". Payoffs are integer codes (see `_decode`). Built once per
     game, on first use, by `Game._core`.
     """
 
@@ -303,10 +274,6 @@ class _Core:
 # every gamma in (0, 1), and one discount step moves a code one toward 0.
 # Decoding is cached, so the value maps of one game share their payoff
 # objects and mostly compare by identity.
-
-
-def _encode(p: PayoffValue, base: int) -> int:
-    return p.sign * (base - p.exponent)
 
 
 @lru_cache(maxsize=256)
@@ -404,7 +371,7 @@ def _hits(core: _Core, nxt: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _codes(core: _Core, n: int, hits: tuple[list[int], list[int]]) -> list[int]:
-    """Player `n`'s payoff code from every start vertex (see `_encode`)."""
+    """Player `n`'s payoff code from every start vertex (see `_decode`)."""
     sign, base = core.signs[n], core.base
     when, where = hits
     return [sign[w] * (base - t) for t, w in zip(when, where)]
@@ -478,7 +445,7 @@ def _respond(core: _Core, nxt: list[int], n: int) -> tuple[dict[int, int], list[
     Returns the chosen successor at each of n's choice vertices and, from
     every start vertex, the time until the response first hits one of n's
     own targets, or -1 when it never does. That payoff's code is
-    ``sign * (base - time)``, or 0 for -1 (see `_encode`). Ties break
+    ``sign * (base - time)``, or 0 for -1 (see `_decode`). Ties break
     toward the smallest successor index, which is the lexicographically
     smallest successor.
     """

@@ -111,7 +111,7 @@ def test_criterion_5_fast_and_brute_force_responses_agree(ensemble):
         game = ensemble[triples % len(ensemble)]
         sigma = random_profile(game, rng)
         n = rng.choice(game.players)
-        opponents = sigma.without(n)
+        opponents = sigma.replace(n, {})
         _, fast = best_response(game, opponents, n)
         _, slow = best_response_enum(game, opponents, n)
         assert fast == slow, (triples, n)
@@ -135,8 +135,8 @@ def test_criterion_6_attractor_matches_equilibrium_outcomes():
 def test_criterion_7_worked_micro_games(g1, g1_hat, g2):
     assert enumerate_ne(g1) == [g1_hat]
     table = value_table(g1, g1_hat)
-    assert table[1]["v1"] == PayoffValue.pos(1)
-    assert table[2]["v1"] == PayoffValue.neg(1)
+    assert table[1]["v1"] == PayoffValue(1, 1)
+    assert table[2]["v1"] == PayoffValue(-1, 1)
 
     loop = Profile({1: {"w1": "w1"}})
     assert enumerate_ne(g2) == [loop]

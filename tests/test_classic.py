@@ -116,8 +116,8 @@ class TestSpecialShapes:
         (sigma,) = enumerate_ne(game)
         table = value_table(game, sigma)
         assert table[2] == {
-            "v1": PayoffValue.pos(0),
-            "v2": PayoffValue.pos(1),
+            "v1": PayoffValue(1, 0),
+            "v2": PayoffValue(1, 1),
             "v3": ZERO,
         }
         # the hit happens on the other player's target, worth nothing to 1

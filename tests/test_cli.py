@@ -135,6 +135,16 @@ class TestSolve:
         assert doc["method"] == "brd"
         assert doc["equilibria"] == [{"1": {"v1": "v3"}, "2": {"v2": "v1"}}]
 
+    def test_brd_out_of_rounds_falls_back_to_enumeration(self, g1_file, capsys):
+        # The first-successor seed is no equilibrium, so one round cannot end
+        # the dynamics.
+        assert main(["solve", g1_file]) == 0
+        enum = json.loads(capsys.readouterr().out)
+        assert main(["solve", g1_file, "--method", "brd", "--max-rounds", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["method"] == "brd+enum"
+        assert doc["equilibria"] == enum["equilibria"]
+
     def test_all_flag(self, g2_file, capsys):
         assert main(["solve", g2_file, "--all"]) == 0
         doc = json.loads(capsys.readouterr().out)

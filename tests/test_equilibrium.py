@@ -30,11 +30,12 @@ from mprs import (
     validate_game,
     value_table,
 )
+from mprs.limits import GuardError
 
 from conftest import random_profile, small_game
 
-POS = PayoffValue.pos
-NEG = PayoffValue.neg
+POS = functools.partial(PayoffValue, 1)
+NEG = functools.partial(PayoffValue, -1)
 
 
 @pytest.fixture
@@ -90,8 +91,9 @@ def test_solvers_reject_a_malformed_profile_like_check_profile(g1, g1_hat, solve
         # Respond as a player whose own entries are legal, so the fault lies
         # with the opponents. The responder's own moves are never asked for,
         # so the message is the one of the profile with them filled in.
-        n = next(n for n in g1.players if strategies.get(n, {}) in ({}, g1_hat.strategy(n)))
-        checked = profile.replace(n, g1_hat.strategy(n))
+        legal = g1_hat.as_dict()
+        n = next(n for n in g1.players if strategies.get(n, {}) in ({}, legal.get(n, {})))
+        checked = profile.replace(n, legal.get(n, {}))
         solver = functools.partial(solver, n=n)
     with pytest.raises(ProfileError) as expected:
         check_profile(g1, checked)
@@ -243,6 +245,24 @@ class TestEnumeration:
     def test_limit_below_one_is_rejected(self, g1, limit):
         with pytest.raises(ValueError, match="limit must be at least 1"):
             enumerate_ne(g1, limit=limit)
+
+    def test_enumeration_is_the_filter_of_all_profiles(self):
+        """The oracle any faster search must match: the equilibria are the
+        profiles either verdict accepts, in `all_profiles` order, and a
+        limit keeps a prefix."""
+        for seed in range(500):
+            game = small_game(seed)
+            full = enumerate_ne(game)
+            profiles = list(all_profiles(game))
+            assert full == [p for p in profiles if is_nash(game, p).is_ne], seed
+            assert full == [p for p in profiles if check_certificate(game, p).is_ne], seed
+            for k in (1, 2):
+                assert enumerate_ne(game, limit=k) == full[:k], (seed, k)
+
+    def test_explicit_guard_below_one_is_rejected(self, g1):
+        with pytest.raises(GuardError) as err:
+            enumerate_ne(g1, guard=0)
+        assert str(err.value) == "enumeration guard must be positive"
 
     def test_guard_env_override(self, g1, monkeypatch):
         monkeypatch.setenv("MPRS_ENUM_GUARD", "1")

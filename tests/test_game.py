@@ -177,6 +177,11 @@ class TestValidation:
         assert kinds(e) == {ViolationKind.BAD_PLAYERS}
         assert "must be integers" in str(e.value)
 
+    def test_target_set_for_an_undeclared_player(self):
+        with pytest.raises(InvalidGameError) as e:
+            validate_game(self.two_cycle(targets={1: ["b"], 3: ["a"]}))
+        assert str(e.value) == "unknown_player: target set declared for undeclared player 3"
+
     @staticmethod
     def two_cycle(**changes) -> GameSpec:
         spec = GameSpec(
@@ -201,6 +206,14 @@ class TestValidation:
                 {"targets": [["b"]]},
                 {ViolationKind.BAD_VERTEX_SET, ViolationKind.EMPTY_TARGET_SET},
             ),
+            # An unusable role map declares no player, so every owner and
+            # target set names an undeclared one.
+            ({"roles": None}, {ViolationKind.BAD_PLAYERS, ViolationKind.UNKNOWN_PLAYER}),
+            ({"roles": 5}, {ViolationKind.BAD_PLAYERS, ViolationKind.UNKNOWN_PLAYER}),
+            (
+                {"roles": [(1, "reacher")]},
+                {ViolationKind.BAD_PLAYERS, ViolationKind.UNKNOWN_PLAYER},
+            ),
         ],
         ids=[
             "str-targets",
@@ -212,6 +225,9 @@ class TestValidation:
             "int-edges",
             "list-owner",
             "list-targets",
+            "none-roles",
+            "int-roles",
+            "list-roles",
         ],
     )
     def test_malformed_collections_are_violations(self, changes, expected):
@@ -225,6 +241,26 @@ class TestValidation:
 
 
 class TestEquality:
+    @pytest.mark.parametrize(
+        "raw, clean",
+        [
+            (TestValidation.two_cycle(vertices=["a", "b", "a"]), TestValidation.two_cycle()),
+            (
+                GameSpec([1, 2], [(1, 2), (2, 1)], {1: 1, 2: 1}, {1: Role.REACHER}, {1: [2]}),
+                GameSpec(
+                    ["1", "2"],
+                    [("1", "2"), ("2", "1")],
+                    {"1": 1, "2": 1},
+                    {1: Role.REACHER},
+                    {1: ["2"]},
+                ),
+            ),
+        ],
+        ids=["repeated-vertex", "int-ids"],
+    )
+    def test_vertex_ids_are_read_as_distinct_strings(self, raw, clean):
+        assert validate_game(raw) == validate_game(clean)
+
     def test_games_that_differ_in_one_edge_differ(self):
         names = ["a", "b", "c"]
         owner = dict.fromkeys(names, 1)
@@ -277,12 +313,13 @@ class TestStructuralInvariants:
         for seed in range(40):
             game = small_game(seed)
             sigma = random_profile(game, rng)
+            strategies = sigma.as_dict()
             for v in game.vertices:
                 move = (game.successors(v) or (v,))[0]
                 movers = []
                 for n in game.players:
                     try:
-                        check_profile(game, sigma.replace(n, {**sigma.strategy(n), v: move}))
+                        check_profile(game, sigma.replace(n, {**strategies.get(n, {}), v: move}))
                     except ProfileError:
                         continue
                     movers.append(n)
@@ -293,10 +330,11 @@ class TestStructuralInvariants:
         for seed in range(40):
             game = small_game(seed)
             sigma = random_profile(game, rng)
+            strategies = sigma.as_dict()
             for v in game.choice_vertices:
                 n = game.owner[v]
                 for w in game.successors(v):
-                    moved = sigma.replace(n, {**sigma.strategy(n), v: w})
+                    moved = sigma.replace(n, {**strategies.get(n, {}), v: w})
                     assert play(game, moved, v)[1] == w
 
     def test_action_sets_are_never_empty(self):

@@ -140,6 +140,9 @@ class TestParse:
     E21 = '["v2", "v1"]'
     EDGES = '[["v1", "v2"], ["v1", "v3"], ["v2", "v1"]]'
     PAIR = "each edge must be a pair of vertex ids, got "
+    P1 = '{"id": 1, "role": "reacher", "targets": ["v3"]}'
+    HAT2 = '"2": {"v2": "v1"}'
+    STRATEGY = "strategy of player 2 in 'hat' must map vertices to vertices"
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -161,17 +164,21 @@ class TestParse:
             (E21, '["v2", null]', PAIR + "['v2', None]"),
             (E21, '[true, "v1"]', PAIR + "[True, 'v1']"),
             (EDGES, '[["v1"], ["v1", "v3"], [3]]', PAIR + "['v1']"),
+            (P1, P1.replace('["v3"]', '"v3"'), "targets of player 1 must be a list of vertex ids"),
+            (HAT2, '"2": [["v2", "v1"]]', STRATEGY),
+            (HAT2, '"2": {"v2": 1}', STRATEGY),
         ],
         ids=[
             "vertex-not-object", "vertex-no-id", "vertex-no-owner", "vertex-unknown-keys",
             "vertex-int-id", "vertex-dup-id", "vertex-bool-owner", "edges-not-list",
             "edge-object", "edge-string", "edge-number", "edge-one-item", "edge-three-items",
             "edge-number-end", "edge-null-end", "edge-bool-end", "edge-first-bad-entry",
+            "targets-string", "strategy-list", "strategy-number-move",
         ],
     )
     def test_entry_messages(self, old, new, message):
-        """Each malformed vertex or edge entry has its exact message, and
-        the first bad entry is the one named."""
+        """Each malformed vertex, edge, target or strategy entry has its
+        exact message, and the first bad entry is the one named."""
         text = G1_TEXT.replace(old, new)
         assert text != G1_TEXT
         with pytest.raises(ParseError) as err:

@@ -7,6 +7,7 @@ slow per-play recomputation and to brute-force enumeration.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -25,17 +26,16 @@ from mprs import (
     check_profile,
     outcome,
     play,
-    qualitative_payoff,
     total_payoff,
     turn_payoff,
     value_table,
 )
-from mprs.valuation import _decode, _encode
+from mprs.valuation import _decode
 
 from conftest import random_profile, small_game
 
-POS = PayoffValue.pos
-NEG = PayoffValue.neg
+POS = functools.partial(PayoffValue, 1)
+NEG = functools.partial(PayoffValue, -1)
 
 # Enough gammas to rule out a lucky coincidence, none of them 1/2.
 GAMMAS = [Fraction(1, 10), Fraction(3, 10), Fraction(2, 3), Fraction(9, 10), Fraction(99, 100)]
@@ -81,13 +81,16 @@ class TestPayoffValue:
         0 and +/- gamma**t for a first hitting time t < size."""
         base = size + 1
         values = [ZERO] + [PayoffValue(s, t) for t in range(size) for s in (1, -1)]
+        def encode(p: PayoffValue) -> int:  # the payoff code `_decode` inverts
+            return p.sign * (base - p.exponent)
+
         for a in values:
-            code = _encode(a, base)
+            code = encode(a)
             assert _decode(code, base) == a
             assert _decode(code - (code > 0) + (code < 0), base) == a.discounted()
             for b in values:
-                assert (code < _encode(b, base)) == (a < b), (a, b)
-                assert (code == _encode(b, base)) == (a == b), (a, b)
+                assert (code < encode(b)) == (a < b), (a, b)
+                assert (code == encode(b)) == (a == b), (a, b)
 
     def test_discounted_is_multiplication_by_gamma(self):
         for a in all_payoffs():
@@ -120,7 +123,7 @@ class TestProfile:
 
     def test_empty_strategies_are_dropped(self):
         assert Profile({1: {"w1": "w1"}, 2: {}}) == Profile({1: {"w1": "w1"}})
-        assert Profile({1: {"w1": "w1"}, 2: {}}).players == (1,)
+        assert tuple(Profile({1: {"w1": "w1"}, 2: {}}).as_dict()) == (1,)
 
     def test_choice_and_replace(self):
         sigma = Profile({1: {"v1": "v3"}})
@@ -134,8 +137,8 @@ class TestProfile:
         assert sigma.choice(1, "v1") == "v3"  # original untouched
 
     def test_without(self, g1_hat):
-        rest = g1_hat.without(1)
-        assert rest.players == (2,)
+        rest = g1_hat.replace(1, {})
+        assert tuple(rest.as_dict()) == (2,)
         assert rest.choice(2, "v2") == "v1"
 
     def test_check_profile_reports_all_problems(self, g1):
@@ -174,7 +177,7 @@ class TestPlay:
         assert play(g2, loop, "w1") == ("w1", "w1")
         assert outcome(g2, loop, "w1") == NEVER
         assert play(g2, loop, "w2") == ("w2", None)
-        assert outcome(g2, loop, "w2") == Outcome.hit(0, "w2")
+        assert outcome(g2, loop, "w2") == Outcome(0, "w2")
 
     def test_unknown_start_rejected(self, g1, g1_hat):
         with pytest.raises(ValueError):
@@ -196,18 +199,18 @@ class TestPlay:
 
 class TestOutcomeAndPayoff:
     def test_g1_outcomes(self, g1, g1_hat):
-        assert outcome(g1, g1_hat, "v1") == Outcome.hit(1, "v3")
-        assert outcome(g1, g1_hat, "v2") == Outcome.hit(2, "v3")
-        assert outcome(g1, g1_hat, "v3") == Outcome.hit(0, "v3")
+        assert outcome(g1, g1_hat, "v1") == Outcome(1, "v3")
+        assert outcome(g1, g1_hat, "v2") == Outcome(2, "v3")
+        assert outcome(g1, g1_hat, "v3") == Outcome(0, "v3")
 
     def test_total_payoff_signs(self, g1):
-        hit = Outcome.hit(2, "v3")
+        hit = Outcome(2, "v3")
         assert total_payoff(g1, 1, hit) == POS(2)  # reacher
         assert total_payoff(g1, 2, hit) == NEG(2)  # avoider
         assert total_payoff(g1, 1, NEVER) == ZERO
-        assert qualitative_payoff(g1, 1, hit) == 1
-        assert qualitative_payoff(g1, 2, hit) == -1
-        assert qualitative_payoff(g1, 1, NEVER) == 0
+        assert total_payoff(g1, 1, hit).sign == 1
+        assert total_payoff(g1, 2, hit).sign == -1
+        assert total_payoff(g1, 1, NEVER).sign == 0
 
     def test_payoff_ignores_foreign_targets(self):
         game = small_game(11)
@@ -215,7 +218,7 @@ class TestOutcomeAndPayoff:
         for n in game.players:
             foreign = game.total_target - game.targets[n]
             for v in foreign:
-                assert total_payoff(game, n, Outcome.hit(0, v)) == ZERO
+                assert total_payoff(game, n, Outcome(0, v)) == ZERO
 
     def test_hitting_times_stay_below_vertex_count(self):
         rng = random.Random(5)
@@ -295,7 +298,7 @@ class TestBestResponse:
             game = small_game(seed)
             sigma = random_profile(game, rng)
             n = rng.choice(game.players)
-            strategy, values = best_response(game, sigma.without(n), n)
+            strategy, values = best_response(game, sigma.replace(n, {}), n)
             combined = sigma.replace(n, strategy)
             assert value_table(game, combined)[n] == values, (seed, n)
 
@@ -306,7 +309,7 @@ class TestBestResponse:
             game = small_game(seed)
             sigma = random_profile(game, rng)
             n = rng.choice(game.players)
-            opponents = sigma.without(n)
+            opponents = sigma.replace(n, {})
             _, fast = best_response(game, opponents, n)
             _, slow = best_response_enum(game, opponents, n)
             assert fast == slow, (seed, n)
@@ -329,8 +332,8 @@ class TestBestResponse:
             other = validate_game(spec)
             sigma = random_profile(base, rng)
             n = rng.choice(base.players)
-            assert best_response(base, sigma.without(n), n) == best_response(
-                other, sigma.without(n), n
+            assert best_response(base, sigma.replace(n, {}), n) == best_response(
+                other, sigma.replace(n, {}), n
             )
 
     def test_enum_guard_trips(self, g1):
