@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .equilibrium import enumerate_ne
@@ -34,7 +33,15 @@ from .game import (
 )
 from .valuation import Profile, outcome, total_payoff
 
-DEFAULT_GAMMA = Fraction(1, 2)
+__all__ = [
+    "CrossCheckReport",
+    "Mismatch",
+    "TwoPlayerArena",
+    "attractor",
+    "cross_check_two_player",
+    "make_reachability",
+    "make_safety",
+]
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,7 @@ class TwoPlayerArena:
         object.__setattr__(self, "target", frozenset(target))
 
 
-def _two_player(arena: TwoPlayerArena, gamma: Fraction, first: Role, second: Role) -> Game:
+def _two_player(arena: TwoPlayerArena, first: Role, second: Role) -> Game:
     overlap = arena.reacher_owned & arena.avoider_owned
     if overlap:
         raise InvalidGameError(
@@ -87,19 +94,18 @@ def _two_player(arena: TwoPlayerArena, gamma: Fraction, first: Role, second: Rol
             owner=owner,
             roles={1: first, 2: second},
             targets={1: arena.target, 2: arena.target},
-            gamma=gamma,
         )
     )
 
 
-def make_reachability(arena: TwoPlayerArena, gamma: Fraction = DEFAULT_GAMMA) -> Game:
+def make_reachability(arena: TwoPlayerArena) -> Game:
     """Two-player game: player 1 reaches, player 2 avoids, shared target."""
-    return _two_player(arena, gamma, Role.REACHER, Role.AVOIDER)
+    return _two_player(arena, Role.REACHER, Role.AVOIDER)
 
 
-def make_safety(arena: TwoPlayerArena, gamma: Fraction = DEFAULT_GAMMA) -> Game:
+def make_safety(arena: TwoPlayerArena) -> Game:
     """The same board with the objectives interchanged: player 1 avoids."""
-    return _two_player(arena, gamma, Role.AVOIDER, Role.REACHER)
+    return _two_player(arena, Role.AVOIDER, Role.REACHER)
 
 
 def attractor(arena: TwoPlayerArena) -> frozenset[str]:
@@ -151,11 +157,7 @@ class CrossCheckReport:
     mismatches: tuple[Mismatch, ...]
 
 
-def cross_check_two_player(
-    arena: TwoPlayerArena,
-    gamma: Fraction = DEFAULT_GAMMA,
-    guard: int | None = None,
-) -> CrossCheckReport:
+def cross_check_two_player(arena: TwoPlayerArena, guard: int | None = None) -> CrossCheckReport:
     """Compare the attractor against equilibrium outcomes on the same arena.
 
     Builds the reachability game, enumerates its equilibria, and demands
@@ -163,7 +165,7 @@ def cross_check_two_player(
     that vertex lies in the attractor. Any mismatch signals a bug in one
     of the two computations, never a property of the instance.
     """
-    game = make_reachability(arena, gamma)
+    game = make_reachability(arena)
     region = attractor(arena)
     equilibria = tuple(enumerate_ne(game, guard=guard))
     mismatches = []

@@ -186,7 +186,7 @@ def cmd_cross_check(args: argparse.Namespace) -> int:
         avoider_owned=[v for v in game.vertices if game.owner[v] != reacher],
         target=game.targets[1],
     )
-    report = cross_check_two_player(arena, game.gamma)
+    report = cross_check_two_player(arena)
     print(f"attractor: {sorted(report.attractor)}")
     print(f"equilibria checked: {len(report.equilibria)}")
     if report.ok:

@@ -38,6 +38,18 @@ from .valuation import (
     value_table,
 )
 
+__all__ = [
+    "Deviation",
+    "NEReport",
+    "all_profiles",
+    "check_certificate",
+    "enumerate_ne",
+    "is_nash",
+    "is_nash_qualitative",
+    "profile_space",
+    "solve_br_dynamics",
+]
+
 
 @dataclass(frozen=True)
 class Deviation:
@@ -262,16 +274,3 @@ def solve_br_dynamics(
                 {n: {names[v]: names[nxt[v]] for v in mine} for n, mine in core.mine.items()}
             )
     return None
-
-
-__all__ = [
-    "Deviation",
-    "NEReport",
-    "all_profiles",
-    "check_certificate",
-    "enumerate_ne",
-    "is_nash",
-    "is_nash_qualitative",
-    "profile_space",
-    "solve_br_dynamics",
-]

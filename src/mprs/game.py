@@ -32,6 +32,22 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
+__all__ = [
+    "Game",
+    "GameSpec",
+    "InvalidGameError",
+    "Role",
+    "Violation",
+    "ViolationKind",
+    "turn_payoff",
+    "validate_game",
+]
+
+
+def _is_player_id(n: object) -> bool:
+    """Whether `n` can name a player: an int that is not a bool."""
+    return isinstance(n, int) and not isinstance(n, bool)
+
 
 class Role(Enum):
     """Objective of a player: enter the target set, or keep out of it."""
@@ -190,7 +206,7 @@ def validate_game(spec: GameSpec) -> Game:
         bad(ViolationKind.BAD_VERTEX_SET, f"the target sets must be a mapping, got {target_sets!r}")
         target_sets = {}
 
-    players = sorted(n for n in role_map if isinstance(n, int) and not isinstance(n, bool))
+    players = sorted(filter(_is_player_id, role_map))
     count = len(players)
     if count < len(role_map):
         bad(ViolationKind.BAD_PLAYERS, f"player ids must be integers, got {list(role_map)}")
@@ -242,11 +258,7 @@ def validate_game(spec: GameSpec) -> Game:
         if v not in vset:
             bad(ViolationKind.UNKNOWN_VERTEX, f"owner map mentions undeclared vertex {v!r}")
             continue
-        try:
-            declared = n in role_map
-        except TypeError:  # unhashable, so no player id
-            declared = False
-        if not declared:
+        if not (_is_player_id(n) and n in role_map):
             bad(ViolationKind.UNKNOWN_PLAYER, f"vertex {v!r} is owned by undeclared player {n!r}")
             continue
         owner[v] = n
@@ -284,7 +296,6 @@ def validate_game(spec: GameSpec) -> Game:
             ViolationKind.BAD_GAMMA,
             f"discount factor must be a rational strictly between 0 and 1, got {spec.gamma!r}",
         )
-        gamma = Fraction(1, 2)
 
     if violations:
         raise InvalidGameError(sorted(violations, key=lambda x: (x.kind.value, x.detail)))

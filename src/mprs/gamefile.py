@@ -29,8 +29,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import AbstractSet, Any, Mapping
 
-from .game import Game, GameSpec, Role, validate_game
+from .game import Game, GameSpec, Role, _is_player_id, validate_game
 from .valuation import PayoffValue, Profile, _moves, check_profile
+
+__all__ = [
+    "GameDocument",
+    "ParseError",
+    "emit_game",
+    "export_dot",
+    "parse_document",
+    "profile_to_json",
+]
 
 
 class ParseError(ValueError):
@@ -84,7 +93,7 @@ def _parse_players(raw: Any) -> tuple[dict[int, Role], dict[int, list[str]]]:
         if "id" not in entry or "role" not in entry:
             raise ParseError("each player needs 'id' and 'role'")
         pid = entry["id"]
-        if isinstance(pid, bool) or not isinstance(pid, int):
+        if not _is_player_id(pid):
             raise ParseError(f"player id must be an integer, got {pid!r}")
         if pid in roles:
             raise ParseError(f"duplicate player id {pid}")
@@ -120,7 +129,7 @@ def _parse_vertices(raw: Any) -> tuple[list[str], dict[str, int]]:
         if vid in owner:
             raise ParseError(f"duplicate vertex id {vid!r}")
         pid = entry["owner"]
-        if isinstance(pid, bool) or not isinstance(pid, int):
+        if not _is_player_id(pid):
             raise ParseError(f"owner of {vid!r} must be an integer player id")
         vertices.append(vid)
         owner[vid] = pid

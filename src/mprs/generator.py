@@ -14,6 +14,8 @@ from fractions import Fraction
 
 from .game import Game, GameSpec, Role, validate_game
 
+__all__ = ["GeneratorParams", "InfeasibleError", "random_game"]
+
 _MAX_RESAMPLES = 10_000
 
 

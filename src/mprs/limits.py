@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 
+__all__ = ["DEFAULT_ENUM_GUARD", "ENUM_GUARD_ENV", "GuardError", "TooLargeError"]
+
 DEFAULT_ENUM_GUARD = 10**6
 ENUM_GUARD_ENV = "MPRS_ENUM_GUARD"
 
@@ -22,27 +24,24 @@ class GuardError(ValueError):
     """The guard was set to something other than a positive integer."""
 
 
-def effective_guard(explicit: int | None = None) -> int:
-    """Resolve the guard: explicit argument, then env var, then default."""
+def check_guard(space: int, explicit: int | None = None) -> None:
+    """Raise TooLargeError when `space` exceeds the guard.
+
+    The guard is the explicit argument, else the environment variable,
+    else the default.
+    """
     if explicit is not None:
         if explicit < 1:
             raise GuardError("enumeration guard must be positive")
-        return explicit
-    raw = os.environ.get(ENUM_GUARD_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_GUARD
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise GuardError(f"{ENUM_GUARD_ENV} must be a positive integer, got {raw!r}")
-    return value
-
-
-def check_guard(space: int, explicit: int | None = None) -> None:
-    """Raise TooLargeError when `space` exceeds the effective guard."""
-    guard = effective_guard(explicit)
+        guard = explicit
+    else:
+        raw = os.environ.get(ENUM_GUARD_ENV, str(DEFAULT_ENUM_GUARD))
+        try:
+            guard = int(raw)
+        except ValueError:
+            guard = 0
+        if guard < 1:
+            raise GuardError(f"{ENUM_GUARD_ENV} must be a positive integer, got {raw!r}")
     if space > guard:
         raise TooLargeError(
             f"search space of {space} candidates exceeds the guard of {guard}"

@@ -32,11 +32,29 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Mapping
 
-from .game import Game, turn_payoff
+from .game import Game, _is_player_id, turn_payoff
 from .limits import check_guard
+
+__all__ = [
+    "NEVER",
+    "ZERO",
+    "Outcome",
+    "PayoffValue",
+    "Play",
+    "Profile",
+    "ProfileError",
+    "Strategy",
+    "best_response",
+    "best_response_enum",
+    "check_profile",
+    "outcome",
+    "play",
+    "total_payoff",
+    "value_table",
+]
 
 # A memoryless strategy: each of the player's non-target vertices to the
 # chosen successor.
@@ -122,6 +140,7 @@ class Outcome:
 NEVER = Outcome(None, None)
 
 
+@total_ordering
 @dataclass(frozen=True)
 class PayoffValue:
     """Exact total payoff of a play: 0, or +/- gamma**exponent.
@@ -153,27 +172,13 @@ class PayoffValue:
         """Evaluate at a concrete discount factor."""
         return self.sign * Fraction(gamma) ** self.exponent
 
-    # Written out rather than derived, because they sit on the verdicts'
-    # hot path. Between equal signs s, the larger s * -exponent wins.
-    def __lt__(self, other: "PayoffValue") -> bool:
-        if self.sign != other.sign:
-            return self.sign < other.sign
-        return self.sign * (other.exponent - self.exponent) < 0
-
-    def __le__(self, other: "PayoffValue") -> bool:
-        if self.sign != other.sign:
-            return self.sign < other.sign
-        return self.sign * (other.exponent - self.exponent) <= 0
-
+    # Written out, because `is_nash` compares with it; `total_ordering`
+    # derives the other three. Between equal signs s, the larger
+    # s * -exponent wins.
     def __gt__(self, other: "PayoffValue") -> bool:
         if self.sign != other.sign:
             return self.sign > other.sign
         return self.sign * (other.exponent - self.exponent) > 0
-
-    def __ge__(self, other: "PayoffValue") -> bool:
-        if self.sign != other.sign:
-            return self.sign > other.sign
-        return self.sign * (other.exponent - self.exponent) >= 0
 
     def __str__(self) -> str:
         if self.sign == 0:
@@ -484,7 +489,7 @@ def best_response(
         ProfileError: when `opponents` do not fit `game`, with the message
             `check_profile` gives once `n`'s entries are legal and complete.
     """
-    if n not in game.roles:
+    if not (_is_player_id(n) and n in game.roles):
         raise ValueError(f"unknown player {n!r}")
     core = game._core
     moves, time = _respond(core, _moves(core, opponents, skip=n), n)
@@ -507,7 +512,7 @@ def best_response_enum(
     Raises:
         TooLargeError: when the strategy space exceeds the guard.
     """
-    if n not in game.roles:
+    if not (_is_player_id(n) and n in game.roles):
         raise ValueError(f"unknown player {n!r}")
     core = game._core
     nxt = _moves(core, opponents, skip=n)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from mprs import Profile, emit_game
+from mprs import Profile, emit_game, make_reachability
 from mprs.cli import main
 
 from conftest import child_env
@@ -261,6 +261,16 @@ class TestCrossCheck:
         assert out[0] == "attractor: ['v1', 'v2', 'v3']"
         assert out[1] == "equilibria checked: 1"
         assert out[2] == "cross-check: ok"
+
+    def test_reports_each_mismatch(self, g3_arena, tmp_path, capsys, monkeypatch):
+        # A broken attractor route must show up against the equilibria.
+        path = tmp_path / "g3.json"
+        path.write_text(emit_game(make_reachability(g3_arena)), encoding="utf-8")
+        monkeypatch.setattr("mprs.classic.attractor", lambda arena: frozenset())
+        assert main(["cross-check", str(path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "attractor: []"
+        assert "mismatch at v3: equilibrium says win=True, attractor says False" in out
 
     def test_needs_two_players(self, g2_file, tmp_path, capsys):
         # g2 has two players already, so build a three-player document

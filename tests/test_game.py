@@ -197,6 +197,9 @@ class TestValidation:
             ({"vertices": "ab"}, {ViolationKind.BAD_VERTEX_SET}),
             ({"vertices": 2}, {ViolationKind.BAD_VERTEX_SET}),
             ({"owner": {"a": [1], "b": 1}}, {ViolationKind.UNKNOWN_PLAYER}),
+            # A player id is an int that is not a bool, as in a document.
+            ({"owner": {"a": True, "b": 1}}, {ViolationKind.UNKNOWN_PLAYER}),
+            ({"owner": {"a": 1.0, "b": 1}}, {ViolationKind.UNKNOWN_PLAYER}),
             # An unusable edge list, owner map or target map is read as empty,
             # which leaves a dead end, unowned vertices or an empty target set.
             ({"edges": None}, {ViolationKind.BAD_EDGE, ViolationKind.DEAD_END}),
@@ -221,6 +224,8 @@ class TestValidation:
             "str-vertices",
             "int-vertices",
             "unhashable-owner",
+            "bool-owner",
+            "float-owner",
             "none-edges",
             "int-edges",
             "list-owner",

@@ -336,6 +336,13 @@ class TestBestResponse:
                 other, sigma.replace(n, {}), n
             )
 
+    @pytest.mark.parametrize("respond", [best_response, best_response_enum])
+    @pytest.mark.parametrize("n", [True, 3])
+    def test_unknown_player_rejected(self, g1, respond, n):
+        # True equals 1 but is no player id.
+        with pytest.raises(ValueError, match=f"^unknown player {n}$"):
+            respond(g1, Profile({2: {"v2": "v1"}}), n)
+
     def test_enum_guard_trips(self, g1):
         with pytest.raises(TooLargeError):
             best_response_enum(g1, Profile({2: {"v2": "v1"}}), 1, guard=1)
