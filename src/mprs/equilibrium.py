@@ -239,17 +239,13 @@ def solve_br_dynamics(
     back to `enumerate_ne`. A `max_rounds` below 1 is a ValueError.
 
     The dynamics run on the game's move array: each response comes from
-    the same fixpoints and tie-break as `best_response`, and a `Profile`
+    the same pass and tie-break as `best_response`, and a `Profile`
     is built only for the result. The profile itself is never evaluated.
     A player gains somewhere exactly when a current move of theirs leads
     lower, by their response codes, than the response's move: if none
     does, those codes solve the one-step recursion along the profile and
     so are its payoffs; if one does, the player gains there, because no
     code is 1 or -1 and so one discount step keeps distinct codes apart.
-    The codes are compared through the response's hit times: for one
-    player a time t >= 0 has the code sign * (|V| + 1 - t), which is never
-    0, and a time of -1 has the code 0, so two codes differ exactly when
-    their times do.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
@@ -259,8 +255,8 @@ def solve_br_dynamics(
     for _ in range(max_rounds):
         changed = False
         for n in game.players:
-            moves, time = _respond(core, nxt, n)
-            if any(time[nxt[v]] != time[w] for v, w in moves.items()):
+            moves, code = _respond(core, nxt, n)
+            if any(code[nxt[v]] != code[w] for v, w in moves.items()):
                 for v, w in moves.items():
                     nxt[v] = w
                 key = tuple(nxt)

@@ -267,7 +267,8 @@ def validate_game(spec: GameSpec) -> Game:
 
     targets: dict[int, frozenset[str]] = {}
     for n in target_sets:
-        if n not in role_map:
+        # `True` or `1.0` is no player id; a bad role key is reported above.
+        if n not in role_map or _is_player_id(n) != (n in players):
             bad(ViolationKind.UNKNOWN_PLAYER, f"target set declared for undeclared player {n!r}")
     for n in players:
         tset = vertex_ids(target_sets.get(n, ()), f"target set of player {n}")

@@ -236,8 +236,8 @@ def emit_game(game: Game, profiles: Mapping[str, Profile] | None = None) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def _dot_quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _dot_escape(s: str) -> str:
+    return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def export_dot(
@@ -263,19 +263,15 @@ def export_dot(
         shape = "box" if game.roles[n] is Role.REACHER else "ellipse"
         label_parts = [v, f"P{n} {game.roles[n].value}"]
         if values is not None:
-            label_parts.append(
-                " ".join(f"u{m}={values[m][v]}" for m in game.players)
-            )
-        label = "\\n".join(
-            part.replace("\\", "\\\\").replace('"', '\\"') for part in label_parts
-        )
+            label_parts.append(" ".join(f"u{m}={values[m][v]}" for m in game.players))
+        label = "\\n".join(map(_dot_escape, label_parts))
         attrs = [f'label="{label}"', f"shape={shape}"]
         if v in game.total_target:
             attrs.append("peripheries=2")
-        lines.append(f"  {_dot_quote(v)} [{', '.join(attrs)}];")
+        lines.append(f'  "{_dot_escape(v)}" [{", ".join(attrs)}];')
     for u in game.vertices:
         for w in game.successors(u):
             attr = ' [penwidth=2.5, color="royalblue"]' if (u, w) in chosen else ""
-            lines.append(f"  {_dot_quote(u)} -> {_dot_quote(w)}{attr};")
+            lines.append(f'  "{_dot_escape(u)}" -> "{_dot_escape(w)}"{attr};')
     lines.append("}")
     return "\n".join(lines) + "\n"

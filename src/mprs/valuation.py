@@ -14,16 +14,15 @@ Every profile goes through one routine, `_moves`, which checks it and
 builds its move array (one successor index per vertex) in the same pass.
 
 `best_response` computes a payoff-maximizing memoryless strategy for one
-player against fixed opponents by graph fixpoints (earliest arrival for
-reachers, escape sets plus forced longest delay for avoiders), and
-`best_response_enum` recomputes the same values by brute force over the
-whole strategy space; the two must agree exactly and serve as independent
-checks of one another. The fixpoints and the tie-break toward the smallest
-successor live in `_respond`, which works on a move array and returns the
-response's hit times, from which the callers make payoff codes as they
-need them; `best_response` wraps it for a `Profile`, and best-response
-dynamics (`equilibrium.solve_br_dynamics`) call it directly on their own
-move array and compare times.
+player against fixed opponents by one backward pass from the player's own
+targets (earliest arrival for reachers, longest forced delay for
+avoiders), and `best_response_enum` recomputes the same values by brute
+force over the whole strategy space; the two must agree exactly and serve
+as independent checks of one another. The pass and the tie-break toward
+the smallest successor live in `_respond`, which works on a move array and
+returns the response's payoff codes; `best_response` wraps it for a
+`Profile`, and best-response dynamics (`equilibrium.solve_br_dynamics`)
+call it directly on their own move array and compare codes.
 """
 
 from __future__ import annotations
@@ -393,82 +392,66 @@ def value_table(game: Game, profile: Profile) -> dict[int, dict[str, PayoffValue
     return {n: _payoffs(core, _codes(core, n, hits)) for n in game.players}
 
 
-def _reach(core: _Core, nxt: list[int], n: int) -> list[int]:
-    # Earliest-arrival layering toward the player's own targets. Paths may
-    # not cross other target vertices: those stop the play with payoff 0,
-    # and being nobody's predecessor they are never reached.
-    pred, owner, own = core.pred, core.owner, core.own[n]
-    dist = [-1] * len(core.names)  # -1: the own targets are out of reach
+def _respond(core: _Core, nxt: list[int], n: int) -> tuple[dict[int, int], list[int]]:
+    """Player `n`'s best response to the opponents' moves in `nxt`, which
+    is never read at n's own choice vertices: the chosen successor at each
+    of them, and n's payoff code from every start vertex (see `_decode`).
+
+    One pass runs backward from n's own targets, at ``sign * base``, in
+    layers, each one step nearer 0. An opponent's vertex joins after the
+    successor it moves to. n's own vertex joins after its first successor
+    when n reaches, for the earliest arrival, and after its last when n
+    avoids: only then is every way out doomed, and the last join is the
+    longest delay n can force. A vertex that never joins never hits n's
+    targets and keeps code 0. Ties break toward the smallest successor
+    index, which is the lexicographically smallest successor.
+    """
+    succ, pred, owner, own = core.succ, core.pred, core.owner, core.own[n]
+    s = core.signs[n][own[0]]  # every own target carries n's `turn_payoff`
+    code = [0] * len(core.names)
+    c = s * core.base
     for v in own:
-        dist[v] = 0
-    frontier, d = own, 0
+        code[v] = c
+    left: dict[int, int] = {}  # an avoider's vertex: successors yet to join
+    frontier = own
     while frontier:
-        d += 1
+        c -= s
         layer = []
         for w in frontier:
             for v in pred[w]:
-                if dist[v] < 0 and (owner[v] == n or nxt[v] == w):
-                    dist[v] = d
-                    layer.append(v)
+                if code[v]:
+                    continue
+                if owner[v] != n:
+                    if nxt[v] != w:
+                        continue
+                elif s < 0:
+                    left[v] = k = left.get(v, len(succ[v])) - 1
+                    if k:
+                        continue
+                code[v] = c
+                layer.append(v)
         frontier = layer
-    return dist
-
-
-def _avoid(core: _Core, nxt: list[int], n: int) -> list[int]:
-    # A vertex is doomed when every available continuation leads into the
-    # player's own target set. Vertices are doomed in an order where all of
-    # a vertex's continuations come first, so the longest delay it can
-    # force is known the moment it is doomed.
-    succ, pred, owner, own = core.succ, core.pred, core.owner, core.own[n]
-    delay = [-1] * len(core.names)  # -1 outside the doomed region
-    for v in own:
-        delay[v] = 0
-    queue = list(own)
-    need: dict[int, int] = {}
-    for w in queue:  # grows while it is walked
-        for v in pred[w]:
-            free = owner[v] == n
-            if delay[v] >= 0 or not (free or nxt[v] == w):
-                continue
-            need[v] = need.get(v, len(succ[v]) if free else 1) - 1
-            if need[v] == 0:
-                delay[v] = 1 + (max(delay[x] for x in succ[v]) if free else delay[w])
-                queue.append(v)
-    return delay
-
-
-def _sign(core: _Core, n: int) -> int:
-    # Every own target carries the same sign: the player's `turn_payoff`
-    # there.
-    return core.signs[n][core.own[n][0]]
-
-
-def _respond(core: _Core, nxt: list[int], n: int) -> tuple[dict[int, int], list[int]]:
-    """Player `n`'s best response to the opponents' moves in `nxt`; its
-    entries at n's own choice vertices are never read.
-
-    Returns the chosen successor at each of n's choice vertices and, from
-    every start vertex, the time until the response first hits one of n's
-    own targets, or -1 when it never does. That payoff's code is
-    ``sign * (base - time)``, or 0 for -1 (see `_decode`). Ties break
-    toward the smallest successor index, which is the lexicographically
-    smallest successor.
-    """
-    succ = core.succ
-    time = (_reach if _sign(core, n) > 0 else _avoid)(core, nxt, n)
-    # Each own vertex moves one layer down: to a successor with time - 1,
-    # or, where it has no time, to a successor without one. Such a move
-    # exists: a reacher's vertex out of reach has only successors out of
-    # reach, and an avoider's vertex outside the doomed region has a way
-    # to stay outside.
+    # Each own vertex moves one layer down, or from code 0 to code 0,
+    # which a vertex of n's that never joined always can.
     moves = {}
     for v in core.mine[n]:
-        want = time[v] - 1 if time[v] > 0 else -1
+        want = code[v] + s if code[v] else 0
         for w in succ[v]:
-            if time[w] == want:
+            if code[w] == want:
                 moves[v] = w
                 break
-    return moves, time
+    return moves, code
+
+
+def _best(game: Game, opponents: Profile, n: int, solve) -> tuple[Strategy, dict[str, PayoffValue]]:
+    # Both best responses: check `n` and `opponents`, then name the moves
+    # and decode the codes that `solve(core, nxt, n)` returns.
+    if not (_is_player_id(n) and n in game.roles):
+        raise ValueError(f"unknown player {n!r}")
+    core = game._core
+    moves, codes = solve(core, _moves(core, opponents, skip=n), n)
+    names = core.names
+    return {names[v]: names[w] for v, w in moves.items()}, _payoffs(core, codes)
 
 
 def best_response(
@@ -489,14 +472,7 @@ def best_response(
         ProfileError: when `opponents` do not fit `game`, with the message
             `check_profile` gives once `n`'s entries are legal and complete.
     """
-    if not (_is_player_id(n) and n in game.roles):
-        raise ValueError(f"unknown player {n!r}")
-    core = game._core
-    moves, time = _respond(core, _moves(core, opponents, skip=n), n)
-    s, base = _sign(core, n), core.base
-    codes = [s * (base - t) if t >= 0 else 0 for t in time]
-    names = core.names
-    return {names[v]: names[w] for v, w in moves.items()}, _payoffs(core, codes)
+    return _best(game, opponents, n, _respond)
 
 
 def best_response_enum(
@@ -512,26 +488,25 @@ def best_response_enum(
     Raises:
         TooLargeError: when the strategy space exceeds the guard.
     """
-    if not (_is_player_id(n) and n in game.roles):
-        raise ValueError(f"unknown player {n!r}")
-    core = game._core
-    nxt = _moves(core, opponents, skip=n)
-    mine = core.mine[n]
-    check_guard(math.prod(len(core.succ[v]) for v in mine), guard)
 
-    def evaluate(choice: tuple[int, ...]) -> list[int]:
-        for v, w in zip(mine, choice):
-            nxt[v] = w
-        return _codes(core, n, _hits(core, nxt))
+    def search(core: _Core, nxt: list[int], n: int) -> tuple[dict[int, int], list[int]]:
+        mine = core.mine[n]
+        check_guard(math.prod(len(core.succ[v]) for v in mine), guard)
 
-    best: list[int] | None = None
-    for choice in itertools.product(*(core.succ[v] for v in mine)):
-        codes = evaluate(choice)
-        best = codes if best is None else list(map(max, best, codes))
-    assert best is not None  # the empty product still yields one candidate
+        def evaluate(choice: tuple[int, ...]) -> list[int]:
+            for v, w in zip(mine, choice):
+                nxt[v] = w
+            return _codes(core, n, _hits(core, nxt))
 
-    for choice in itertools.product(*(core.succ[v] for v in mine)):
-        if evaluate(choice) == best:
-            names = core.names
-            return {names[v]: names[w] for v, w in zip(mine, choice)}, _payoffs(core, best)
-    raise AssertionError("no single strategy achieves the per-vertex maxima")
+        best: list[int] | None = None
+        for choice in itertools.product(*(core.succ[v] for v in mine)):
+            codes = evaluate(choice)
+            best = codes if best is None else list(map(max, best, codes))
+        assert best is not None  # the empty product still yields one candidate
+
+        for choice in itertools.product(*(core.succ[v] for v in mine)):
+            if evaluate(choice) == best:
+                return dict(zip(mine, choice)), best
+        raise AssertionError("no single strategy achieves the per-vertex maxima")
+
+    return _best(game, opponents, n, search)

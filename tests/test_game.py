@@ -182,6 +182,16 @@ class TestValidation:
             validate_game(self.two_cycle(targets={1: ["b"], 3: ["a"]}))
         assert str(e.value) == "unknown_player: target set declared for undeclared player 3"
 
+    @pytest.mark.parametrize("key", [pytest.param(True, id="bool"), pytest.param(1.0, id="float")])
+    def test_target_set_keys_are_player_ids(self, key):
+        # Both keys equal 1 and hash like it, but neither is a player id.
+        with pytest.raises(InvalidGameError) as e:
+            validate_game(self.two_cycle(targets={key: ["b"]}))
+        assert str(e.value) == f"unknown_player: target set declared for undeclared player {key!r}"
+
+    def test_int_target_set_key(self):
+        assert validate_game(self.two_cycle()).targets == {1: frozenset({"b"})}
+
     @staticmethod
     def two_cycle(**changes) -> GameSpec:
         spec = GameSpec(

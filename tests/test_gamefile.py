@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -266,6 +267,25 @@ class TestDot:
                 targets={1: ["c\\d"]},
             )
         )
-        text = export_dot(game)
-        assert '"a\\"b"' in text
-        assert '"c\\\\d"' in text
+        # The whole text, so the labels' escaping is pinned too.
+        assert export_dot(game) == textwrap.dedent(
+            r"""
+            digraph game {
+              rankdir=LR;
+              "a\"b" [label="a\"b\nP1 reacher", shape=box];
+              "c\\d" [label="c\\d\nP1 reacher", shape=box, peripheries=2];
+              "a\"b" -> "c\\d";
+            }
+            """
+        ).lstrip("\n")
+        profile = Profile({1: {'a"b': "c\\d"}})
+        assert export_dot(game, profile, value_table(game, profile)) == textwrap.dedent(
+            r"""
+            digraph game {
+              rankdir=LR;
+              "a\"b" [label="a\"b\nP1 reacher\nu1=+γ^1", shape=box];
+              "c\\d" [label="c\\d\nP1 reacher\nu1=+1", shape=box, peripheries=2];
+              "a\"b" -> "c\\d" [penwidth=2.5, color="royalblue"];
+            }
+            """
+        ).lstrip("\n")

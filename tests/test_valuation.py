@@ -16,10 +16,12 @@ import pytest
 from mprs import (
     NEVER,
     ZERO,
+    GameSpec,
     Outcome,
     PayoffValue,
     Profile,
     ProfileError,
+    Role,
     TooLargeError,
     best_response,
     best_response_enum,
@@ -28,6 +30,7 @@ from mprs import (
     play,
     total_payoff,
     turn_payoff,
+    validate_game,
     value_table,
 )
 from mprs.valuation import _decode
@@ -292,6 +295,30 @@ class TestBestResponse:
         assert strategy == {"w1": "w1"}
         assert values == {"w1": ZERO, "w2": NEG(0)}
 
+    @pytest.mark.parametrize(
+        "role, edges, value",
+        [
+            pytest.param(Role.REACHER, [("b", "t"), ("c", "t")], POS(2), id="reach-equal-distance"),
+            pytest.param(Role.AVOIDER, [("b", "t"), ("c", "t")], NEG(2), id="doomed-equal-delay"),
+            pytest.param(Role.AVOIDER, [("a", "t"), ("b", "b"), ("c", "c")], ZERO, id="two-ways-out"),
+        ],
+    )
+    def test_ties_break_toward_the_smallest_successor(self, role, edges, value):
+        # Player 1 owns everything and has a choice only at a, where b and c
+        # are worth the same to them; t is their target.
+        game = validate_game(
+            GameSpec(
+                ["a", "b", "c", "t"],
+                [("a", "b"), ("a", "c"), *edges],
+                dict.fromkeys("abct", 1),
+                {1: role},
+                {1: ["t"]},
+            )
+        )
+        strategy, values = best_response(game, Profile({}), 1)
+        assert strategy["a"] == "b"
+        assert values["a"] == values["b"].discounted() == values["c"].discounted() == value
+
     def test_response_achieves_its_stated_values(self):
         rng = random.Random(31)
         for seed in range(60):
@@ -316,8 +343,6 @@ class TestBestResponse:
 
     def test_ignores_gamma(self):
         """Choices and symbolic values cannot depend on the discount factor."""
-        from mprs import GameSpec, validate_game
-
         rng = random.Random(53)
         for seed in range(25):
             base = small_game(seed)
