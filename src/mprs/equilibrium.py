@@ -246,15 +246,26 @@ def solve_br_dynamics(
     does, those codes solve the one-step recursion along the profile and
     so are its payoffs; if one does, the player gains there, because no
     code is 1 or -1 and so one discount step keeps distinct codes apart.
+
+    A response that cannot change is skipped. `_respond` never reads the
+    responder's own moves, so a response depends on the opponents' moves
+    alone: while nobody else has switched since, a player who did not
+    switch would not switch now, and one who switched would get back the
+    moves just taken. `current` holds such players; a switch resets it to
+    the switcher. Every switch, visited profile and round, and so the
+    result for every `max_rounds`, stays as if everyone always responded.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     core = game._core
     nxt = _moves(core, seed)
     visited = {tuple(nxt)}
+    current: set[int] = set()
     for _ in range(max_rounds):
         changed = False
         for n in game.players:
+            if n in current:
+                continue
             moves, code = _respond(core, nxt, n)
             if any(code[nxt[v]] != code[w] for v, w in moves.items()):
                 for v, w in moves.items():
@@ -264,6 +275,9 @@ def solve_br_dynamics(
                     return None
                 visited.add(key)
                 changed = True
+                current = {n}
+            else:
+                current.add(n)
         if not changed:
             names = core.names
             return Profile(

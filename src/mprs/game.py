@@ -25,12 +25,13 @@ canonical document needs no sort at all. The named successor tuples and
 
 from __future__ import annotations
 
+import gc
 import itertools
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 
 __all__ = [
     "Game",
@@ -42,6 +43,25 @@ __all__ = [
     "turn_payoff",
     "validate_game",
 ]
+
+
+def _gc_paused(build: Callable) -> Callable:
+    """Run `build` with CPython's cyclic GC paused, then restore the caller's
+    setting. Building a game makes many fresh containers and no reference
+    cycle, so rescanning them mid-build would find nothing; the survivors
+    are scanned once, after the pause. Nested pauses are safe."""
+
+    @wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 def _is_player_id(n: object) -> bool:
@@ -151,6 +171,7 @@ class Game:
         )
 
     @cached_property
+    @_gc_paused
     def _core(self):
         # The solvers' int-indexed form (`valuation._Core`), built on first use
         # into the instance dict, where equality, repr and documents miss it.
@@ -159,6 +180,7 @@ class Game:
         return _Core(self)
 
 
+@_gc_paused
 def validate_game(spec: GameSpec) -> Game:
     """Check every game invariant and return the immutable handle.
 

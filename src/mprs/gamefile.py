@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import AbstractSet, Any, Mapping
 
-from .game import Game, GameSpec, Role, _is_player_id, validate_game
+from .game import Game, GameSpec, Role, _gc_paused, _is_player_id, validate_game
 from .valuation import PayoffValue, Profile, _moves, check_profile
 
 __all__ = [
@@ -178,6 +178,7 @@ def _parse_profiles(raw: Any, game: Game) -> dict[str, Profile]:
     return profiles
 
 
+@_gc_paused
 def parse_document(text: str) -> GameDocument:
     """Parse and validate a JSON game document.
 

@@ -79,11 +79,14 @@ class Profile:
     __slots__ = ("_items",)
 
     def __init__(self, strategies: Mapping[int, Mapping[str, str]]):
-        self._items = tuple(
-            (n, tuple(sorted(strategies[n].items())))
-            for n in sorted(strategies)
-            if strategies[n]
-        )
+        try:
+            self._items = tuple(
+                (n, tuple(sorted(strategies[n].items())))
+                for n in sorted(strategies)
+                if strategies[n]
+            )
+        except TypeError as exc:
+            raise ProfileError(f"profile keys of mixed types cannot be ordered: {exc}") from None
 
     def choice(self, n: int, v: str) -> str:
         try:

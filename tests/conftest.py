@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 from pathlib import Path
@@ -18,6 +19,15 @@ from mprs import (
     random_game,
     validate_game,
 )
+
+
+@pytest.fixture(autouse=True)
+def gc_stays_enabled():
+    """The package pauses the cyclic GC only while it builds a game, so
+    every test must find it on and leave it on."""
+    assert gc.isenabled()
+    yield
+    assert gc.isenabled()
 
 
 @pytest.fixture

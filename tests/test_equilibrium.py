@@ -30,6 +30,7 @@ from mprs import (
     validate_game,
     value_table,
 )
+from mprs import equilibrium
 from mprs.limits import GuardError
 
 from conftest import random_profile, small_game
@@ -292,6 +293,24 @@ class TestBestResponseDynamics:
         # confirm that nobody else wants to move.
         assert solve_br_dynamics(g1, g1_cycle, max_rounds=1) is None
         assert solve_br_dynamics(g1, g1_cycle, max_rounds=2) == g1_hat
+
+    def test_responses_that_cannot_change_are_skipped(self, g1, g1_hat, g1_cycle, monkeypatch):
+        # From the cycle player 1 switches and player 2 confirms, so no
+        # response of the second round could change anything.
+        responders = []
+        respond = equilibrium._respond
+
+        def counted(core, nxt, n):
+            responders.append(n)
+            return respond(core, nxt, n)
+
+        monkeypatch.setattr(equilibrium, "_respond", counted)
+        assert solve_br_dynamics(g1, g1_cycle) == g1_hat
+        assert responders == [1, 2]
+        responders.clear()
+        assert solve_br_dynamics(g1, g1_hat) == g1_hat
+        assert responders == [1, 2]
+        assert solve_br_dynamics(g1, g1_cycle, max_rounds=1) is None
 
     @pytest.mark.parametrize("max_rounds", [0, -1])
     def test_round_budget_below_one_is_rejected(self, g1, g1_cycle, max_rounds):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import textwrap
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from mprs import (
+    GameSpec,
     InvalidGameError,
     ParseError,
     Profile,
@@ -18,6 +20,8 @@ from mprs import (
     export_dot,
     parse_document,
     profile_to_json,
+    solve_br_dynamics,
+    validate_game,
     value_table,
 )
 
@@ -289,3 +293,41 @@ class TestDot:
             }
             """
         ).lstrip("\n")
+
+
+class TestGcPause:
+    """Loading a game and its first solver call pause the cyclic GC, and
+    restore the caller's setting on success and on every typed error."""
+
+    @pytest.fixture
+    def steps(self, g1, g1_hat):
+        doc = json.loads(emit_game(g1, {"hat": g1_hat}))
+        dangling = {**doc, "edges": [*doc["edges"], ["v2", "v9"]]}
+        unfit = {**doc, "profiles": {"hat": {"1": {"v1": "v9"}, "2": {"v2": "v1"}}}}
+        spec = GameSpec(g1.vertices, g1.edges, g1.owner, g1.roles, g1.targets)
+        dead_ends = GameSpec(g1.vertices, [], g1.owner, g1.roles, g1.targets)
+        return [
+            (lambda: parse_document(json.dumps(doc)), None),
+            (lambda: parse_document(json.dumps(doc)[:-1]), ParseError),
+            (lambda: parse_document(json.dumps(dangling)), InvalidGameError),
+            (lambda: parse_document(json.dumps(unfit)), ProfileError),
+            (lambda: validate_game(spec), None),
+            (lambda: validate_game(dead_ends), InvalidGameError),
+            # A fresh game builds the solvers' core on its first solver call.
+            (lambda: solve_br_dynamics(validate_game(spec), g1_hat), None),
+        ]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled-by-caller"])
+    def test_the_callers_setting_is_restored(self, steps, enabled):
+        for k, (step, error) in enumerate(steps):
+            if not enabled:
+                gc.disable()
+            try:
+                if error is None:
+                    step()
+                else:
+                    with pytest.raises(error):
+                        step()
+                assert gc.isenabled() is enabled, k
+            finally:
+                gc.enable()

@@ -139,6 +139,15 @@ class TestProfile:
         assert tweaked.choice(1, "v1") == "v2"
         assert sigma.choice(1, "v1") == "v3"  # original untouched
 
+    @pytest.mark.parametrize(
+        "strategies",
+        [{1: {"a": "b"}, "2": {"c": "d"}}, {1: {"a": "b", 2: "c"}}],
+        ids=["player-ids", "vertex-ids"],
+    )
+    def test_keys_of_mixed_types_are_a_profile_error(self, strategies):
+        with pytest.raises(ProfileError, match="mixed types cannot be ordered"):
+            Profile(strategies)
+
     def test_without(self, g1_hat):
         rest = g1_hat.replace(1, {})
         assert tuple(rest.as_dict()) == (2,)

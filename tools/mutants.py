@@ -89,6 +89,48 @@ MUTANTS = [
         "out[i] = list(dict.fromkeys(out[i]))",
         ("tests/test_game.py",),
     ),
+    Mutant(
+        "the GC is never re-enabled after a game is built",
+        "src/mprs/game.py",
+        "gc.enable()",
+        "pass",
+        ("tests/test_gamefile.py",),
+    ),
+    Mutant(
+        "dynamics that never skip a response",
+        "src/mprs/equilibrium.py",
+        "if n in current:",
+        "if False:",
+        ("tests/test_equilibrium.py",),
+    ),
+    Mutant(
+        "a switch that does not reset the skipped players",
+        "src/mprs/equilibrium.py",
+        "current = {n}",
+        "current.add(n)",
+        RESPONSE_TESTS,
+    ),
+    Mutant(
+        "hit times unwound forwards along the path",
+        "src/mprs/valuation.py",
+        "for u in reversed(path):",
+        "for u in path:",
+        RESPONSE_TESTS,
+    ),
+    Mutant(
+        "a certificate that scores ties as gains",
+        "src/mprs/equilibrium.py",
+        "if mine[w] > best_score:",
+        "if mine[w] >= best_score and w != nxt[v]:",
+        ("tests/test_equilibrium.py",),
+    ),
+    Mutant(
+        "a brute-force response that keeps the minimum",
+        "src/mprs/valuation.py",
+        "map(max, best, codes)",
+        "map(min, best, codes)",
+        RESPONSE_TESTS,
+    ),
 ]
 
 
