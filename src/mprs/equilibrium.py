@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .game import Game
-from .limits import check_guard
+from .limits import _is_int, check_guard
 from .valuation import (
     PayoffValue,
     Profile,
@@ -32,6 +32,7 @@ from .valuation import (
     _Core,
     _decode,
     _hits,
+    _judged,
     _moves,
     _respond,
     best_response,
@@ -76,7 +77,7 @@ class NEReport:
     violations: tuple[Deviation, ...]
 
 
-def _assert_consistent(core: _Core, nxt: list[int], codes: dict[int, list[int]]) -> None:
+def _assert_consistent(core: _Core, nxt: tuple, codes: dict[int, tuple]) -> None:
     # Internal self-check: every player's payoff codes satisfy the one-step
     # recursion: code(v) is the successor's code moved one toward 0, and at
     # a target (no successor, -1) its `signs` entry times base (see `_decode`).
@@ -86,7 +87,7 @@ def _assert_consistent(core: _Core, nxt: list[int], codes: dict[int, list[int]])
         expected = [c - 1 if c > 0 else c + 1 if c else 0 for c in map(mine.__getitem__, nxt)]
         for v in ends:
             expected[v] = core.signs[m][v] * base
-        if expected != mine:
+        if tuple(expected) != mine:
             name = next(name for name, e, c in zip(names, expected, mine) if e != c)
             raise AssertionError(
                 f"value table breaks the one-step recursion at {name!r} for player {m}"
@@ -103,9 +104,7 @@ def check_certificate(game: Game, profile: Profile) -> NEReport:
     move permanently would make it.
     """
     core = game._core
-    nxt = _moves(core, profile)
-    hits = _hits(core, nxt)
-    codes = {m: _codes(core, m, hits) for m in game.players}
+    _, nxt, codes = _judged(core, profile)
     _assert_consistent(core, nxt, codes)
 
     violations = []
@@ -203,6 +202,11 @@ def all_profiles(game: Game, guard: int | None = None) -> Iterator[Profile]:
         yield Profile(strategies)
 
 
+def _check_count(name: str, value: object) -> None:
+    if not (_is_int(value) and value >= 1):
+        raise ValueError(f"{name} must be at least 1 and an int, got {value!r}")
+
+
 def enumerate_ne(
     game: Game, limit: int | None = None, guard: int | None = None
 ) -> list[Profile]:
@@ -213,10 +217,10 @@ def enumerate_ne(
 
     Raises:
         TooLargeError: when the profile space exceeds the guard.
-        ValueError: when `limit` is below 1.
+        ValueError: when `limit` is not an int of at least 1.
     """
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
+    if limit is not None:
+        _check_count("limit", limit)
     found = []
     for profile in all_profiles(game, guard):
         if is_nash(game, profile).is_ne:
@@ -236,7 +240,8 @@ def solve_br_dynamics(
     full round without any replacement means no player can improve, so the
     result passes `is_nash`. Returns None when a previously visited
     profile comes around again or `max_rounds` runs out; callers then fall
-    back to `enumerate_ne`. A `max_rounds` below 1 is a ValueError.
+    back to `enumerate_ne`. A `max_rounds` that is not an int of at least 1
+    is a ValueError.
 
     The dynamics run on the game's move array: each response comes from
     the same pass and tie-break as `best_response`, and a `Profile`
@@ -255,8 +260,7 @@ def solve_br_dynamics(
     the switcher. Every switch, visited profile and round, and so the
     result for every `max_rounds`, stays as if everyone always responded.
     """
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
+    _check_count("max_rounds", max_rounds)
     core = game._core
     nxt = _moves(core, seed)
     visited = {tuple(nxt)}
@@ -280,7 +284,9 @@ def solve_br_dynamics(
                 current.add(n)
         if not changed:
             names = core.names
-            return Profile(
+            found = Profile(
                 {n: {names[v]: names[nxt[v]] for v in mine} for n, mine in core.mine.items()}
             )
+            core.judged = (found, tuple(nxt), None)  # the verdicts on it skip the check
+            return found
     return None

@@ -33,6 +33,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, wraps
 
+from .limits import _is_int
+
 __all__ = [
     "Game",
     "GameSpec",
@@ -62,11 +64,6 @@ def _gc_paused(build: Callable) -> Callable:
                 gc.enable()
 
     return paused
-
-
-def _is_player_id(n: object) -> bool:
-    """Whether `n` can name a player: an int that is not a bool."""
-    return isinstance(n, int) and not isinstance(n, bool)
 
 
 class Role(Enum):
@@ -228,7 +225,7 @@ def validate_game(spec: GameSpec) -> Game:
         bad(ViolationKind.BAD_VERTEX_SET, f"the target sets must be a mapping, got {target_sets!r}")
         target_sets = {}
 
-    players = sorted(filter(_is_player_id, role_map))
+    players = sorted(filter(_is_int, role_map))
     count = len(players)
     if count < len(role_map):
         bad(ViolationKind.BAD_PLAYERS, f"player ids must be integers, got {list(role_map)}")
@@ -280,7 +277,7 @@ def validate_game(spec: GameSpec) -> Game:
         if v not in vset:
             bad(ViolationKind.UNKNOWN_VERTEX, f"owner map mentions undeclared vertex {v!r}")
             continue
-        if not (_is_player_id(n) and n in role_map):
+        if not (_is_int(n) and n in role_map):
             bad(ViolationKind.UNKNOWN_PLAYER, f"vertex {v!r} is owned by undeclared player {n!r}")
             continue
         owner[v] = n
@@ -290,7 +287,7 @@ def validate_game(spec: GameSpec) -> Game:
     targets: dict[int, frozenset[str]] = {}
     for n in target_sets:
         # `True` or `1.0` is no player id; a bad role key is reported above.
-        if n not in role_map or _is_player_id(n) != (n in players):
+        if n not in role_map or _is_int(n) != (n in players):
             bad(ViolationKind.UNKNOWN_PLAYER, f"target set declared for undeclared player {n!r}")
     for n in players:
         tset = vertex_ids(target_sets.get(n, ()), f"target set of player {n}")

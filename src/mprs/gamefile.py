@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import AbstractSet, Any, Mapping
 
-from .game import Game, GameSpec, Role, _gc_paused, _is_player_id, validate_game
+from .game import Game, GameSpec, Role, _gc_paused, validate_game
+from .limits import _is_int
 from .valuation import PayoffValue, Profile, _moves, check_profile
 
 __all__ = [
@@ -93,7 +94,7 @@ def _parse_players(raw: Any) -> tuple[dict[int, Role], dict[int, list[str]]]:
         if "id" not in entry or "role" not in entry:
             raise ParseError("each player needs 'id' and 'role'")
         pid = entry["id"]
-        if not _is_player_id(pid):
+        if not _is_int(pid):
             raise ParseError(f"player id must be an integer, got {pid!r}")
         if pid in roles:
             raise ParseError(f"duplicate player id {pid}")
@@ -129,7 +130,7 @@ def _parse_vertices(raw: Any) -> tuple[list[str], dict[str, int]]:
         if vid in owner:
             raise ParseError(f"duplicate vertex id {vid!r}")
         pid = entry["owner"]
-        if not _is_player_id(pid):
+        if not _is_int(pid):
             raise ParseError(f"owner of {vid!r} must be an integer player id")
         vertices.append(vid)
         owner[vid] = pid

@@ -3,7 +3,8 @@
 Brute-force strategy and profile enumeration refuse to start when the
 search space exceeds the guard. The default of one million candidates can
 be overridden per call, or globally through the MPRS_ENUM_GUARD
-environment variable.
+environment variable. `_is_int` is the package's one rule for an integer
+argument: player ids, guards and counts alike.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ class GuardError(ValueError):
     """The guard was set to something other than a positive integer."""
 
 
+def _is_int(x: object) -> bool:
+    """Whether `x` is an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_guard(space: int, explicit: int | None = None) -> None:
     """Raise TooLargeError when `space` exceeds the guard.
 
@@ -31,7 +37,7 @@ def check_guard(space: int, explicit: int | None = None) -> None:
     else the default.
     """
     if explicit is not None:
-        if explicit < 1:
+        if not (_is_int(explicit) and explicit >= 1):
             raise GuardError("enumeration guard must be positive")
         guard = explicit
     else:

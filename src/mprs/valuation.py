@@ -12,6 +12,8 @@ payoff codes (see `_decode`); `PayoffValue` maps appear only at the API.
 
 Every profile goes through one routine, `_moves`, which checks it and
 builds its move array (one successor index per vertex) in the same pass.
+Each game remembers the last profile it checked in full (`_Core.judged`),
+so the verdicts on one profile check it and build its hit table once.
 
 `best_response` computes a payoff-maximizing memoryless strategy for one
 player against fixed opponents by one backward pass from the player's own
@@ -32,10 +34,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .game import Game, _is_player_id, turn_payoff
-from .limits import check_guard
+from .game import Game, turn_payoff
+from .limits import _is_int, check_guard
 
 __all__ = [
     "NEVER",
@@ -241,9 +243,16 @@ class _Core:
     vertex i, with a trailing 0 at index ``len(vertices)`` that stands for
     "no hit". Payoffs are integer codes (see `_decode`). Built once per
     game, on first use, by `Game._core`.
+
+    `judged` holds ``(profile, move array, codes)`` for the last profile
+    that passed a full check here, `codes` being every player's payoff
+    codes, or None until `_judged` adds them. Each update stores one new
+    tuple, and nothing in it is ever mutated.
     """
 
-    __slots__ = ("names", "index", "base", "owner", "succ", "pred", "choice", "mine", "own", "signs")
+    __slots__ = (
+        "names", "index", "base", "owner", "succ", "pred", "choice", "mine", "own", "signs", "judged"
+    )
 
     def __init__(self, game: Game):
         names, index = game.vertices, game._index
@@ -273,6 +282,7 @@ class _Core:
             for v in own:
                 sign[v] = turn_payoff(game, n, names[v])
             self.signs[n] = tuple(sign)
+        self.judged = (None, (), None)
 
 
 # A payoff 0 or sign * gamma**t with t <= len(vertices) is kept inside the
@@ -290,7 +300,7 @@ def _decode(code: int, base: int) -> PayoffValue:
     return PayoffValue(1, base - code) if code > 0 else PayoffValue(-1, base + code)
 
 
-def _payoffs(core: _Core, codes: list[int]) -> dict[str, PayoffValue]:
+def _payoffs(core: _Core, codes: Sequence[int]) -> dict[str, PayoffValue]:
     """Vertex id to payoff, decoding each distinct code once."""
     decoded = {c: _decode(c, core.base) for c in set(codes)}
     return dict(zip(core.names, map(decoded.__getitem__, codes)))
@@ -301,10 +311,17 @@ def _moves(core: _Core, profile: Profile, skip: int | None = None) -> list[int]:
     it picks at every choice vertex not owned by `skip`, and -1 elsewhere.
     Player `skip`'s entries, and their missing moves, are ignored.
 
+    A full check that passes is recorded in `core.judged`; the same object
+    (not an equal one) then gets a copy of its array, also with a `skip`,
+    whose entries every caller ignores or overwrites.
+
     Raises:
         ProfileError: listing every way the profile fails to fit the game,
             entry by entry and then each choice vertex left open.
     """
+    judged = core.judged
+    if judged[0] is profile:
+        return list(judged[1])
     size = len(core.names)
     nxt = [-1] * size
     index, owner, succ = core.index, core.owner, core.succ
@@ -342,6 +359,8 @@ def _moves(core: _Core, profile: Profile, skip: int | None = None) -> list[int]:
                 problems.append(f"no move fixed at {core.names[i]!r} for player {owner[i]}")
     if problems:
         raise ProfileError("; ".join(problems))
+    if skip is None:
+        core.judged = (profile, tuple(nxt), None)
     return nxt
 
 
@@ -384,6 +403,17 @@ def _codes(core: _Core, n: int, hits: tuple[list[int], list[int]]) -> list[int]:
     return [sign[w] * (base - t) for t, w in zip(when, where)]
 
 
+def _judged(core: _Core, profile: Profile) -> tuple:
+    """`core.judged` for `profile`, with every player's payoff codes filled in."""
+    judged = core.judged
+    if judged[0] is not profile or judged[2] is None:
+        nxt = _moves(core, profile)
+        hits = _hits(core, nxt)
+        codes = {n: tuple(_codes(core, n, hits)) for n in core.signs}
+        judged = core.judged = (profile, tuple(nxt), codes)
+    return judged
+
+
 def value_table(game: Game, profile: Profile) -> dict[int, dict[str, PayoffValue]]:
     """Exact payoff of `profile` for every player and every start vertex.
 
@@ -391,8 +421,8 @@ def value_table(game: Game, profile: Profile) -> dict[int, dict[str, PayoffValue
     has the shape of the value map `best_response` returns.
     """
     core = game._core
-    hits = _hits(core, _moves(core, profile))
-    return {n: _payoffs(core, _codes(core, n, hits)) for n in game.players}
+    codes = _judged(core, profile)[2]
+    return {n: _payoffs(core, codes[n]) for n in game.players}
 
 
 def _respond(core: _Core, nxt: list[int], n: int) -> tuple[dict[int, int], list[int]]:
@@ -449,7 +479,7 @@ def _respond(core: _Core, nxt: list[int], n: int) -> tuple[dict[int, int], list[
 def _best(game: Game, opponents: Profile, n: int, solve) -> tuple[Strategy, dict[str, PayoffValue]]:
     # Both best responses: check `n` and `opponents`, then name the moves
     # and decode the codes that `solve(core, nxt, n)` returns.
-    if not (_is_player_id(n) and n in game.roles):
+    if not (_is_int(n) and n in game.roles):
         raise ValueError(f"unknown player {n!r}")
     core = game._core
     moves, codes = solve(core, _moves(core, opponents, skip=n), n)

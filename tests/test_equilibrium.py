@@ -11,6 +11,7 @@ import pytest
 from mprs import (
     ZERO,
     GameSpec,
+    GeneratorParams,
     PayoffValue,
     Profile,
     ProfileError,
@@ -26,6 +27,7 @@ from mprs import (
     is_nash,
     is_nash_qualitative,
     profile_space,
+    random_game,
     solve_br_dynamics,
     validate_game,
     value_table,
@@ -101,6 +103,21 @@ def test_solvers_reject_a_malformed_profile_like_check_profile(g1, g1_hat, solve
     with pytest.raises(ProfileError) as raised:
         solver(g1, profile)
     assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("strategies", MALFORMED.values(), ids=MALFORMED.keys())
+def test_a_malformed_profile_fails_the_same_way_every_time(g1, g1_hat, strategies):
+    # A failed check is never remembered, not even after a legal profile
+    # was judged on the same game.
+    profile = Profile(strategies)
+    with pytest.raises(ProfileError) as first:
+        check_profile(g1, profile)
+    for judge in (value_table, is_nash, check_certificate, check_profile):
+        assert check_certificate(g1, g1_hat).is_ne
+        for _ in range(2):
+            with pytest.raises(ProfileError) as again:
+                judge(g1, profile)
+            assert str(again.value) == str(first.value)
 
 
 # Stray entries next to a complete set of opponent moves, which a best
@@ -361,3 +378,41 @@ class TestBestResponseDynamics:
                     gave_up[max_rounds] += found is None
         # Short budgets both run out and suffice, so each way out is compared.
         assert 0 < gave_up[1] < 1500 and gave_up[2] > 0
+
+
+class TestCountArguments:
+    """A count or guard is an int that is not a bool, like a player id;
+    anything else is refused like a value below 1."""
+
+    @pytest.fixture
+    def game(self):
+        return random_game(GeneratorParams(2, 4, seed=3))
+
+    @pytest.fixture
+    def start(self, game):
+        return random_profile(game, random.Random(3))
+
+    @pytest.mark.parametrize("max_rounds", [2.5, "3", True, None])
+    def test_max_rounds(self, game, start, max_rounds):
+        with pytest.raises(ValueError, match="max_rounds must be at least 1"):
+            solve_br_dynamics(game, start, max_rounds=max_rounds)
+
+    @pytest.mark.parametrize("limit", ["2", True, 1.5])
+    def test_limit(self, game, limit):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            enumerate_ne(game, limit=limit)
+
+    @pytest.mark.parametrize("guard", ["5", True, 1.5])
+    def test_guard(self, game, start, guard):
+        for search in (
+            lambda: enumerate_ne(game, guard=guard),
+            lambda: list(all_profiles(game, guard=guard)),
+            lambda: best_response_enum(game, start, 1, guard=guard),
+        ):
+            with pytest.raises(GuardError) as err:
+                search()
+            assert str(err.value) == "enumeration guard must be positive"
+
+    def test_none_keeps_its_meaning(self, game, start):
+        assert enumerate_ne(game, limit=None, guard=None) == enumerate_ne(game)
+        assert best_response_enum(game, start, 1, guard=None)[1] == best_response(game, start, 1)[1]

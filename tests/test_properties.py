@@ -25,6 +25,7 @@ from mprs import (
     check_certificate,
     emit_game,
     is_nash,
+    is_nash_qualitative,
     outcome,
     parse_document,
     solve_br_dynamics,
@@ -93,6 +94,25 @@ def test_dynamics_stop_only_at_equilibria(drawn):
     # the dynamics only where they started at an equilibrium.
     start_is_ne = is_nash(game, profile).is_ne
     assert solve_br_dynamics(game, profile, max_rounds=1) == (profile if start_is_ne else None)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(games_and_profiles(), st.data())
+def test_a_reused_profile_is_judged_like_fresh_copies(drawn, data):
+    """A game remembers the last profile object it checked in full; calls
+    on that object, in any order, give what fresh equal copies give."""
+    game, profile = drawn
+    calls = {
+        "value_table": value_table,
+        "is_nash": is_nash,
+        "is_nash_qualitative": is_nash_qualitative,
+        "check_certificate": check_certificate,
+    }
+    for n in game.players:
+        calls[f"best_response {n}"] = lambda g, p, n=n: best_response(g, p, n)
+    expected = {name: call(game, Profile(profile.as_dict())) for name, call in calls.items()}
+    for name in data.draw(st.lists(st.sampled_from(sorted(calls)), min_size=1, max_size=12)):
+        assert calls[name](game, profile) == expected[name], name
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

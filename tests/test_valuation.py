@@ -25,7 +25,9 @@ from mprs import (
     TooLargeError,
     best_response,
     best_response_enum,
+    check_certificate,
     check_profile,
+    is_nash,
     outcome,
     play,
     total_payoff,
@@ -33,6 +35,7 @@ from mprs import (
     validate_game,
     value_table,
 )
+from mprs import equilibrium, valuation
 from mprs.valuation import _decode
 
 from conftest import random_profile, small_game
@@ -380,3 +383,68 @@ class TestBestResponse:
     def test_enum_guard_trips(self, g1):
         with pytest.raises(TooLargeError):
             best_response_enum(g1, Profile({2: {"v2": "v1"}}), 1, guard=1)
+
+
+def g1_with_roles(reacher: int):
+    """G1 built afresh, with `reacher` reaching v3 and the other avoiding it."""
+    return validate_game(
+        GameSpec(
+            vertices=["v1", "v2", "v3"],
+            edges=[("v1", "v2"), ("v1", "v3"), ("v2", "v1")],
+            owner={"v1": 1, "v2": 2, "v3": 2},
+            roles={n: Role.REACHER if n == reacher else Role.AVOIDER for n in (1, 2)},
+            targets={1: ["v3"], 2: ["v3"]},
+        )
+    )
+
+
+class TestJudgedProfile:
+    """Each game remembers the last profile it checked in full, so both
+    verdicts on one profile object check it and build its hit table once."""
+
+    def test_both_verdicts_build_one_hit_table(self, g1, g1_hat, monkeypatch):
+        built = []
+        hits = valuation._hits
+
+        def counted(core, nxt):
+            built.append(list(nxt))
+            return hits(core, nxt)
+
+        monkeypatch.setattr(valuation, "_hits", counted)
+        monkeypatch.setattr(equilibrium, "_hits", counted)
+        assert is_nash(g1, g1_hat).is_ne
+        assert check_certificate(g1, g1_hat).is_ne
+        assert built == [[2, 0, -1]]
+
+    def test_a_check_that_skips_a_player_is_not_remembered(self, g1):
+        opponents = Profile({2: {"v2": "v1"}})
+        with pytest.raises(ProfileError) as fresh:
+            check_profile(g1, Profile(opponents.as_dict()))
+        best_response(g1, opponents, 1)
+        best_response_enum(g1, opponents, 1)
+        for judge in (check_profile, value_table):
+            with pytest.raises(ProfileError) as again:
+                judge(g1, opponents)
+            assert str(again.value) == str(fresh.value)
+
+    def test_each_game_judges_the_profile_itself(self, g1, g1_hat, g2):
+        assert is_nash(g1, g1_hat).is_ne
+        table = value_table(g1, g1_hat)
+        # An equal game built separately gives the same verdicts.
+        same = g1_with_roles(reacher=1)
+        assert same == g1 and same._core is not g1._core
+        assert is_nash(same, g1_hat).is_ne and check_certificate(same, g1_hat).is_ne
+        assert value_table(same, g1_hat) == table
+        # With the roles swapped player 1 avoids v3 by moving to v2.
+        swapped = g1_with_roles(reacher=2)
+        assert not is_nash(swapped, g1_hat).is_ne
+        assert not check_certificate(swapped, g1_hat).is_ne
+        assert value_table(swapped, g1_hat)[1]["v1"] == NEG(1)
+        # On G2 the profile is illegal, also right after G1 judged it.
+        with pytest.raises(ProfileError) as fresh:
+            check_profile(g2, Profile(g1_hat.as_dict()))
+        for judge in (check_profile, value_table, is_nash, check_certificate):
+            assert is_nash(g1, g1_hat).is_ne
+            with pytest.raises(ProfileError) as raised:
+                judge(g2, g1_hat)
+            assert str(raised.value) == str(fresh.value)

@@ -131,6 +131,20 @@ MUTANTS = [
         "map(min, best, codes)",
         RESPONSE_TESTS,
     ),
+    Mutant(
+        "the memo also records checks that skip a player",
+        "src/mprs/valuation.py",
+        "if skip is None:",
+        "if True:",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "a hit ignores which profile was recorded",
+        "src/mprs/valuation.py",
+        "if judged[0] is profile:",
+        "if judged[0] is not None:",
+        ("tests/test_valuation.py", "tests/test_equilibrium.py"),
+    ),
 ]
 
 
