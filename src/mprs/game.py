@@ -272,12 +272,22 @@ def validate_game(spec: GameSpec) -> Game:
     isucc = tuple(map(tuple, out))
 
     owner: dict[str, int] = {}
+    # Each distinct owner is judged once. The verdict is keyed by type too,
+    # since `True` and `1.0` equal `1` as keys; an unhashable owner, which
+    # no key can match, is judged where it stands.
+    verdicts: dict[tuple[type, object], bool] = {}
     for v, n in owners.items():
         v = str(v)
         if v not in vset:
             bad(ViolationKind.UNKNOWN_VERTEX, f"owner map mentions undeclared vertex {v!r}")
             continue
-        if not (_is_int(n) and n in role_map):
+        try:
+            known = verdicts[type(n), n]
+        except KeyError:
+            known = verdicts[type(n), n] = _is_int(n) and n in role_map
+        except TypeError:
+            known = _is_int(n) and n in role_map
+        if not known:
             bad(ViolationKind.UNKNOWN_PLAYER, f"vertex {v!r} is owned by undeclared player {n!r}")
             continue
         owner[v] = n

@@ -38,7 +38,7 @@ def check_guard(space: int, explicit: int | None = None) -> None:
     """
     if explicit is not None:
         if not (_is_int(explicit) and explicit >= 1):
-            raise GuardError("enumeration guard must be positive")
+            raise GuardError(f"enumeration guard must be a positive int, got {explicit!r}")
         guard = explicit
     else:
         raw = os.environ.get(ENUM_GUARD_ENV, str(DEFAULT_ENUM_GUARD))

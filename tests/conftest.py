@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import os
 import random
 from pathlib import Path
@@ -98,6 +99,26 @@ def small_game(seed: int):
             seed=seed,
         )
     )
+
+
+def documented_text(game, profiles=None) -> str:
+    """The canonical text of a game's document, as `json.dumps` writes the
+    shape the `gamefile` docstring documents; `emit_game` must match it."""
+    doc = {
+        "gamma": str(game.gamma),
+        "players": [
+            {"id": n, "role": game.roles[n].value, "targets": sorted(game.targets[n])}
+            for n in game.players
+        ],
+        "vertices": [{"id": v, "owner": game.owner[v]} for v in game.vertices],
+        "edges": [[u, w] for u in game.vertices for w in game.successors(u)],
+    }
+    if profiles:
+        doc["profiles"] = {
+            name: {str(n): moves for n, moves in profile.as_dict().items()}
+            for name, profile in profiles.items()
+        }
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def random_profile(game, rng: random.Random) -> Profile:

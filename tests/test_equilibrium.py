@@ -280,7 +280,7 @@ class TestEnumeration:
     def test_explicit_guard_below_one_is_rejected(self, g1):
         with pytest.raises(GuardError) as err:
             enumerate_ne(g1, guard=0)
-        assert str(err.value) == "enumeration guard must be positive"
+        assert str(err.value) == "enumeration guard must be a positive int, got 0"
 
     def test_guard_env_override(self, g1, monkeypatch):
         monkeypatch.setenv("MPRS_ENUM_GUARD", "1")
@@ -411,7 +411,7 @@ class TestCountArguments:
         ):
             with pytest.raises(GuardError) as err:
                 search()
-            assert str(err.value) == "enumeration guard must be positive"
+            assert str(err.value) == f"enumeration guard must be a positive int, got {guard!r}"
 
     def test_none_keeps_its_meaning(self, game, start):
         assert enumerate_ne(game, limit=None, guard=None) == enumerate_ne(game)

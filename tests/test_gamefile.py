@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import textwrap
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from mprs import (
     ParseError,
     Profile,
     ProfileError,
+    Role,
     ViolationKind,
     emit_game,
     export_dot,
@@ -25,7 +27,7 @@ from mprs import (
     value_table,
 )
 
-from conftest import small_game
+from conftest import documented_text, small_game
 
 G1_TEXT = """
 {
@@ -225,6 +227,50 @@ class TestEmit:
 
     def test_output_ends_with_a_newline(self, g1):
         assert emit_game(g1).endswith("}\n")
+
+    @staticmethod
+    def emitted(spec, profiles=None):
+        """The emitted text, checked against `json.dumps` and a round trip."""
+        game = validate_game(spec)
+        text = emit_game(game, profiles)
+        assert text == documented_text(game, profiles)
+        doc = parse_document(text)
+        assert doc.game == game and doc.profiles == (profiles or {})
+        return text
+
+    def test_edgeless_game(self):
+        """Every vertex a target, so there is no edge at all."""
+        roles = {1: Role.REACHER, 2: Role.AVOIDER}
+        text = self.emitted(GameSpec(["a", "b"], [], {"a": 1, "b": 2}, roles, {1: ["a"], 2: ["b"]}))
+        assert '\n  "edges": [],\n' in text
+
+    def test_ids_that_need_escaping(self):
+        """Quotes, backslashes and control characters are escaped; non-ASCII
+        text and U+2028 are written as they are."""
+        ids = ['q"', "b\\", "n\n", "c\x01", "é", "ls\u2028"]
+        edges = [(u, w) for u in ids for w in ids]
+        spec = GameSpec(ids, edges, dict.fromkeys(ids, 1), {1: Role.REACHER}, {1: ids[:2]})
+        text = self.emitted(spec)
+        for escaped in ['"q\\""', '"b\\\\"', '"n\\n"', '"c\\u0001"', '"é"', '"ls\u2028"']:
+            assert f'"id": {escaped}' in text
+
+    def test_profile_keys_sort_as_strings(self):
+        """Player 10's strategy comes before player 2's, as "10" < "2"."""
+        players = range(1, 11)
+        owner = {"a": 2, "b": 10, "t": 1}
+        edges = [("a", "t"), ("a", "b"), ("b", "t"), ("b", "a")]
+        roles = dict.fromkeys(players, Role.REACHER)
+        spec = GameSpec(owner, edges, owner, roles, dict.fromkeys(players, ["t"]))
+        profile = Profile({2: {"a": "t"}, 10: {"b": "a"}})
+        text = self.emitted(spec, {"p": profile})
+        assert 0 < text.index('"10": {') < text.index('"2": {')
+
+    def test_int_enum_owner_is_a_number(self):
+        class Seat(IntEnum):
+            FIRST = 1
+
+        spec = GameSpec(["a"], [], {"a": Seat.FIRST}, {1: Role.REACHER}, {1: ["a"]})
+        assert '"owner": 1\n' in self.emitted(spec)
 
 
 class TestDot:

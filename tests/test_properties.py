@@ -37,6 +37,8 @@ from mprs import (
 st = pytest.importorskip("hypothesis.strategies")
 from hypothesis import given, settings  # noqa: E402
 
+from conftest import documented_text  # noqa: E402
+
 
 @st.composite
 def specs(draw):
@@ -127,6 +129,33 @@ def test_document_round_trip_after_evaluation(drawn):
     again = parse_document(text).game
     assert again == game
     assert emit_game(again) == text
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(specs(), st.data())
+def test_emitted_text_is_json_dumps_of_the_document(spec, data):
+    """`emit_game` writes the bytes `json.dumps` writes for the documented
+    shape, here with drawn vertex ids (any text) and drawn named profiles."""
+    count = len(spec.vertices)
+    names = data.draw(st.lists(st.text(), min_size=count, max_size=count, unique=True))
+    rename = dict(zip(spec.vertices, names)).__getitem__
+    game = validate_game(
+        GameSpec(
+            names,
+            [(rename(u), rename(w)) for u, w in spec.edges],
+            {rename(v): n for v, n in spec.owner.items()},
+            spec.roles,
+            {n: list(map(rename, t)) for n, t in spec.targets.items()},
+        )
+    )
+    profiles = {}
+    for name in data.draw(st.lists(st.text(), max_size=2, unique=True)):
+        strategies: dict[int, dict[str, str]] = {}
+        for v in game.choice_vertices:
+            move = data.draw(st.sampled_from(game.successors(v)))
+            strategies.setdefault(game.owner[v], {})[v] = move
+        profiles[name] = Profile(strategies)
+    assert emit_game(game, profiles) == documented_text(game, profiles)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

@@ -145,6 +145,20 @@ MUTANTS = [
         "if judged[0] is not None:",
         ("tests/test_valuation.py", "tests/test_equilibrium.py"),
     ),
+    Mutant(
+        "emitted vertex ids are quoted without escaping",
+        "src/mprs/gamefile.py",
+        "list(map(encode_basestring, game.vertices))",
+        "[f'\"{v}\"' for v in game.vertices]",
+        ("tests/test_properties.py",),
+    ),
+    Mutant(
+        "the players and profiles sections are not indented one level",
+        "src/mprs/gamefile.py",
+        '.replace("\\n", "\\n  ")',
+        "",
+        ("tests/test_properties.py",),
+    ),
 ]
 
 
