@@ -31,7 +31,7 @@ from .game import (
     ViolationKind,
     validate_game,
 )
-from .valuation import Profile, outcome, total_payoff
+from .valuation import Profile, value_table
 
 __all__ = [
     "CrossCheckReport",
@@ -170,8 +170,9 @@ def cross_check_two_player(arena: TwoPlayerArena, guard: int | None = None) -> C
     equilibria = tuple(enumerate_ne(game, guard=guard))
     mismatches = []
     for profile in equilibria:
+        table = value_table(game, profile)[1]
         for v in game.vertices:
-            wins = total_payoff(game, 1, outcome(game, profile, v)).sign == 1
+            wins = table[v].sign == 1
             if wins != (v in region):
                 mismatches.append(Mismatch(profile, v, wins, v in region))
     return CrossCheckReport(not mismatches, region, equilibria, tuple(mismatches))

@@ -6,8 +6,8 @@ strategy while everyone else stays put. `is_nash` checks this directly
 against `best_response`; `check_certificate` checks the equivalent local
 condition instead, namely that at every vertex the owner's chosen move
 maximizes the one-step discounted continuation read off the profile's own
-value table. The two routes are implemented independently and must agree
-on every game.
+value table, which also yields its report. The two routes are
+independent and must agree on every game.
 
 `enumerate_ne` walks the whole profile space (small games only, see the
 enumeration guard) and `solve_br_dynamics` iterates rounds of best
@@ -28,12 +28,11 @@ from .limits import _is_int, check_guard
 from .valuation import (
     PayoffValue,
     Profile,
-    _codes,
     _Core,
     _decode,
-    _hits,
     _judged,
     _moves,
+    _profile,
     _respond,
     best_response,
     value_table,
@@ -102,6 +101,13 @@ def check_certificate(game: Game, profile: Profile) -> NEReport:
     strictly higher for the owner. For a flagged vertex the report states
     what the owner's value is there now and what switching that single
     move permanently would make it.
+
+    Both are read off the profile's own codes. Switching v to its best
+    move w leaves w's play as it was unless it runs through v: then v's
+    play cycles and is worth 0, else v's code is w's one step nearer 0.
+    w's play through v goes on through v's current move, and codes only
+    move toward 0 along a play, so there w beats that move only with a
+    negative code: only then is w's play walked, and it hits a target.
     """
     core = game._core
     _, nxt, codes = _judged(core, profile)
@@ -121,18 +127,12 @@ def check_certificate(game: Game, profile: Profile) -> NEReport:
                 best_score = mine[w]
                 best_move = w
         if best_move >= 0:
-            switched = list(nxt)
-            switched[v] = best_move
-            available = _codes(core, n, _hits(core, switched))[v]
-            violations.append(
-                Deviation(
-                    player=n,
-                    vertex=names[v],
-                    better_action=names[best_move],
-                    achieved=_decode(mine[v], base),
-                    available=_decode(available, base),
-                )
-            )
+            u = best_move
+            while best_score < 0 and u >= 0 and u != v:
+                u = nxt[u]
+            available = 0 if u == v else best_score - (best_score > 0) + (best_score < 0)
+            achieved, available = _decode(mine[v], base), _decode(available, base)
+            violations.append(Deviation(n, names[v], names[best_move], achieved, available))
     return NEReport(not violations, tuple(violations))
 
 
@@ -283,10 +283,5 @@ def solve_br_dynamics(
             else:
                 current.add(n)
         if not changed:
-            names = core.names
-            found = Profile(
-                {n: {names[v]: names[nxt[v]] for v in mine} for n, mine in core.mine.items()}
-            )
-            core.judged = (found, tuple(nxt), None)  # the verdicts on it skip the check
-            return found
+            return _profile(core, nxt)  # the verdicts on it skip the check
     return None

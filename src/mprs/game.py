@@ -18,9 +18,9 @@ rule, gives what each visited vertex is worth to each player.
 Validation builds the game's one int adjacency: vertex i is the i-th id
 in lexicographic order and keeps the sorted indices of its successors.
 Successor lists are sorted only where the input order needs it, so a
-canonical document needs no sort at all. The named successor tuples and
-`Game.edges` are derived from it on first use, and the solvers'
-`valuation._Core` reuses it as is.
+canonical document needs no sort at all. `Game.successors` names a
+vertex's successors from it on each call, `Game.edges` names all of them
+once, on first use, and the solvers' `valuation._Core` reuses it as is.
 """
 
 from __future__ import annotations
@@ -149,17 +149,12 @@ class Game:
 
     def successors(self, v: str) -> tuple[str, ...]:
         """Out-neighbours of `v` in lexicographic order."""
-        return self._succ[v]
-
-    @cached_property
-    def _succ(self) -> dict[str, tuple[str, ...]]:
-        names = self.vertices
-        return {v: tuple(map(names.__getitem__, ws)) for v, ws in zip(names, self._isucc)}
+        return tuple(map(self.vertices.__getitem__, self._isucc[self._index[v]]))
 
     @cached_property
     def edges(self) -> tuple[tuple[str, str], ...]:
         """Every edge (u, w), sorted by u and then by w."""
-        return tuple((u, w) for u in self.vertices for w in self._succ[u])
+        return tuple((u, self.vertices[w]) for u, ws in zip(self.vertices, self._isucc) for w in ws)
 
     def __repr__(self) -> str:
         return (
@@ -272,22 +267,12 @@ def validate_game(spec: GameSpec) -> Game:
     isucc = tuple(map(tuple, out))
 
     owner: dict[str, int] = {}
-    # Each distinct owner is judged once. The verdict is keyed by type too,
-    # since `True` and `1.0` equal `1` as keys; an unhashable owner, which
-    # no key can match, is judged where it stands.
-    verdicts: dict[tuple[type, object], bool] = {}
     for v, n in owners.items():
         v = str(v)
         if v not in vset:
             bad(ViolationKind.UNKNOWN_VERTEX, f"owner map mentions undeclared vertex {v!r}")
             continue
-        try:
-            known = verdicts[type(n), n]
-        except KeyError:
-            known = verdicts[type(n), n] = _is_int(n) and n in role_map
-        except TypeError:
-            known = _is_int(n) and n in role_map
-        if not known:
+        if not (_is_int(n) and n in role_map):
             bad(ViolationKind.UNKNOWN_PLAYER, f"vertex {v!r} is owned by undeclared player {n!r}")
             continue
         owner[v] = n

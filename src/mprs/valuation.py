@@ -247,7 +247,7 @@ class _Core:
     `judged` holds ``(profile, move array, codes)`` for the last profile
     that passed a full check here, `codes` being every player's payoff
     codes, or None until `_judged` adds them. Each update stores one new
-    tuple, and nothing in it is ever mutated.
+    tuple, and nothing in it is ever mutated. Only this module writes it.
     """
 
     __slots__ = (
@@ -412,6 +412,14 @@ def _judged(core: _Core, profile: Profile) -> tuple:
         codes = {n: tuple(_codes(core, n, hits)) for n in core.signs}
         judged = core.judged = (profile, tuple(nxt), codes)
     return judged
+
+
+def _profile(core: _Core, nxt: list[int]) -> Profile:
+    """The `Profile` of the checked move array `nxt`, recorded in `core.judged`."""
+    names = core.names
+    profile = Profile({n: {names[v]: names[nxt[v]] for v in mine} for n, mine in core.mine.items()})
+    core.judged = (profile, tuple(nxt), None)
+    return profile
 
 
 def value_table(game: Game, profile: Profile) -> dict[int, dict[str, PayoffValue]]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from mprs import (
@@ -23,6 +25,7 @@ from mprs import (
     validate_game,
     value_table,
 )
+from mprs import classic, valuation
 
 from conftest import random_arena
 
@@ -187,6 +190,25 @@ class TestCrossCheck:
     def test_guard_applies(self, g3_arena):
         with pytest.raises(TooLargeError):
             cross_check_two_player(g3_arena, guard=1)
+
+    def test_each_equilibrium_is_read_off_one_value_table(self, g3_arena_plus, monkeypatch):
+        calls = Counter()
+
+        def counted(name, call):
+            def wrapper(*args):
+                calls[name] += 1
+                return call(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(valuation, "play", counted("play", valuation.play))
+        table = counted("value_table", valuation.value_table)
+        monkeypatch.setattr(classic, "value_table", table, raising=False)
+        for arena in (g3_arena_plus, random_arena(5)):
+            calls.clear()
+            report = cross_check_two_player(arena)
+            assert report.ok and report.equilibria
+            assert calls == {"value_table": len(report.equilibria)}
 
 
 class TestSafetyDuality:

@@ -10,6 +10,7 @@ import pytest
 
 from mprs import (
     ZERO,
+    Deviation,
     GameSpec,
     GeneratorParams,
     PayoffValue,
@@ -32,7 +33,7 @@ from mprs import (
     validate_game,
     value_table,
 )
-from mprs import equilibrium
+from mprs import equilibrium, valuation
 from mprs.limits import GuardError
 
 from conftest import random_profile, small_game
@@ -143,7 +144,91 @@ def test_best_responses_reject_stray_opponent_entries(g1, g1_hat, solver, stray)
     assert str(raised.value) == str(expected.value)
 
 
+def one_player_game(role, edges, target="t", others=None):
+    """Player 1 owns every vertex and plays `role` toward `target`; each
+    name in `others` becomes a target of a reacher player 2 as well."""
+    vertices = sorted({v for edge in edges for v in edge})
+    players = {1: role} | ({2: Role.REACHER} if others else {})
+    targets = {1: [target]} | ({2: others} if others else {})
+    return validate_game(GameSpec(vertices, edges, dict.fromkeys(vertices, 1), players, targets))
+
+
+def reacher_chain(size):
+    """Vertices c0001 -> c0002 -> ... -> z, each with an edge straight to
+    the target z as well, and the profile that walks the whole chain."""
+    chain = [f"c{i:04d}" for i in range(1, size)]
+    edges = list(zip(chain, chain[1:] + ["z"])) + [(v, "z") for v in chain]
+    game = one_player_game(Role.REACHER, edges, target="z")
+    return game, Profile({1: dict(zip(chain, chain[1:] + ["z"]))})
+
+
+# One certificate case per way the switched move's value is found: player 1
+# gains by switching v to w, and each case ends in (w, achieved, available).
+SWITCHES = {
+    # w is a target: v hits it one step after the switch.
+    "w is a target": (
+        Role.REACHER,
+        [("v", "a"), ("v", "t"), ("a", "t")],
+        {"v": "a", "a": "t"},
+        None,
+        ("t", POS(2), POS(1)),
+    ),
+    # w's play hits player 2's target, which is worth 0 to player 1.
+    "w hits another player's target": (
+        Role.AVOIDER,
+        [("v", "a"), ("v", "t"), ("a", "u")],
+        {"v": "t", "a": "u"},
+        ["u"],
+        ("a", NEG(1), ZERO),
+    ),
+    # w loses later than v does now, but only by running back into v,
+    # so switching closes a cycle and secures 0.
+    "w loses through v": (
+        Role.AVOIDER,
+        [("v", "a"), ("v", "t"), ("a", "v")],
+        {"v": "t", "a": "v"},
+        None,
+        ("a", NEG(1), ZERO),
+    ),
+    # w loses later and away from v: v loses one step after w.
+    "w loses away from v": (
+        Role.AVOIDER,
+        [("v", "a"), ("v", "t"), ("a", "b"), ("b", "t")],
+        {"v": "t", "a": "b", "b": "t"},
+        None,
+        ("a", NEG(1), NEG(3)),
+    ),
+}
+
+
 class TestCertificate:
+    @pytest.mark.parametrize("case", SWITCHES.values(), ids=SWITCHES.keys())
+    def test_switched_move_value(self, case):
+        role, edges, moves, others, (better, achieved, available) = case
+        game = one_player_game(role, edges, others=others)
+        report = check_certificate(game, Profile({1: moves}))
+        assert report.violations == (Deviation(1, "v", better, achieved, available),)
+
+    def test_one_hit_table_per_check_whatever_the_violations(self, g1, g1_cycle, monkeypatch):
+        built = []
+        hits = valuation._hits
+
+        def counted(core, nxt):
+            built.append(len(nxt))
+            return hits(core, nxt)
+
+        monkeypatch.setattr(valuation, "_hits", counted)
+        monkeypatch.setattr(equilibrium, "_hits", counted, raising=False)
+        chain, along = reacher_chain(4000)
+        for game, profile, flagged in ((g1, g1_cycle, 1), (chain, along, 3998)):
+            built.clear()
+            report = check_certificate(game, profile)
+            assert len(report.violations) == flagged
+            assert built == [len(game.vertices)]
+        # Every chain vertex but the last could jump straight to z.
+        assert report.violations[0] == Deviation(1, "c0001", "z", POS(3999), POS(1))
+        assert report.violations[-1] == Deviation(1, "c3998", "z", POS(2), POS(1))
+
     def test_g1_equilibrium_passes(self, g1, g1_hat):
         report = check_certificate(g1, g1_hat)
         assert report.is_ne

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from mprs import (
+    Deviation,
     GameSpec,
     InvalidGameError,
     Profile,
@@ -33,6 +34,7 @@ from mprs import (
     validate_game,
     value_table,
 )
+from mprs import valuation
 
 st = pytest.importorskip("hypothesis.strategies")
 from hypothesis import given, settings  # noqa: E402
@@ -82,6 +84,25 @@ def test_value_maps_agree(drawn):
         for v in game.vertices:
             assert table[n][v] == total_payoff(game, n, outcome(game, profile, v))
     assert is_nash(game, profile).is_ne == check_certificate(game, profile).is_ne
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(games_and_profiles())
+def test_certificate_deviations_match_a_switched_valuation(drawn):
+    """Each certificate deviation holds what valuing the whole game again,
+    with that one move switched, gives at its vertex."""
+    game, profile = drawn
+    core = game._core
+    nxt = valuation._moves(core, profile)
+    table = value_table(game, profile)
+    for dev in check_certificate(game, profile).violations:
+        v = core.index[dev.vertex]
+        switched = list(nxt)
+        switched[v] = core.index[dev.better_action]
+        code = valuation._codes(core, dev.player, valuation._hits(core, switched))[v]
+        available = valuation._decode(code, core.base)
+        achieved = table[dev.player][dev.vertex]
+        assert dev == Deviation(dev.player, dev.vertex, dev.better_action, achieved, available)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

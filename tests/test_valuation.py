@@ -411,7 +411,6 @@ class TestJudgedProfile:
             return hits(core, nxt)
 
         monkeypatch.setattr(valuation, "_hits", counted)
-        monkeypatch.setattr(equilibrium, "_hits", counted)
         assert is_nash(g1, g1_hat).is_ne
         assert check_certificate(g1, g1_hat).is_ne
         assert built == [[2, 0, -1]]

@@ -125,6 +125,20 @@ MUTANTS = [
         ("tests/test_equilibrium.py",),
     ),
     Mutant(
+        "a losing continuation is never walked back to v",
+        "src/mprs/equilibrium.py",
+        "while best_score < 0 and u >= 0 and u != v:",
+        "while False:",
+        ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
+        "a switched move is not discounted",
+        "src/mprs/equilibrium.py",
+        "available = 0 if u == v else best_score - (best_score > 0) + (best_score < 0)",
+        "available = 0 if u == v else best_score",
+        ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
         "a brute-force response that keeps the minimum",
         "src/mprs/valuation.py",
         "map(max, best, codes)",
