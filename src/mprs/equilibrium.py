@@ -110,7 +110,7 @@ def check_certificate(game: Game, profile: Profile) -> NEReport:
     negative code: only then is w's play walked, and it hits a target.
     """
     core = game._core
-    _, nxt, codes = _judged(core, profile)
+    _, nxt, codes, _ = _judged(core, profile)
     _assert_consistent(core, nxt, codes)
 
     violations = []
@@ -259,18 +259,25 @@ def solve_br_dynamics(
     moves just taken. `current` holds such players; a switch resets it to
     the switcher. Every switch, visited profile and round, and so the
     result for every `max_rounds`, stays as if everyone always responded.
+
+    At convergence every player is current, so each player's last
+    response is their response to the result. `responses` keeps them,
+    and the result is recorded with them in the game's judged profile
+    (see `valuation._Core`): `best_response`, and with it `is_nash` and
+    `is_nash_qualitative`, on that profile object run no pass of their own.
     """
     _check_count("max_rounds", max_rounds)
     core = game._core
     nxt = _moves(core, seed)
     visited = {tuple(nxt)}
     current: set[int] = set()
+    responses: dict[int, tuple] = {}
     for _ in range(max_rounds):
         changed = False
         for n in game.players:
             if n in current:
                 continue
-            moves, code = _respond(core, nxt, n)
+            moves, code = responses[n] = _respond(core, nxt, n)
             if any(code[nxt[v]] != code[w] for v, w in moves.items()):
                 for v, w in moves.items():
                     nxt[v] = w
@@ -283,5 +290,5 @@ def solve_br_dynamics(
             else:
                 current.add(n)
         if not changed:
-            return _profile(core, nxt)  # the verdicts on it skip the check
+            return _profile(core, nxt, responses)  # the verdicts on it skip the check
     return None

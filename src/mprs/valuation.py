@@ -13,7 +13,9 @@ payoff codes (see `_decode`); `PayoffValue` maps appear only at the API.
 Every profile goes through one routine, `_moves`, which checks it and
 builds its move array (one successor index per vertex) in the same pass.
 Each game remembers the last profile it checked in full (`_Core.judged`),
-so the verdicts on one profile check it and build its hit table once.
+so the verdicts on one profile check it and build its hit table once, and
+on a result of best-response dynamics they reuse the dynamics' last
+responses instead of solving them again.
 
 `best_response` computes a payoff-maximizing memoryless strategy for one
 player against fixed opponents by one backward pass from the player's own
@@ -244,10 +246,15 @@ class _Core:
     "no hit". Payoffs are integer codes (see `_decode`). Built once per
     game, on first use, by `Game._core`.
 
-    `judged` holds ``(profile, move array, codes)`` for the last profile
-    that passed a full check here, `codes` being every player's payoff
-    codes, or None until `_judged` adds them. Each update stores one new
-    tuple, and nothing in it is ever mutated. Only this module writes it.
+    `judged` holds ``(profile, move array, codes, responses)`` for the
+    last profile that passed a full check here. `codes` are every
+    player's payoff codes, or None until `_judged` adds them. `responses`
+    map every player to `_respond`'s result on the move array when the
+    profile came out of best-response dynamics, which hold them all at
+    convergence, and are None otherwise; `best_response` on that profile
+    object returns them. Each update stores one new tuple, and nothing in
+    it is ever mutated. Only this module writes it, and only the dynamics,
+    through `_profile`, hand it responses.
     """
 
     __slots__ = (
@@ -282,7 +289,7 @@ class _Core:
             for v in own:
                 sign[v] = turn_payoff(game, n, names[v])
             self.signs[n] = tuple(sign)
-        self.judged = (None, (), None)
+        self.judged = (None, (), None, None)
 
 
 # A payoff 0 or sign * gamma**t with t <= len(vertices) is kept inside the
@@ -360,7 +367,7 @@ def _moves(core: _Core, profile: Profile, skip: int | None = None) -> list[int]:
     if problems:
         raise ProfileError("; ".join(problems))
     if skip is None:
-        core.judged = (profile, tuple(nxt), None)
+        core.judged = (profile, tuple(nxt), None, None)
     return nxt
 
 
@@ -404,21 +411,23 @@ def _codes(core: _Core, n: int, hits: tuple[list[int], list[int]]) -> list[int]:
 
 
 def _judged(core: _Core, profile: Profile) -> tuple:
-    """`core.judged` for `profile`, with every player's payoff codes filled in."""
+    """`core.judged` for `profile`, with every player's payoff codes filled
+    in, and the responses it already held for `profile` kept."""
     judged = core.judged
     if judged[0] is not profile or judged[2] is None:
-        nxt = _moves(core, profile)
+        nxt = _moves(core, profile)  # records `profile` without responses, unless judged
         hits = _hits(core, nxt)
         codes = {n: tuple(_codes(core, n, hits)) for n in core.signs}
-        judged = core.judged = (profile, tuple(nxt), codes)
+        judged = core.judged = (profile, tuple(nxt), codes, core.judged[3])
     return judged
 
 
-def _profile(core: _Core, nxt: list[int]) -> Profile:
-    """The `Profile` of the checked move array `nxt`, recorded in `core.judged`."""
+def _profile(core: _Core, nxt: list[int], responses: dict[int, tuple]) -> Profile:
+    """The `Profile` of the checked move array `nxt`, recorded in `core.judged`
+    with `responses`, every player's `_respond` result on `nxt`."""
     names = core.names
     profile = Profile({n: {names[v]: names[nxt[v]] for v in mine} for n, mine in core.mine.items()})
-    core.judged = (profile, tuple(nxt), None)
+    core.judged = (profile, tuple(nxt), None, responses)
     return profile
 
 
@@ -486,11 +495,17 @@ def _respond(core: _Core, nxt: list[int], n: int) -> tuple[dict[int, int], list[
 
 def _best(game: Game, opponents: Profile, n: int, solve) -> tuple[Strategy, dict[str, PayoffValue]]:
     # Both best responses: check `n` and `opponents`, then name the moves
-    # and decode the codes that `solve(core, nxt, n)` returns.
+    # and decode the codes that `solve(core, nxt, n)` returns. `_respond`'s
+    # result is read from `core.judged` when the dynamics recorded it for
+    # this very profile object, which they checked in full.
     if not (_is_int(n) and n in game.roles):
         raise ValueError(f"unknown player {n!r}")
     core = game._core
-    moves, codes = solve(core, _moves(core, opponents, skip=n), n)
+    judged = core.judged
+    if solve is _respond and judged[0] is opponents and judged[3] is not None:
+        moves, codes = judged[3][n]
+    else:
+        moves, codes = solve(core, _moves(core, opponents, skip=n), n)
     names = core.names
     return {names[v]: names[w] for v, w in moves.items()}, _payoffs(core, codes)
 

@@ -11,6 +11,8 @@ second round.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from mprs import (
@@ -140,6 +142,23 @@ def test_a_reused_profile_is_judged_like_fresh_copies(drawn, data):
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(games_and_profiles())
+def test_a_dynamics_result_is_judged_like_a_fresh_copy(drawn):
+    """The dynamics hand their result over with each player's last
+    response; best responses and deviation reports on it, which read
+    those, are what a fresh equal copy gives."""
+    game, profile = drawn
+    found = solve_br_dynamics(game, profile)
+    if found is None:
+        return
+    recorded = [best_response(game, found, n) for n in game.players]
+    reports = [is_nash(game, found), is_nash_qualitative(game, found)]
+    fresh = Profile(found.as_dict())
+    assert recorded == [best_response(game, fresh, n) for n in game.players]
+    assert reports == [is_nash(game, fresh), is_nash_qualitative(game, fresh)]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(games_and_profiles())
 def test_document_round_trip_after_evaluation(drawn):
     """The int-indexed form cached on an evaluated game shows up in
     neither its equality nor its document."""
@@ -211,7 +230,9 @@ def test_validation_ignores_edge_order_and_repeats(spec, data):
     def validate(edges):
         return validate_game(GameSpec(spec.vertices, edges, spec.owner, spec.roles, spec.targets))
 
-    rng = data.draw(st.randoms(use_true_random=False))
+    # One drawn seed drives every shuffle, which is cheaper than drawing
+    # each shuffle step through hypothesis.
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
 
     def shuffled(edges):
         edges = edges + edges[: data.draw(st.integers(0, len(edges)))]

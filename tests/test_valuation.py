@@ -28,14 +28,16 @@ from mprs import (
     check_certificate,
     check_profile,
     is_nash,
+    is_nash_qualitative,
     outcome,
     play,
+    solve_br_dynamics,
     total_payoff,
     turn_payoff,
     validate_game,
     value_table,
 )
-from mprs import equilibrium, valuation
+from mprs import valuation
 from mprs.valuation import _decode
 
 from conftest import random_profile, small_game
@@ -398,9 +400,35 @@ def g1_with_roles(reacher: int):
     )
 
 
+def dynamics_results():
+    """Games of the ensemble with a converged dynamics result on each,
+    from a drawn start; the last call on each game is the dynamics."""
+    rng = random.Random(2018)
+    for seed in range(60):
+        game = small_game(seed)
+        found = solve_br_dynamics(game, random_profile(game, rng))
+        if found is not None:
+            yield game, found
+
+
+@pytest.fixture
+def responses(monkeypatch):
+    """The players whose response `best_response` computes, in call order."""
+    called = []
+    respond = valuation._respond
+
+    def counted(core, nxt, n):
+        called.append(n)
+        return respond(core, nxt, n)
+
+    monkeypatch.setattr(valuation, "_respond", counted)
+    return called
+
+
 class TestJudgedProfile:
     """Each game remembers the last profile it checked in full, so both
-    verdicts on one profile object check it and build its hit table once."""
+    verdicts on one profile object check it and build its hit table once,
+    and on a dynamics result reuse the dynamics' last responses."""
 
     def test_both_verdicts_build_one_hit_table(self, g1, g1_hat, monkeypatch):
         built = []
@@ -447,3 +475,47 @@ class TestJudgedProfile:
             with pytest.raises(ProfileError) as raised:
                 judge(g2, g1_hat)
             assert str(raised.value) == str(fresh.value)
+
+    def test_is_nash_on_a_dynamics_result_solves_no_response(self, responses):
+        for game, found in dynamics_results():
+            assert is_nash(game, found).is_ne
+            assert responses == []
+            assert is_nash(game, Profile(found.as_dict())).is_ne
+            assert responses == list(game.players)
+            responses.clear()
+
+    def test_recorded_responses_are_the_best_responses(self):
+        for game, found in dynamics_results():
+            fresh = Profile(found.as_dict())
+            for n in game.players:
+                assert best_response(game, found, n) == best_response(game, fresh, n)
+
+    def test_an_equal_profile_and_brute_force_solve_afresh(self, responses, monkeypatch):
+        built = []
+        hits = valuation._hits
+
+        def counted(core, nxt):
+            built.append(list(nxt))
+            return hits(core, nxt)
+
+        monkeypatch.setattr(valuation, "_hits", counted)
+        for game, found in dynamics_results():
+            equal = Profile(found.as_dict())
+            for n in game.players:
+                best_response(game, equal, n)
+                assert responses == [n]
+                responses.clear()
+                _, values = best_response_enum(game, found, n)
+                assert built and responses == []
+                built.clear()
+                assert values == best_response(game, found, n)[1]
+
+    def test_responses_survive_the_codes_being_filled_in(self, responses):
+        verdicts = (is_nash, check_certificate, is_nash_qualitative)
+        for game, found in dynamics_results():
+            reports = [verdict(game, found) for verdict in verdicts]
+            assert responses == []
+            fresh = Profile(found.as_dict())
+            assert [verdict(game, fresh) for verdict in verdicts] == reports
+            assert responses == list(game.players) * 2
+            responses.clear()

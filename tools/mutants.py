@@ -160,6 +160,27 @@ MUTANTS = [
         ("tests/test_valuation.py", "tests/test_equilibrium.py"),
     ),
     Mutant(
+        "recorded responses are read for any judged profile",
+        "src/mprs/valuation.py",
+        "judged[0] is opponents",
+        "judged[0] is not None",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "the dynamics record each player's first response",
+        "src/mprs/equilibrium.py",
+        "moves, code = responses[n] = _respond(core, nxt, n)",
+        "moves, code = _respond(core, nxt, n); responses.setdefault(n, (moves, code))",
+        RESPONSE_TESTS,
+    ),
+    Mutant(
+        "brute-force responses read the recorded ones",
+        "src/mprs/valuation.py",
+        "solve is _respond and ",
+        "",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
         "emitted vertex ids are quoted without escaping",
         "src/mprs/gamefile.py",
         "list(map(encode_basestring, game.vertices))",
