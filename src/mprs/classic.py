@@ -49,7 +49,8 @@ class TwoPlayerArena:
     """Board of a two-player game with one shared target set.
 
     The partition names say who controls what in the reachability reading;
-    `make_safety` keeps the same control and swaps the objectives.
+    `make_safety` keeps the same control and swaps the objectives. Vertex
+    ids are stored as strings, as `validate_game` reads them.
     """
 
     vertices: frozenset[str]
@@ -66,11 +67,23 @@ class TwoPlayerArena:
         avoider_owned: Iterable[str],
         target: Iterable[str],
     ):
-        object.__setattr__(self, "vertices", frozenset(vertices))
-        object.__setattr__(self, "edges", frozenset((str(u), str(w)) for u, w in edges))
-        object.__setattr__(self, "reacher_owned", frozenset(reacher_owned))
-        object.__setattr__(self, "avoider_owned", frozenset(avoider_owned))
-        object.__setattr__(self, "target", frozenset(target))
+        pairs, problems = set(), []
+        for edge in edges:
+            try:
+                u, w = edge
+            except (TypeError, ValueError):
+                problems.append(
+                    Violation(ViolationKind.BAD_EDGE, f"edge {edge!r} is not a pair of vertices")
+                )
+                continue
+            pairs.add((str(u), str(w)))
+        if problems:
+            raise InvalidGameError(problems)
+        object.__setattr__(self, "vertices", frozenset(map(str, vertices)))
+        object.__setattr__(self, "edges", frozenset(pairs))
+        object.__setattr__(self, "reacher_owned", frozenset(map(str, reacher_owned)))
+        object.__setattr__(self, "avoider_owned", frozenset(map(str, avoider_owned)))
+        object.__setattr__(self, "target", frozenset(map(str, target)))
 
 
 def _two_player(arena: TwoPlayerArena, first: Role, second: Role) -> Game:
@@ -115,7 +128,25 @@ def attractor(arena: TwoPlayerArena) -> frozenset[str]:
     reacher-owned vertex joins when some successor is in, an avoider-owned
     vertex joins when all of its successors are in. Computed by a worklist
     fixpoint over predecessors with out-degree counting.
+
+    Raises:
+        InvalidGameError: when an edge or a target vertex lies outside the
+            arena's vertex set.
     """
+    problems = [
+        Violation(
+            ViolationKind.DANGLING_EDGE, f"edge ({u}, {w}) mentions undeclared vertex {end!r}"
+        )
+        for u, w in sorted(arena.edges)
+        for end in (u, w)
+        if end not in arena.vertices
+    ]
+    problems += [
+        Violation(ViolationKind.TARGET_OUTSIDE_GRAPH, f"target vertex {v!r} is not in the graph")
+        for v in sorted(arena.target - arena.vertices)
+    ]
+    if problems:
+        raise InvalidGameError(problems)
     pred: dict[str, list[str]] = {v: [] for v in arena.vertices}
     outdeg: dict[str, int] = {v: 0 for v in arena.vertices}
     for u, w in sorted(arena.edges):

@@ -110,7 +110,7 @@ def check_certificate(game: Game, profile: Profile) -> NEReport:
     negative code: only then is w's play walked, and it hits a target.
     """
     core = game._core
-    _, nxt, codes, _ = _judged(core, profile)
+    _, nxt, codes, _, _ = _judged(core, profile)
     _assert_consistent(core, nxt, codes)
 
     violations = []

@@ -8,11 +8,13 @@ game passes validation.
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .game import Game, GameSpec, Role, validate_game
+from .limits import _is_int
 
 __all__ = ["GeneratorParams", "InfeasibleError", "random_game"]
 
@@ -50,6 +52,13 @@ def random_game(params: GeneratorParams) -> Game:
             dead-end-free edge set turns up after many resamples (only
             plausible at extreme densities).
     """
+    for name in ("num_players", "num_vertices", "targets_per_player"):
+        count = getattr(params, name)
+        if not _is_int(count):
+            raise InfeasibleError(f"{name} must be an int, got {count!r}")
+    density = params.edge_density
+    if isinstance(density, bool) or not isinstance(density, numbers.Real):
+        raise InfeasibleError(f"edge_density must be a real number, got {density!r}")
     if params.num_players < 1:
         raise InfeasibleError("need at least one player")
     if params.num_vertices < 1:

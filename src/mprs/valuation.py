@@ -15,7 +15,9 @@ builds its move array (one successor index per vertex) in the same pass.
 Each game remembers the last profile it checked in full (`_Core.judged`),
 so the verdicts on one profile check it and build its hit table once, and
 on a result of best-response dynamics they reuse the dynamics' last
-responses instead of solving them again.
+responses instead of solving them again. The value maps of that profile
+are decoded once and handed out as copies, also as the values of a best
+response whose codes equal the profile's own.
 
 `best_response` computes a payoff-maximizing memoryless strategy for one
 player against fixed opponents by one backward pass from the player's own
@@ -91,6 +93,14 @@ class Profile:
             )
         except TypeError as exc:
             raise ProfileError(f"profile keys of mixed types cannot be ordered: {exc}") from None
+        except AttributeError:
+            for n in sorted(strategies):
+                if strategies[n] and not hasattr(strategies[n], "items"):
+                    raise ProfileError(
+                        f"the strategy of player {n} must map vertices to moves,"
+                        f" got {strategies[n]!r}"
+                    ) from None
+            raise
 
     def choice(self, n: int, v: str) -> str:
         try:
@@ -161,10 +171,10 @@ class PayoffValue:
     exponent: int = 0
 
     def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or 1, got {self.sign!r}")
-        if self.exponent < 0:
-            raise ValueError("exponent must be nonnegative")
+        if not (_is_int(self.sign) and self.sign in (-1, 0, 1)):
+            raise ValueError(f"sign must be the int -1, 0 or 1, got {self.sign!r}")
+        if not (_is_int(self.exponent) and self.exponent >= 0):
+            raise ValueError(f"exponent must be a nonnegative int, got {self.exponent!r}")
         if self.sign == 0 and self.exponent != 0:
             raise ValueError("the zero payoff carries no exponent")
 
@@ -246,19 +256,25 @@ class _Core:
     "no hit". Payoffs are integer codes (see `_decode`). Built once per
     game, on first use, by `Game._core`.
 
-    `judged` holds ``(profile, move array, codes, responses)`` for the
-    last profile that passed a full check here. `codes` are every
+    `judged` holds ``(profile, move array, codes, responses, values)``
+    for the last profile that passed a full check here. `codes` are every
     player's payoff codes, or None until `_judged` adds them. `responses`
     map every player to `_respond`'s result on the move array when the
     profile came out of best-response dynamics, which hold them all at
     convergence, and are None otherwise; `best_response` on that profile
-    object returns them. Each update stores one new tuple, and nothing in
-    it is ever mutated. Only this module writes it, and only the dynamics,
-    through `_profile`, hand it responses.
+    object returns them. `values` are every player's value map, or None
+    until `value_table` decodes them; only copies of them leave this
+    module. Each update stores one new tuple, and nothing in it is ever
+    mutated. Only this module writes it, and only the dynamics, through
+    `_profile`, hand it responses.
+
+    `zeros` maps every vertex id to `ZERO`. It is None until the first
+    value map of the game is decoded, and is never handed out itself.
     """
 
     __slots__ = (
-        "names", "index", "base", "owner", "succ", "pred", "choice", "mine", "own", "signs", "judged"
+        "names", "index", "base", "owner", "succ", "pred", "choice", "mine", "own", "signs",
+        "judged", "zeros",
     )
 
     def __init__(self, game: Game):
@@ -289,7 +305,8 @@ class _Core:
             for v in own:
                 sign[v] = turn_payoff(game, n, names[v])
             self.signs[n] = tuple(sign)
-        self.judged = (None, (), None, None)
+        self.judged = (None, (), None, None, None)
+        self.zeros = None
 
 
 # A payoff 0 or sign * gamma**t with t <= len(vertices) is kept inside the
@@ -308,9 +325,16 @@ def _decode(code: int, base: int) -> PayoffValue:
 
 
 def _payoffs(core: _Core, codes: Sequence[int]) -> dict[str, PayoffValue]:
-    """Vertex id to payoff, decoding each distinct code once."""
-    decoded = {c: _decode(c, core.base) for c in set(codes)}
-    return dict(zip(core.names, map(decoded.__getitem__, codes)))
+    """Vertex id to payoff: a copy of the game's all-`ZERO` map with the
+    nonzero codes decoded into it. A player is paid only on plays into
+    their own targets, so often most codes are 0."""
+    zeros = core.zeros
+    if zeros is None:
+        zeros = core.zeros = dict.fromkeys(core.index, ZERO)
+    values = zeros.copy()
+    paid = map(_decode, filter(None, codes), itertools.repeat(core.base))
+    values.update(zip(itertools.compress(core.names, codes), paid))
+    return values
 
 
 def _moves(core: _Core, profile: Profile, skip: int | None = None) -> list[int]:
@@ -367,22 +391,23 @@ def _moves(core: _Core, profile: Profile, skip: int | None = None) -> list[int]:
     if problems:
         raise ProfileError("; ".join(problems))
     if skip is None:
-        core.judged = (profile, tuple(nxt), None, None)
+        core.judged = (profile, tuple(nxt), None, None, None)
     return nxt
 
 
-def _hits(core: _Core, nxt: list[int]) -> tuple[list[int], list[int]]:
+def _hits(core: _Core, nxt: list[int]) -> tuple[list[int], dict[int, list[int]]]:
     """First hit from every start vertex when each vertex moves to `nxt`.
 
-    Returns the hitting time and the target vertex hit, per vertex; the
-    target is ``len(vertices)``, and the time meaningless, when the play
-    never hits. Walks each
-    unresolved vertex forward with memoization, so the whole table costs
-    linear time in the number of vertices.
+    Returns the hitting time per vertex, meaningless when the play never
+    hits, and per target vertex the vertices whose plays hit it first,
+    itself included. Walks each unresolved vertex forward with
+    memoization, so the whole table costs linear time in the number of
+    vertices.
     """
     size = len(core.names)
     when = [-1 if ws else 0 for ws in core.succ]  # -1 unresolved, -2 on the walk
-    where = list(range(size))
+    where = list(range(size))  # the target hit, or `size` for none
+    reached = {w: [w] for own in core.own.values() for w in own}
     for start in core.choice:
         if when[start] != -1:
             continue
@@ -400,25 +425,33 @@ def _hits(core: _Core, nxt: list[int]) -> tuple[list[int], list[int]]:
             t += 1
             when[u] = t
             where[u] = w
-    return when, where
+        if w < size:
+            reached[w] += path
+    return when, reached
 
 
-def _codes(core: _Core, n: int, hits: tuple[list[int], list[int]]) -> list[int]:
-    """Player `n`'s payoff code from every start vertex (see `_decode`)."""
+def _codes(core: _Core, n: int, hits: tuple[list[int], dict[int, list[int]]]) -> list[int]:
+    """Player `n`'s payoff code from every start vertex (see `_decode`):
+    nonzero only on the plays that hit one of n's own targets."""
     sign, base = core.signs[n], core.base
-    when, where = hits
-    return [sign[w] * (base - t) for t, w in zip(when, where)]
+    when, reached = hits
+    code = [0] * len(when)
+    for w in core.own[n]:
+        s = sign[w]
+        for v in reached[w]:
+            code[v] = s * (base - when[v])
+    return code
 
 
 def _judged(core: _Core, profile: Profile) -> tuple:
     """`core.judged` for `profile`, with every player's payoff codes filled
-    in, and the responses it already held for `profile` kept."""
+    in, and the responses and value maps it already held for `profile` kept."""
     judged = core.judged
     if judged[0] is not profile or judged[2] is None:
         nxt = _moves(core, profile)  # records `profile` without responses, unless judged
         hits = _hits(core, nxt)
         codes = {n: tuple(_codes(core, n, hits)) for n in core.signs}
-        judged = core.judged = (profile, tuple(nxt), codes, core.judged[3])
+        judged = core.judged = (profile, tuple(nxt), codes, core.judged[3], None)
     return judged
 
 
@@ -427,7 +460,7 @@ def _profile(core: _Core, nxt: list[int], responses: dict[int, tuple]) -> Profil
     with `responses`, every player's `_respond` result on `nxt`."""
     names = core.names
     profile = Profile({n: {names[v]: names[nxt[v]] for v in mine} for n, mine in core.mine.items()})
-    core.judged = (profile, tuple(nxt), None, responses)
+    core.judged = (profile, tuple(nxt), None, responses, None)
     return profile
 
 
@@ -435,11 +468,17 @@ def value_table(game: Game, profile: Profile) -> dict[int, dict[str, PayoffValue
     """Exact payoff of `profile` for every player and every start vertex.
 
     The result maps player to vertex to payoff, so ``value_table(g, p)[n]``
-    has the shape of the value map `best_response` returns.
+    has the shape of the value map `best_response` returns. Every call
+    returns fresh maps, which the caller may change.
     """
     core = game._core
-    codes = _judged(core, profile)[2]
-    return {n: _payoffs(core, codes[n]) for n in game.players}
+    judged = _judged(core, profile)
+    values = judged[4]
+    if values is None:
+        codes = judged[2]
+        values = {n: _payoffs(core, codes[n]) for n in game.players}
+        core.judged = (*judged[:4], values)
+    return {n: values[n].copy() for n in game.players}
 
 
 def _respond(core: _Core, nxt: list[int], n: int) -> tuple[dict[int, int], list[int]]:
@@ -497,17 +536,24 @@ def _best(game: Game, opponents: Profile, n: int, solve) -> tuple[Strategy, dict
     # Both best responses: check `n` and `opponents`, then name the moves
     # and decode the codes that `solve(core, nxt, n)` returns. `_respond`'s
     # result is read from `core.judged` when the dynamics recorded it for
-    # this very profile object, which they checked in full.
+    # this very profile object, which they checked in full. Codes equal to
+    # n's codes under that profile, read off its hit table, are not decoded
+    # again when `value_table` already decoded them: n's recorded map is
+    # copied instead.
     if not (_is_int(n) and n in game.roles):
         raise ValueError(f"unknown player {n!r}")
     core = game._core
     judged = core.judged
-    if solve is _respond and judged[0] is opponents and judged[3] is not None:
+    recorded = judged[0] is opponents
+    if solve is _respond and recorded and judged[3] is not None:
         moves, codes = judged[3][n]
     else:
         moves, codes = solve(core, _moves(core, opponents, skip=n), n)
     names = core.names
-    return {names[v]: names[w] for v, w in moves.items()}, _payoffs(core, codes)
+    strategy = {names[v]: names[w] for v, w in moves.items()}
+    if recorded and judged[4] is not None and judged[2][n] == tuple(codes):
+        return strategy, judged[4][n].copy()
+    return strategy, _payoffs(core, codes)
 
 
 def best_response(

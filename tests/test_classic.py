@@ -74,6 +74,20 @@ class TestArenaConstruction:
             make_reachability(arena)
         assert any(v.kind is ViolationKind.MULTIPLY_OWNED for v in err.value.violations)
 
+    @pytest.mark.parametrize("edge", [("v1",), ("v1", "v2", "v3"), 7, None])
+    def test_an_edge_that_is_no_pair_is_rejected(self, edge):
+        with pytest.raises(InvalidGameError) as raised:
+            TwoPlayerArena(
+                vertices=["v1", "v2", "v3"],
+                edges=[("v1", "v2"), edge, ("v2", "v3")],
+                reacher_owned=["v1"],
+                avoider_owned=["v2", "v3"],
+                target=["v3"],
+            )
+        (violation,) = raised.value.violations
+        assert violation.kind is ViolationKind.BAD_EDGE
+        assert repr(edge) in violation.detail
+
     def test_unassigned_vertex_is_rejected(self):
         arena = TwoPlayerArena(
             vertices=["a", "b", "c"],
@@ -149,6 +163,49 @@ class TestAttractor:
             target=["a", "b"],
         )
         assert attractor(arena) == {"a", "b"}
+
+    @pytest.mark.parametrize(
+        "edges, target, kinds",
+        [
+            ([("v1", "v4"), ("v2", "v1")], ["v3"], [ViolationKind.DANGLING_EDGE]),
+            ([("v0", "v1"), ("v2", "v1")], ["v3"], [ViolationKind.DANGLING_EDGE]),
+            ([("v1", "v2"), ("v2", "v1")], ["v3", "v9"], [ViolationKind.TARGET_OUTSIDE_GRAPH]),
+            (
+                [("v1", "v2"), ("v2", "x")],
+                ["y"],
+                [ViolationKind.DANGLING_EDGE, ViolationKind.TARGET_OUTSIDE_GRAPH],
+            ),
+        ],
+        ids=["edge-head", "edge-tail", "target", "both"],
+    )
+    def test_undeclared_vertices_are_an_invalid_game(self, edges, target, kinds):
+        arena = TwoPlayerArena(
+            vertices=["v1", "v2", "v3"],
+            edges=edges,
+            reacher_owned=["v1"],
+            avoider_owned=["v2", "v3"],
+            target=target,
+        )
+        with pytest.raises(InvalidGameError) as raised:
+            attractor(arena)
+        assert [v.kind for v in raised.value.violations] == kinds
+        # The game built on the same board is refused for the same reasons.
+        with pytest.raises(InvalidGameError) as built:
+            make_reachability(arena)
+        assert set(kinds) <= {v.kind for v in built.value.violations}
+
+    def test_vertex_ids_are_read_as_strings(self):
+        numbered = TwoPlayerArena(
+            vertices=[1, 2, 3],
+            edges=[(1, 2), (2, 3), (2, 1)],
+            reacher_owned=[1],
+            avoider_owned=[2, 3],
+            target=[3],
+        )
+        assert numbered.vertices == {"1", "2", "3"} and numbered.target == {"3"}
+        assert attractor(numbered) == {"3"}
+        assert make_reachability(numbered).vertices == ("1", "2", "3")
+        assert cross_check_two_player(numbered).ok
 
     def test_fixpoint_stability(self):
         """Inside vertices satisfy the join rules, outside vertices refute them."""

@@ -88,6 +88,30 @@ def test_out_of_range_parameters(params):
         random_game(params)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("num_players", True),
+        ("num_players", 2.0),
+        ("num_vertices", 2.5),
+        ("targets_per_player", 1.0),
+        ("edge_density", "0.5"),
+        ("edge_density", True),
+        ("edge_density", None),
+    ],
+)
+def test_parameters_of_the_wrong_type(field, value):
+    params = {"num_players": 2, "num_vertices": 4, "edge_density": 0.5, "targets_per_player": 1}
+    params[field] = value
+    with pytest.raises(InfeasibleError, match=field):
+        random_game(GeneratorParams(**params))
+
+
+def test_exact_densities_are_accepted():
+    for density in (1, Fraction(1, 2)):
+        assert random_game(GeneratorParams(num_players=1, num_vertices=3, edge_density=density))
+
+
 def test_hopeless_density_gives_up():
     # density this thin cannot cover every vertex within the resample budget
     params = GeneratorParams(num_players=1, num_vertices=6, edge_density=1e-9, seed=3)

@@ -66,6 +66,15 @@ class TestPayoffValue:
         with pytest.raises(ValueError):
             PayoffValue(0, 3)
 
+    @pytest.mark.parametrize(
+        "sign, exponent",
+        [(True, 2), (1.0, 2), (-1, 1.5), (1, False), (1, "3")],
+        ids=["bool-sign", "float-sign", "float-exponent", "bool-exponent", "str-exponent"],
+    )
+    def test_sign_and_exponent_are_ints(self, sign, exponent):
+        with pytest.raises(ValueError, match="int"):
+            PayoffValue(sign, exponent)
+
     def test_frozen_chain(self):
         # -1 < -g < -g^2 < 0 < g^2 < g < 1
         chain = [NEG(0), NEG(1), NEG(2), ZERO, POS(2), POS(1), POS(0)]
@@ -152,6 +161,11 @@ class TestProfile:
     def test_keys_of_mixed_types_are_a_profile_error(self, strategies):
         with pytest.raises(ProfileError, match="mixed types cannot be ordered"):
             Profile(strategies)
+
+    @pytest.mark.parametrize("strategy", [[("a", "b")], "ab", 7], ids=["pairs", "string", "int"])
+    def test_a_strategy_that_is_no_mapping_is_a_profile_error(self, strategy):
+        with pytest.raises(ProfileError, match="strategy of player 2 must map vertices"):
+            Profile({0: [], 1: {"a": "b"}, 2: strategy})
 
     def test_without(self, g1_hat):
         rest = g1_hat.replace(1, {})
@@ -509,6 +523,32 @@ class TestJudgedProfile:
                 assert built and responses == []
                 built.clear()
                 assert values == best_response(game, found, n)[1]
+
+    def test_returned_maps_are_the_callers_own(self):
+        """Value maps are decoded once per profile and handed out as
+        copies, also to a best response whose codes match the table's:
+        writing into a returned map changes no later result."""
+        for game, found in dynamics_results():
+            fresh = Profile(found.as_dict())
+            expected = (
+                value_table(game, fresh),
+                [best_response(game, fresh, n) for n in game.players],
+                [best_response_enum(game, fresh, n) for n in game.players],
+            )
+            garbage = PayoffValue(-1, len(game.vertices) + 5)
+            for profile in (found, fresh):
+                for _ in range(2):
+                    tables = list(value_table(game, profile).values())
+                    tables += [best_response(game, profile, n)[1] for n in game.players]
+                    tables += [best_response_enum(game, profile, n)[1] for n in game.players]
+                    for table in tables:
+                        for v in table:
+                            table[v] = garbage
+                    assert value_table(game, profile) == expected[0]
+                    assert [best_response(game, profile, n) for n in game.players] == expected[1]
+                    enum = [best_response_enum(game, profile, n) for n in game.players]
+                    assert enum == expected[2]
+                    assert is_nash(game, profile).is_ne
 
     def test_responses_survive_the_codes_being_filled_in(self, responses):
         verdicts = (is_nash, check_certificate, is_nash_qualitative)

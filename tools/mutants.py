@@ -181,6 +181,34 @@ MUTANTS = [
         ("tests/test_valuation.py",),
     ),
     Mutant(
+        "a best response copies the recorded map whatever its codes",
+        "src/mprs/valuation.py",
+        " and judged[2][n] == tuple(codes)",
+        "",
+        RESPONSE_TESTS,
+    ),
+    Mutant(
+        "the table hands out the recorded maps themselves",
+        "src/mprs/valuation.py",
+        "{n: values[n].copy() for n in game.players}",
+        "{n: values[n] for n in game.players}",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "decoding writes into the game's zero map",
+        "src/mprs/valuation.py",
+        "values = zeros.copy()",
+        "values = zeros",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "a walk credits its target with its first vertex only",
+        "src/mprs/valuation.py",
+        "reached[w] += path",
+        "reached[w] += path[:1]",
+        RESPONSE_TESTS,
+    ),
+    Mutant(
         "emitted vertex ids are quoted without escaping",
         "src/mprs/gamefile.py",
         "list(map(encode_basestring, game.vertices))",
