@@ -78,14 +78,15 @@ class NEReport:
 
 def _assert_consistent(core: _Core, nxt: tuple, codes: dict[int, tuple]) -> None:
     # Internal self-check: every player's payoff codes satisfy the one-step
-    # recursion: code(v) is the successor's code moved one toward 0, and at
-    # a target (no successor, -1) its `signs` entry times base (see `_decode`).
+    # recursion: code(v) is the successor's code moved one toward 0, and a
+    # target (no successor: -1 reads the appended 0) is worth 0, except m's
+    # own targets, worth m's `sign` times base (see `_decode`).
     names, base = core.names, core.base
-    ends = [v for v, w in enumerate(nxt) if w < 0]
     for m, mine in codes.items():
-        expected = [c - 1 if c > 0 else c + 1 if c else 0 for c in map(mine.__getitem__, nxt)]
-        for v in ends:
-            expected[v] = core.signs[m][v] * base
+        ahead = map((*mine, 0).__getitem__, nxt)
+        expected = [c - 1 if c > 0 else c + 1 if c else 0 for c in ahead]
+        for v in core.own[m]:
+            expected[v] = core.sign[m] * base
         if tuple(expected) != mine:
             name = next(name for name, e, c in zip(names, expected, mine) if e != c)
             raise AssertionError(

@@ -329,12 +329,19 @@ def validate_game(spec: GameSpec) -> Game:
     )
 
 
+def _check_player(game: Game, n: object) -> None:
+    if not (_is_int(n) and n in game.roles):
+        raise ValueError(f"unknown player {n!r}")
+
+
 def turn_payoff(game: Game, n: int, v: str) -> int:
     """Per-turn reward of player `n` for the token visiting vertex `v`.
 
     Reachers collect +1 on their own target vertices, avoiders collect -1
     there; every other vertex is worth 0, and so is the terminal state.
+    An `n` that is not a player of `game` is a ValueError.
     """
+    _check_player(game, n)
     if v not in game.targets[n]:
         return 0
     return 1 if game.roles[n] is Role.REACHER else -1

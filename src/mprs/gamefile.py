@@ -233,7 +233,8 @@ def emit_game(game: Game, profiles: Mapping[str, Profile] | None = None) -> str:
     """Canonical document text for a validated game.
 
     Structurally equal games yield byte-identical output regardless of the
-    order their pieces were supplied in.
+    order their pieces were supplied in. A profile that fails
+    `check_profile` is a ProfileError, as `parse_document` would raise.
     """
     # Each vertex id is escaped once. Every list entry is written with a
     # leading comma, which the first entry of its list then drops.
@@ -252,6 +253,8 @@ def emit_game(game: Game, profiles: Mapping[str, Profile] | None = None) -> str:
     parts += ['],\n  "gamma": ', encode_basestring(str(game.gamma))]
     parts += [',\n  "players": ', _nested(players)]
     if profiles:
+        for profile in profiles.values():
+            check_profile(game, profile)
         named = {name: profile_to_json(profile) for name, profile in profiles.items()}
         parts += [',\n  "profiles": ', _nested(named)]
     parts.append(',\n  "vertices": [')

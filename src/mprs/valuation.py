@@ -10,14 +10,14 @@ for every discount strictly between 0 and 1. Inside the package the
 solvers run on an int-indexed form of each game (`_Core`) and on integer
 payoff codes (see `_decode`); `PayoffValue` maps appear only at the API.
 
-Every profile goes through one routine, `_moves`, which checks it and
+Every profile goes through one routine, `_moves`, a pure check that
 builds its move array (one successor index per vertex) in the same pass.
-Each game remembers the last profile it checked in full (`_Core.judged`),
-so the verdicts on one profile check it and build its hit table once, and
-on a result of best-response dynamics they reuse the dynamics' last
-responses instead of solving them again. The value maps of that profile
-are decoded once and handed out as copies, also as the values of a best
-response whose codes equal the profile's own.
+Each game remembers the last profile that `value_table`, a verdict or the
+dynamics judged (`_Core.judged`), so the verdicts on one profile check it
+and build its hit table once, and on a dynamics result they reuse its
+last responses instead of solving them again. The value maps of that
+profile are decoded once and handed out as copies, also as the values
+of a best response whose codes equal the profile's own.
 
 `best_response` computes a payoff-maximizing memoryless strategy for one
 player against fixed opponents by one backward pass from the player's own
@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Mapping, Sequence
 
-from .game import Game, turn_payoff
+from .game import Game, _check_player, turn_payoff
 from .limits import _is_int, check_guard
 
 __all__ = [
@@ -85,6 +85,8 @@ class Profile:
     __slots__ = ("_items",)
 
     def __init__(self, strategies: Mapping[int, Mapping[str, str]]):
+        if not isinstance(strategies, Mapping):
+            raise ProfileError(f"a profile maps player ids to strategies, got {strategies!r}")
         try:
             self._items = tuple(
                 (n, tuple(sorted(strategies[n].items())))
@@ -105,7 +107,7 @@ class Profile:
     def choice(self, n: int, v: str) -> str:
         try:
             return dict(dict(self._items)[n])[v]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ProfileError(f"profile fixes no move for player {n} at {v!r}") from None
 
     def replace(self, n: int, strategy: Mapping[str, str]) -> "Profile":
@@ -216,7 +218,7 @@ def play(game: Game, profile: Profile, start: str) -> Play:
     """
     core = game._core
     nxt = _moves(core, profile)
-    if start not in core.index:
+    if not isinstance(start, str) or start not in core.index:
         raise ValueError(f"unknown start vertex {start!r}")
     v = core.index[start]
     steps, seen = [v], {v}
@@ -240,7 +242,7 @@ def outcome(game: Game, profile: Profile, start: str) -> Outcome:
 def total_payoff(game: Game, n: int, o: Outcome) -> PayoffValue:
     """Discounted total payoff of player `n` for outcome `o`: the hit
     vertex's `turn_payoff` times gamma**time, or zero without a hit."""
-    sign = turn_payoff(game, n, o.vertex) if o.is_hit else 0
+    sign = turn_payoff(game, n, o.vertex)  # 0 at vertex None, with no hit
     return PayoffValue(sign, o.time) if sign else ZERO
 
 
@@ -251,29 +253,28 @@ class _Core:
     order. Target vertices are absorbing: they have no successors and are
     nobody's predecessor. `own[n]` lists player n's target vertices and
     `mine[n]` player n's choice vertices, both in index order.
-    `signs[n][i]` is the sign of player n's payoff when a play first hits
-    vertex i, with a trailing 0 at index ``len(vertices)`` that stands for
-    "no hit". Payoffs are integer codes (see `_decode`). Built once per
-    game, on first use, by `Game._core`.
+    `sign[n]` is the sign of player n's payoff at each of n's own targets,
+    n's `turn_payoff` there. Payoffs are integer codes (see `_decode`).
+    Built once per game, on first use, by `Game._core`.
 
     `judged` holds ``(profile, move array, codes, responses, values)``
-    for the last profile that passed a full check here. `codes` are every
-    player's payoff codes, or None until `_judged` adds them. `responses`
-    map every player to `_respond`'s result on the move array when the
-    profile came out of best-response dynamics, which hold them all at
-    convergence, and are None otherwise; `best_response` on that profile
-    object returns them. `values` are every player's value map, or None
-    until `value_table` decodes them; only copies of them leave this
-    module. Each update stores one new tuple, and nothing in it is ever
-    mutated. Only this module writes it, and only the dynamics, through
-    `_profile`, hand it responses.
+    for the last profile judged here. Only `_judged`, `value_table` and
+    `_profile` store it, so a mere check or play never evicts it. `codes`
+    are every player's payoff codes, or None until `_judged` adds them to
+    a dynamics result. `responses` map every player to `_respond`'s result
+    on the move array when the profile came out of best-response
+    dynamics, which hold them all at convergence, and are None otherwise;
+    `best_response` on that profile object returns them. `values` are
+    every player's value map, or None until `value_table` decodes them;
+    only copies of them leave this module. Each update stores one new
+    tuple, and nothing in it is ever mutated.
 
     `zeros` maps every vertex id to `ZERO`. It is None until the first
     value map of the game is decoded, and is never handed out itself.
     """
 
     __slots__ = (
-        "names", "index", "base", "owner", "succ", "pred", "choice", "mine", "own", "signs",
+        "names", "index", "base", "owner", "succ", "pred", "choice", "mine", "own", "sign",
         "judged", "zeros",
     )
 
@@ -299,12 +300,7 @@ class _Core:
         for v in self.choice:
             mine[owner[v]].append(v)
         self.mine = {n: tuple(vs) for n, vs in mine.items()}
-        self.signs = {}
-        for n, own in self.own.items():
-            sign = [0] * self.base
-            for v in own:
-                sign[v] = turn_payoff(game, n, names[v])
-            self.signs[n] = tuple(sign)
+        self.sign = {n: turn_payoff(game, n, names[own[0]]) for n, own in self.own.items()}
         self.judged = (None, (), None, None, None)
         self.zeros = None
 
@@ -340,19 +336,16 @@ def _payoffs(core: _Core, codes: Sequence[int]) -> dict[str, PayoffValue]:
 def _moves(core: _Core, profile: Profile, skip: int | None = None) -> list[int]:
     """The move array of `profile`, checked in the same pass: the successor
     it picks at every choice vertex not owned by `skip`, and -1 elsewhere.
-    Player `skip`'s entries, and their missing moves, are ignored.
-
-    A full check that passes is recorded in `core.judged`; the same object
-    (not an equal one) then gets a copy of its array, also with a `skip`,
-    whose entries every caller ignores or overwrites.
+    Player `skip`'s entries, and their missing moves, are ignored. It
+    neither reads nor writes `core.judged`.
 
     Raises:
-        ProfileError: listing every way the profile fails to fit the game,
-            entry by entry and then each choice vertex left open.
+        ProfileError: when `profile` is no `Profile`, or listing every way
+            it fails to fit the game, entry by entry and then each choice
+            vertex left open.
     """
-    judged = core.judged
-    if judged[0] is profile:
-        return list(judged[1])
+    if not isinstance(profile, Profile):
+        raise ProfileError(f"expected a Profile, got {type(profile).__name__}")
     size = len(core.names)
     nxt = [-1] * size
     index, owner, succ = core.index, core.owner, core.succ
@@ -390,8 +383,6 @@ def _moves(core: _Core, profile: Profile, skip: int | None = None) -> list[int]:
                 problems.append(f"no move fixed at {core.names[i]!r} for player {owner[i]}")
     if problems:
         raise ProfileError("; ".join(problems))
-    if skip is None:
-        core.judged = (profile, tuple(nxt), None, None, None)
     return nxt
 
 
@@ -433,11 +424,10 @@ def _hits(core: _Core, nxt: list[int]) -> tuple[list[int], dict[int, list[int]]]
 def _codes(core: _Core, n: int, hits: tuple[list[int], dict[int, list[int]]]) -> list[int]:
     """Player `n`'s payoff code from every start vertex (see `_decode`):
     nonzero only on the plays that hit one of n's own targets."""
-    sign, base = core.signs[n], core.base
+    s, base = core.sign[n], core.base
     when, reached = hits
     code = [0] * len(when)
     for w in core.own[n]:
-        s = sign[w]
         for v in reached[w]:
             code[v] = s * (base - when[v])
     return code
@@ -447,11 +437,12 @@ def _judged(core: _Core, profile: Profile) -> tuple:
     """`core.judged` for `profile`, with every player's payoff codes filled
     in, and the responses and value maps it already held for `profile` kept."""
     judged = core.judged
-    if judged[0] is not profile or judged[2] is None:
-        nxt = _moves(core, profile)  # records `profile` without responses, unless judged
-        hits = _hits(core, nxt)
-        codes = {n: tuple(_codes(core, n, hits)) for n in core.signs}
-        judged = core.judged = (profile, tuple(nxt), codes, core.judged[3], None)
+    if judged[0] is not profile:
+        judged = (profile, tuple(_moves(core, profile)), None, None, None)
+    if judged[2] is None:
+        hits = _hits(core, judged[1])
+        codes = {n: tuple(_codes(core, n, hits)) for n in core.sign}
+        judged = core.judged = (*judged[:2], codes, judged[3], None)
     return judged
 
 
@@ -496,7 +487,7 @@ def _respond(core: _Core, nxt: list[int], n: int) -> tuple[dict[int, int], list[
     index, which is the lexicographically smallest successor.
     """
     succ, pred, owner, own = core.succ, core.pred, core.owner, core.own[n]
-    s = core.signs[n][own[0]]  # every own target carries n's `turn_payoff`
+    s = core.sign[n]
     code = [0] * len(core.names)
     c = s * core.base
     for v in own:
@@ -534,21 +525,19 @@ def _respond(core: _Core, nxt: list[int], n: int) -> tuple[dict[int, int], list[
 
 def _best(game: Game, opponents: Profile, n: int, solve) -> tuple[Strategy, dict[str, PayoffValue]]:
     # Both best responses: check `n` and `opponents`, then name the moves
-    # and decode the codes that `solve(core, nxt, n)` returns. `_respond`'s
-    # result is read from `core.judged` when the dynamics recorded it for
-    # this very profile object, which they checked in full. Codes equal to
-    # n's codes under that profile, read off its hit table, are not decoded
-    # again when `value_table` already decoded them: n's recorded map is
-    # copied instead.
-    if not (_is_int(n) and n in game.roles):
-        raise ValueError(f"unknown player {n!r}")
+    # and decode the codes that `solve(core, nxt, n)` returns. The judged
+    # profile object lends its checked move array, and `_respond`'s result
+    # when the dynamics recorded it. Codes equal to n's codes under it are
+    # not decoded again once `value_table` decoded them: n's recorded map
+    # is copied instead.
+    _check_player(game, n)
     core = game._core
     judged = core.judged
     recorded = judged[0] is opponents
     if solve is _respond and recorded and judged[3] is not None:
         moves, codes = judged[3][n]
     else:
-        moves, codes = solve(core, _moves(core, opponents, skip=n), n)
+        moves, codes = solve(core, list(judged[1]) if recorded else _moves(core, opponents, n), n)
     names = core.names
     strategy = {names[v]: names[w] for v, w in moves.items()}
     if recorded and judged[4] is not None and judged[2][n] == tuple(codes):

@@ -219,6 +219,15 @@ class TestEmit:
         assert doc.profiles == {"hat": g1_hat}
         assert emit_game(doc.game, doc.profiles) == text
 
+    def test_a_profile_that_does_not_fit_is_refused_before_writing(self, g1, g1_hat):
+        """`emit_game` writes no document that `parse_document` would refuse."""
+        with pytest.raises(ProfileError) as err:
+            emit_game(g1, {"x": Profile({9: {"zz": "yy"}})})
+        assert str(err.value).startswith("strategy given for undeclared player 9")
+        for profile in (g1_hat.replace(2, {}), g1_hat.as_dict()):
+            with pytest.raises(ProfileError):
+                emit_game(g1, {"hat": g1_hat, "x": profile})
+
     def test_profile_json_shape(self, g1_hat):
         assert profile_to_json(g1_hat) == {"1": {"v1": "v3"}, "2": {"v2": "v1"}}
 

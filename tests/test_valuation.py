@@ -27,9 +27,12 @@ from mprs import (
     best_response_enum,
     check_certificate,
     check_profile,
+    emit_game,
+    export_dot,
     is_nash,
     is_nash_qualitative,
     outcome,
+    parse_document,
     play,
     solve_br_dynamics,
     total_payoff,
@@ -149,6 +152,8 @@ class TestProfile:
             sigma.choice(1, "v9")
         with pytest.raises(ProfileError):
             sigma.choice(2, "v1")
+        with pytest.raises(ProfileError, match=r"no move for player 1 at \[\]"):
+            sigma.choice(1, [])
         tweaked = sigma.replace(1, {"v1": "v2"})
         assert tweaked.choice(1, "v1") == "v2"
         assert sigma.choice(1, "v1") == "v3"  # original untouched
@@ -161,6 +166,13 @@ class TestProfile:
     def test_keys_of_mixed_types_are_a_profile_error(self, strategies):
         with pytest.raises(ProfileError, match="mixed types cannot be ordered"):
             Profile(strategies)
+
+    @pytest.mark.parametrize("strategies", [None, 5, "ab", [1]], ids=["none", "int", "str", "seq"])
+    def test_a_profile_that_is_no_mapping_is_a_profile_error(self, strategies):
+        message = f"a profile maps player ids to strategies, got {strategies!r}"
+        with pytest.raises(ProfileError) as err:
+            Profile(strategies)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("strategy", [[("a", "b")], "ab", 7], ids=["pairs", "string", "int"])
     def test_a_strategy_that_is_no_mapping_is_a_profile_error(self, strategy):
@@ -210,9 +222,11 @@ class TestPlay:
         assert play(g2, loop, "w2") == ("w2", None)
         assert outcome(g2, loop, "w2") == Outcome(0, "w2")
 
-    def test_unknown_start_rejected(self, g1, g1_hat):
-        with pytest.raises(ValueError):
-            play(g1, g1_hat, "nope")
+    @pytest.mark.parametrize("start", ["nope", 3, ["v1"], {}], ids=["str", "int", "list", "dict"])
+    @pytest.mark.parametrize("walk", [play, outcome])
+    def test_unknown_start_rejected(self, g1, g1_hat, walk, start):
+        with pytest.raises(ValueError, match=r"^unknown start vertex "):
+            walk(g1, g1_hat, start)
 
     def test_a_malformed_profile_is_reported_before_an_unknown_start(self, g1):
         with pytest.raises(ProfileError, match="no move fixed at 'v2'"):
@@ -241,6 +255,13 @@ class TestOutcomeAndPayoff:
         assert total_payoff(g1, 1, NEVER) == ZERO
         assert total_payoff(g1, 1, hit).sign == 1
         assert total_payoff(g1, 2, hit).sign == -1
+
+    @pytest.mark.parametrize("n", [7, True, "1"])
+    def test_an_unknown_player_is_a_value_error(self, g1, n):
+        cases = [(turn_payoff, "v3"), (total_payoff, Outcome(2, "v3")), (total_payoff, NEVER)]
+        for payoff, argument in cases:
+            with pytest.raises(ValueError, match=f"^unknown player {n!r}$"):
+                payoff(g1, n, argument)
         assert total_payoff(g1, 1, NEVER).sign == 0
 
     def test_payoff_ignores_foreign_targets(self):
@@ -457,6 +478,44 @@ class TestJudgedProfile:
         assert check_certificate(g1, g1_hat).is_ne
         assert built == [[2, 0, -1]]
 
+    def test_only_valuing_a_profile_evicts_the_judged_one(self, g1, g1_hat, monkeypatch):
+        """A check, a play, a best response, a DOT graph or a document on
+        another profile leaves the judged profile and its hit table be."""
+        built = []
+        hits = valuation._hits
+
+        def counted(core, nxt):
+            built.append(list(nxt))
+            return hits(core, nxt)
+
+        monkeypatch.setattr(valuation, "_hits", counted)
+        cycle = Profile({1: {"v1": "v2"}, 2: {"v2": "v1"}})
+        assert is_nash(g1, g1_hat).is_ne
+        check_profile(g1, cycle)
+        assert play(g1, cycle, "v1") == ("v1", "v2", "v1")
+        assert outcome(g1, cycle, "v2") == NEVER
+        assert best_response(g1, cycle, 2)[1]["v1"] == ZERO
+        assert "royalblue" in export_dot(g1, cycle)
+        assert parse_document(emit_game(g1, {"cycle": cycle})).profiles == {"cycle": cycle}
+        assert check_certificate(g1, g1_hat).is_ne
+        assert built == [[2, 0, -1]]
+
+    def test_a_best_response_to_another_profile_ignores_the_judged_one(self, g1, g1_hat):
+        cycle = Profile({1: {"v1": "v2"}, 2: {"v2": "v1"}})
+        responders = (best_response, best_response_enum)
+        expected = [respond(g1, cycle, 2) for respond in responders]
+        assert expected[0][1]["v1"] == ZERO  # against g1_hat, v1 hits v3 at once
+        value_table(g1, g1_hat)
+        assert [respond(g1, cycle, 2) for respond in responders] == expected
+        rng = random.Random(19)
+        for seed in range(40):
+            game = small_game(seed)
+            p, q = random_profile(game, rng), random_profile(game, rng)
+            fresh = [best_response(game, q, n) for n in game.players]
+            for judge in (is_nash, solve_br_dynamics):
+                judge(game, p)
+                assert [best_response(game, q, n) for n in game.players] == fresh, seed
+
     def test_a_check_that_skips_a_player_is_not_remembered(self, g1):
         opponents = Profile({2: {"v2": "v1"}})
         with pytest.raises(ProfileError) as fresh:
@@ -559,3 +618,31 @@ class TestJudgedProfile:
             assert [verdict(game, fresh) for verdict in verdicts] == reports
             assert responses == list(game.players) * 2
             responses.clear()
+
+
+# Every solver that takes a profile, called with the profile alone.
+PROFILE_TAKERS = {
+    "check_profile": check_profile,
+    "value_table": value_table,
+    "is_nash": is_nash,
+    "is_nash_qualitative": is_nash_qualitative,
+    "check_certificate": check_certificate,
+    "best_response": lambda g, p: best_response(g, p, 1),
+    "best_response_enum": lambda g, p: best_response_enum(g, p, 1),
+    "solve_br_dynamics": solve_br_dynamics,
+    "play": lambda g, p: play(g, p, "v1"),
+    "outcome": lambda g, p: outcome(g, p, "v1"),
+    "export_dot": export_dot,
+    "emit_game": lambda g, p: emit_game(g, {"p": p}),
+}
+
+
+@pytest.mark.parametrize("call", PROFILE_TAKERS.values(), ids=PROFILE_TAKERS.keys())
+def test_anything_but_a_profile_is_a_profile_error(g1, g1_hat, call):
+    """Every solver checks its profile through one door, which lets only a
+    `Profile` in, also right after the equal `Profile` was judged."""
+    call(g1, g1_hat)
+    for wrong, kind in ((g1_hat.as_dict(), "dict"), (g1_hat._items, "tuple")):
+        with pytest.raises(ProfileError) as err:
+            call(g1, wrong)
+        assert str(err.value) == f"expected a Profile, got {kind}"

@@ -146,18 +146,39 @@ MUTANTS = [
         RESPONSE_TESTS,
     ),
     Mutant(
-        "the memo also records checks that skip a player",
+        "a mere check records the profile it checked",
         "src/mprs/valuation.py",
-        "if skip is None:",
-        "if True:",
+        "_moves(game._core, profile)",
+        "_judged(game._core, profile)",
         ("tests/test_valuation.py",),
     ),
     Mutant(
-        "a hit ignores which profile was recorded",
+        "a best response takes the judged move array for any profile",
         "src/mprs/valuation.py",
-        "if judged[0] is profile:",
-        "if judged[0] is not None:",
+        "list(judged[1]) if recorded else",
+        "list(judged[1]) if judged[1] else",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "the verdicts reuse whichever profile was judged",
+        "src/mprs/valuation.py",
+        "if judged[0] is not profile:",
+        "if judged[0] is None:",
         ("tests/test_valuation.py", "tests/test_equilibrium.py"),
+    ),
+    Mutant(
+        "the one door lets anything in",
+        "src/mprs/valuation.py",
+        "if not isinstance(profile, Profile):",
+        "if False:",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "a document is written with its profiles unchecked",
+        "src/mprs/gamefile.py",
+        "for profile in profiles.values():",
+        "for profile in ():",
+        ("tests/test_gamefile.py",),
     ),
     Mutant(
         "recorded responses are read for any judged profile",
