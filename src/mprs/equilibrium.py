@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .game import Game
@@ -196,11 +197,18 @@ def all_profiles(game: Game, guard: int | None = None) -> Iterator[Profile]:
     check_guard(profile_space(game), guard)
     vertices = game.choice_vertices
     owners = [game.owner[v] for v in vertices]
+    # Each player's vertex tuple, which every profile shares, and a getter
+    # of the player's moves out of a choice, made once. The getter of a
+    # single position takes a slice, so that it too returns a tuple.
+    players = sorted(set(owners))
+    shared = [tuple(v for v, m in zip(vertices, owners) if m == n) for n in players]
+    places = [[k for k, m in enumerate(owners) if m == n] for n in players]
+    getters = [
+        itemgetter(*ks) if len(ks) > 1 else itemgetter(slice(ks[0], ks[0] + 1)) for ks in places
+    ]
+    parts = tuple(zip(players, shared, getters))
     for choice in itertools.product(*(game.successors(v) for v in vertices)):
-        strategies: dict[int, dict[str, str]] = {}
-        for n, v, w in zip(owners, vertices, choice):
-            strategies.setdefault(n, {})[v] = w
-        yield Profile(strategies)
+        yield Profile._canonical(tuple([(n, vs, moves(choice)) for n, vs, moves in parts]))
 
 
 def _check_count(name: str, value: object) -> None:

@@ -38,7 +38,7 @@ from typing import AbstractSet, Any, Mapping
 
 from .game import Game, GameSpec, Role, _gc_paused, validate_game
 from .limits import _is_int
-from .valuation import PayoffValue, Profile, _moves, check_profile
+from .valuation import PayoffValue, Profile, ProfileError, _moves, _strategies, check_profile
 
 __all__ = [
     "GameDocument",
@@ -219,9 +219,7 @@ def parse_document(text: str) -> GameDocument:
 
 def profile_to_json(profile: Profile) -> dict[str, dict[str, str]]:
     """JSON shape of a profile: player ids as strings, moves sorted."""
-    return {
-        str(n): dict(sorted(moves.items())) for n, moves in profile.as_dict().items()
-    }
+    return {str(n): dict(zip(vertices, moves)) for n, vertices, moves in _strategies(profile)}
 
 
 def _nested(section: Any) -> str:
@@ -234,8 +232,11 @@ def emit_game(game: Game, profiles: Mapping[str, Profile] | None = None) -> str:
 
     Structurally equal games yield byte-identical output regardless of the
     order their pieces were supplied in. A profile that fails
-    `check_profile` is a ProfileError, as `parse_document` would raise.
+    `check_profile` is a ProfileError, as `parse_document` would raise,
+    and so are `profiles` that are no mapping of names to profiles.
     """
+    if profiles is not None and not isinstance(profiles, Mapping):
+        raise ProfileError(f"profiles map names to profiles, got {profiles!r}")
     # Each vertex id is escaped once. Every list entry is written with a
     # leading comma, which the first entry of its list then drops.
     ids = list(map(encode_basestring, game.vertices))

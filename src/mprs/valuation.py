@@ -10,8 +10,12 @@ for every discount strictly between 0 and 1. Inside the package the
 solvers run on an int-indexed form of each game (`_Core`) and on integer
 payoff codes (see `_decode`); `PayoffValue` maps appear only at the API.
 
-Every profile goes through one routine, `_moves`, a pure check that
-builds its move array (one successor index per vertex) in the same pass.
+A `Profile` holds each player's strategy as two parallel tuples, the
+sorted vertex ids and the chosen successors, and no (vertex, move) pair.
+The profile scan and the dynamics build theirs in that form directly
+(`Profile._canonical`). Every profile goes through one routine, `_moves`,
+a pure check that builds its move array (one successor index per
+vertex) in the same pass.
 Each game remembers the last profile that `value_table`, a verdict or the
 dynamics judged (`_Core.judged`), so the verdicts on one profile check it
 and build its hit table once, and on a dynamics result they reuse its
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
@@ -80,6 +85,12 @@ class Profile:
     are dropped from the canonical form, so ``Profile({1: m, 2: {}})``
     equals ``Profile({1: m})``. Profiles are immutable, hashable and
     compare by content.
+
+    The canonical form holds one ``(n, vertices, moves)`` triple per
+    player, in player order: `vertices` is the sorted tuple of the vertex
+    ids player n moves at, and `moves` the parallel tuple of the chosen
+    successors. The profiles `all_profiles` yields share each player's
+    vertex tuple and make only new move tuples.
     """
 
     __slots__ = ("_items",)
@@ -87,37 +98,43 @@ class Profile:
     def __init__(self, strategies: Mapping[int, Mapping[str, str]]):
         if not isinstance(strategies, Mapping):
             raise ProfileError(f"a profile maps player ids to strategies, got {strategies!r}")
+        items = []
         try:
-            self._items = tuple(
-                (n, tuple(sorted(strategies[n].items())))
-                for n in sorted(strategies)
-                if strategies[n]
-            )
+            for n in sorted(strategies):
+                strategy = strategies[n]
+                if strategy:
+                    _require_strategy(n, strategy)
+                    vertices = tuple(sorted(strategy))
+                    items.append((n, vertices, tuple(map(strategy.__getitem__, vertices))))
         except TypeError as exc:
             raise ProfileError(f"profile keys of mixed types cannot be ordered: {exc}") from None
-        except AttributeError:
-            for n in sorted(strategies):
-                if strategies[n] and not hasattr(strategies[n], "items"):
-                    raise ProfileError(
-                        f"the strategy of player {n} must map vertices to moves,"
-                        f" got {strategies[n]!r}"
-                    ) from None
-            raise
+        self._items = tuple(items)
+
+    @classmethod
+    def _canonical(cls, items: tuple[tuple[int, tuple, tuple], ...]) -> "Profile":
+        """The profile whose canonical form is `items`, taken as it is."""
+        profile = object.__new__(cls)
+        profile._items = items
+        return profile
 
     def choice(self, n: int, v: str) -> str:
-        try:
-            return dict(dict(self._items)[n])[v]
-        except (KeyError, TypeError):
-            raise ProfileError(f"profile fixes no move for player {n} at {v!r}") from None
+        for m, vertices, moves in self._items:
+            if m == n:
+                try:
+                    k = bisect_left(vertices, v)
+                except TypeError:  # `v` orders with no vertex id here
+                    k = len(vertices)
+                if k < len(vertices) and vertices[k] == v:
+                    return moves[k]
+        raise ProfileError(f"profile fixes no move for player {n} at {v!r}")
 
     def replace(self, n: int, strategy: Mapping[str, str]) -> "Profile":
         """A new profile with player `n`'s strategy swapped out."""
-        merged = {m: dict(moves) for m, moves in self._items}
-        merged[n] = dict(strategy)
-        return Profile(merged)
+        _require_strategy(n, strategy)
+        return Profile({**self.as_dict(), n: strategy})
 
     def as_dict(self) -> dict[int, Strategy]:
-        return {n: dict(moves) for n, moves in self._items}
+        return {n: dict(zip(vertices, moves)) for n, vertices, moves in self._items}
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Profile) and self._items == other._items
@@ -127,6 +144,13 @@ class Profile:
 
     def __repr__(self) -> str:
         return f"Profile({self.as_dict()!r})"
+
+
+def _require_strategy(n: int, strategy: object) -> None:
+    if not isinstance(strategy, Mapping):
+        raise ProfileError(
+            f"the strategy of player {n} must map vertices to moves, got {strategy!r}"
+        )
 
 
 def check_profile(game: Game, profile: Profile) -> None:
@@ -246,6 +270,10 @@ def total_payoff(game: Game, n: int, o: Outcome) -> PayoffValue:
     return PayoffValue(sign, o.time) if sign else ZERO
 
 
+# Stands in for the judged profile of a game that has judged none yet.
+_UNJUDGED = object()
+
+
 class _Core:
     """Int-indexed form of a game, which every solver here runs on.
 
@@ -258,7 +286,8 @@ class _Core:
     Built once per game, on first use, by `Game._core`.
 
     `judged` holds ``(profile, move array, codes, responses, values)``
-    for the last profile judged here. Only `_judged`, `value_table` and
+    for the last profile judged here, and starts with `_UNJUDGED`, which
+    no caller can pass as a profile. Only `_judged`, `value_table` and
     `_profile` store it, so a mere check or play never evicts it. `codes`
     are every player's payoff codes, or None until `_judged` adds them to
     a dynamics result. `responses` map every player to `_respond`'s result
@@ -301,7 +330,7 @@ class _Core:
             mine[owner[v]].append(v)
         self.mine = {n: tuple(vs) for n, vs in mine.items()}
         self.sign = {n: turn_payoff(game, n, names[own[0]]) for n, own in self.own.items()}
-        self.judged = (None, (), None, None, None)
+        self.judged = (_UNJUDGED, (), None, None, None)
         self.zeros = None
 
 
@@ -333,6 +362,13 @@ def _payoffs(core: _Core, codes: Sequence[int]) -> dict[str, PayoffValue]:
     return values
 
 
+def _strategies(profile: Profile) -> tuple[tuple[int, tuple, tuple], ...]:
+    """The canonical form of `profile`; anything but a `Profile` is refused."""
+    if not isinstance(profile, Profile):
+        raise ProfileError(f"expected a Profile, got {type(profile).__name__}")
+    return profile._items
+
+
 def _moves(core: _Core, profile: Profile, skip: int | None = None) -> list[int]:
     """The move array of `profile`, checked in the same pass: the successor
     it picks at every choice vertex not owned by `skip`, and -1 elsewhere.
@@ -344,20 +380,18 @@ def _moves(core: _Core, profile: Profile, skip: int | None = None) -> list[int]:
             it fails to fit the game, entry by entry and then each choice
             vertex left open.
     """
-    if not isinstance(profile, Profile):
-        raise ProfileError(f"expected a Profile, got {type(profile).__name__}")
     size = len(core.names)
     nxt = [-1] * size
     index, owner, succ = core.index, core.owner, core.succ
     problems = []
     legal = 0
-    for n, moves in profile._items:
+    for n, vertices, moves in _strategies(profile):
         if n == skip:
             continue
         if n not in core.mine:
             problems.append(f"strategy given for undeclared player {n}")
             continue
-        for v, w in moves:
+        for v, w in zip(vertices, moves):
             i = index.get(v)
             if i is None:
                 problems.append(f"player {n} moves at unknown vertex {v!r}")
@@ -449,8 +483,13 @@ def _judged(core: _Core, profile: Profile) -> tuple:
 def _profile(core: _Core, nxt: list[int], responses: dict[int, tuple]) -> Profile:
     """The `Profile` of the checked move array `nxt`, recorded in `core.judged`
     with `responses`, every player's `_respond` result on `nxt`."""
-    names = core.names
-    profile = Profile({n: {names[v]: names[nxt[v]] for v in mine} for n, mine in core.mine.items()})
+    names = core.names.__getitem__
+    items = tuple(
+        (n, tuple(map(names, mine)), tuple(map(names, map(nxt.__getitem__, mine))))
+        for n, mine in core.mine.items()
+        if mine
+    )
+    profile = Profile._canonical(items)
     core.judged = (profile, tuple(nxt), None, responses, None)
     return profile
 

@@ -228,6 +228,11 @@ class TestEmit:
             with pytest.raises(ProfileError):
                 emit_game(g1, {"hat": g1_hat, "x": profile})
 
+    def test_profiles_that_are_no_mapping_are_a_profile_error(self, g1, g1_hat):
+        with pytest.raises(ProfileError) as err:
+            emit_game(g1, [g1_hat])
+        assert str(err.value) == f"profiles map names to profiles, got {[g1_hat]!r}"
+
     def test_profile_json_shape(self, g1_hat):
         assert profile_to_json(g1_hat) == {"1": {"v1": "v3"}, "2": {"v2": "v1"}}
 

@@ -11,6 +11,7 @@ second round.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -20,9 +21,11 @@ from mprs import (
     GameSpec,
     InvalidGameError,
     Profile,
+    ProfileError,
     Role,
     Violation,
     ViolationKind,
+    all_profiles,
     best_response,
     best_response_enum,
     check_certificate,
@@ -31,6 +34,7 @@ from mprs import (
     is_nash_qualitative,
     outcome,
     parse_document,
+    profile_space,
     solve_br_dynamics,
     total_payoff,
     validate_game,
@@ -86,6 +90,37 @@ def test_value_maps_agree(drawn):
         for v in game.vertices:
             assert table[n][v] == total_payoff(game, n, outcome(game, profile, v))
     assert is_nash(game, profile).is_ne == check_certificate(game, profile).is_ne
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(games_and_profiles())
+def test_built_profiles_are_the_profiles_their_maps_give(drawn):
+    """The profiles the scan and the dynamics build from parallel tuples
+    are the ones their strategy maps give: equal, with the same hash, and
+    read alike by `choice`. The scan yields each choice of moves, in
+    order, once."""
+    game, profile = drawn
+    vertices = game.choice_vertices
+    choices = itertools.product(*map(game.successors, vertices))
+    scanned = list(itertools.islice(all_profiles(game, guard=profile_space(game)), 40))
+    for p, choice in zip(scanned, choices):
+        strategies: dict[int, dict[str, str]] = {}
+        for v, w in zip(vertices, choice):
+            strategies.setdefault(game.owner[v], {})[v] = w
+        assert p.as_dict() == strategies
+    assert [sum(p == q for q in scanned) for p in scanned] == [1] * len(scanned)
+    found = solve_br_dynamics(game, profile)
+    for p in scanned + [found] * (found is not None):
+        fresh = Profile(p.as_dict())
+        assert p == fresh
+        assert hash(p) == hash(fresh)
+        strategies = p.as_dict()
+        for v in vertices:
+            assert p.choice(game.owner[v], v) == strategies[game.owner[v]][v]
+        # A target vertex, and an id that orders with no vertex id.
+        for n, v in [(game.owner[v], v) for v in sorted(game.total_target)] + [(1, 0)]:
+            with pytest.raises(ProfileError, match=f"no move for player {n} at {v!r}"):
+                p.choice(n, v)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

@@ -34,6 +34,7 @@ from mprs import (
     outcome,
     parse_document,
     play,
+    profile_to_json,
     solve_br_dynamics,
     total_payoff,
     turn_payoff,
@@ -178,6 +179,13 @@ class TestProfile:
     def test_a_strategy_that_is_no_mapping_is_a_profile_error(self, strategy):
         with pytest.raises(ProfileError, match="strategy of player 2 must map vertices"):
             Profile({0: [], 1: {"a": "b"}, 2: strategy})
+
+    @pytest.mark.parametrize("strategy", [5, None, [("v1", "v2")]], ids=["int", "none", "pairs"])
+    def test_replacing_with_no_mapping_is_a_profile_error(self, strategy):
+        message = f"the strategy of player 1 must map vertices to moves, got {strategy!r}"
+        with pytest.raises(ProfileError) as err:
+            Profile({1: {"v1": "v3"}}).replace(1, strategy)
+        assert str(err.value) == message
 
     def test_without(self, g1_hat):
         rest = g1_hat.replace(1, {})
@@ -634,6 +642,7 @@ PROFILE_TAKERS = {
     "outcome": lambda g, p: outcome(g, p, "v1"),
     "export_dot": export_dot,
     "emit_game": lambda g, p: emit_game(g, {"p": p}),
+    "profile_to_json": lambda g, p: profile_to_json(p),
 }
 
 
@@ -646,3 +655,14 @@ def test_anything_but_a_profile_is_a_profile_error(g1, g1_hat, call):
         with pytest.raises(ProfileError) as err:
             call(g1, wrong)
         assert str(err.value) == f"expected a Profile, got {kind}"
+
+
+@pytest.mark.parametrize(
+    "name", ["value_table", "is_nash", "is_nash_qualitative", "check_certificate", "best_response"]
+)
+def test_a_fresh_game_has_judged_no_profile(name):
+    """Before a game judges any profile, its record of the last judged one
+    holds nothing a caller can pass, None included."""
+    with pytest.raises(ProfileError) as err:
+        PROFILE_TAKERS[name](small_game(1), None)
+    assert str(err.value) == "expected a Profile, got NoneType"

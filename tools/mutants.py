@@ -243,6 +243,34 @@ MUTANTS = [
         "",
         ("tests/test_properties.py",),
     ),
+    Mutant(
+        "a fresh game records None as its judged profile",
+        "src/mprs/valuation.py",
+        "self.judged = (_UNJUDGED, (), None, None, None)",
+        "self.judged = (None, (), None, None, None)",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "the scan pairs one player's vertices with another's moves",
+        "src/mprs/equilibrium.py",
+        "parts = tuple(zip(players, shared, getters))",
+        "parts = tuple(zip(players, shared, getters[::-1]))",
+        ("tests/test_properties.py",),
+    ),
+    Mutant(
+        "profiles compare by their vertices alone",
+        "src/mprs/valuation.py",
+        "self._items == other._items",
+        "[i[:2] for i in self._items] == [i[:2] for i in other._items]",
+        ("tests/test_properties.py",),
+    ),
+    Mutant(
+        "a choice reads the move at the vertex's sorted place, whatever sits there",
+        "src/mprs/valuation.py",
+        "if k < len(vertices) and vertices[k] == v:",
+        "if k < len(vertices):",
+        ("tests/test_properties.py",),
+    ),
 ]
 
 
