@@ -3,11 +3,13 @@
 A profile is an equilibrium when no player can improve their exact
 discounted payoff from any start vertex by switching to another memoryless
 strategy while everyone else stays put. `is_nash` checks this directly
-against `best_response`; `check_certificate` checks the equivalent local
-condition instead, namely that at every vertex the owner's chosen move
-maximizes the one-step discounted continuation read off the profile's own
-value table, which also yields its report. The two routes are
-independent and must agree on every game.
+against every player's best response, on payoff codes: an equilibrium's
+verdict decodes no value map, and only a failing profile's report is
+built from `value_table` and `best_response`. `check_certificate` checks
+the equivalent local condition instead, namely that at every vertex the
+owner's chosen move maximizes the one-step discounted continuation read
+off the profile's own value table, which also yields its report. The two
+routes are independent and must agree on every game.
 
 `enumerate_ne` walks the whole profile space (small games only, see the
 enumeration guard) and `solve_br_dynamics` iterates rounds of best
@@ -21,10 +23,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import gt, itemgetter
 from typing import Iterator
 
-from .game import Game
+from .game import Game, _check_game
 from .limits import _is_int, check_guard
 from .valuation import (
     PayoffValue,
@@ -35,6 +37,7 @@ from .valuation import (
     _moves,
     _profile,
     _respond,
+    _responses,
     best_response,
     value_table,
 )
@@ -111,7 +114,7 @@ def check_certificate(game: Game, profile: Profile) -> NEReport:
     move toward 0 along a play, so there w beats that move only with a
     negative code: only then is w's play walked, and it hits a target.
     """
-    core = game._core
+    core = _check_game(game)._core
     _, nxt, codes, _, _ = _judged(core, profile)
     _assert_consistent(core, nxt, codes)
 
@@ -138,25 +141,41 @@ def check_certificate(game: Game, profile: Profile) -> NEReport:
     return NEReport(not violations, tuple(violations))
 
 
+def _sign(code: int) -> int:
+    return (code > 0) - (code < 0)
+
+
 def _deviation_scan(
     game: Game, profile: Profile, qualitative: bool
 ) -> tuple[Deviation, ...]:
-    values = value_table(game, profile)  # raises ProfileError first
-    violations = []
-    for n in game.players:
-        strategy, br_values = best_response(game, profile, n)
-        mine = values[n]
-        if br_values == mine:  # cheap: the two maps share their payoff objects
+    # Each player's codes along the profile, from the hit table's forward
+    # walk, against their response's codes, from `_respond`'s backward
+    # pass: codes order exactly as payoffs do, and their signs as the
+    # payoffs' signs, and both run in vertex order. Only gains are
+    # reported, read off `value_table` and `best_response`, so an
+    # equilibrium's verdict decodes no value map.
+    _, _, codes, responses, _ = _responses(_check_game(game)._core, profile)
+    gains = []
+    for n, mine in codes.items():
+        theirs = responses[n][1]
+        if tuple(theirs) == mine:  # no gain anywhere, as at every equilibrium
             continue
-        for v in game.vertices:
-            achieved = mine[v]
-            available = br_values[v]
-            if qualitative:
-                achieved, available = achieved.sign, available.sign
-            if available > achieved:
-                # `strategy` moves exactly at the player's own choice
-                # vertices; a gain anywhere else names no move.
-                violations.append(Deviation(n, v, strategy.get(v), achieved, available))
+        if qualitative:
+            mine, theirs = map(_sign, mine), map(_sign, theirs)
+        gains += zip(itertools.repeat(n), itertools.compress(game.vertices, map(gt, theirs, mine)))
+    if not gains:
+        return ()
+    values = value_table(game, profile)
+    best = {n: best_response(game, profile, n) for n in game.players}
+    violations = []
+    for n, v in gains:
+        strategy, br_values = best[n]
+        achieved, available = values[n][v], br_values[v]
+        if qualitative:
+            achieved, available = achieved.sign, available.sign
+        # `strategy` moves exactly at the player's own choice vertices; a
+        # gain anywhere else names no move.
+        violations.append(Deviation(n, v, strategy.get(v), achieved, available))
     return tuple(violations)
 
 
@@ -182,6 +201,7 @@ def is_nash_qualitative(game: Game, profile: Profile) -> NEReport:
 
 def profile_space(game: Game) -> int:
     """Number of deterministic memoryless profiles of `game`."""
+    _check_game(game)
     return math.prod(len(game.successors(v)) for v in game.choice_vertices)
 
 
@@ -192,9 +212,16 @@ def all_profiles(game: Game, guard: int | None = None) -> Iterator[Profile]:
     successors in lexicographic order, the last vertex varying fastest.
 
     Raises:
-        TooLargeError: when the profile space exceeds the guard.
+        TooLargeError: when the profile space exceeds the guard. This
+            and every other error of the arguments is raised by the call
+            itself, before any profile is drawn.
     """
     check_guard(profile_space(game), guard)
+    return _profiles(game)
+
+
+def _profiles(game: Game) -> Iterator[Profile]:
+    """The generator behind `all_profiles`, once its checks pass."""
     vertices = game.choice_vertices
     owners = [game.owner[v] for v in vertices]
     # Each player's vertex tuple, which every profile shares, and a getter
@@ -228,6 +255,7 @@ def enumerate_ne(
         TooLargeError: when the profile space exceeds the guard.
         ValueError: when `limit` is not an int of at least 1.
     """
+    _check_game(game)
     if limit is not None:
         _check_count("limit", limit)
     found = []
@@ -275,8 +303,8 @@ def solve_br_dynamics(
     (see `valuation._Core`): `best_response`, and with it `is_nash` and
     `is_nash_qualitative`, on that profile object run no pass of their own.
     """
+    core = _check_game(game)._core
     _check_count("max_rounds", max_rounds)
-    core = game._core
     nxt = _moves(core, seed)
     visited = {tuple(nxt)}
     current: set[int] = set()

@@ -329,19 +329,33 @@ def validate_game(spec: GameSpec) -> Game:
     )
 
 
+def _check_game(game: object) -> Game:
+    """`game` itself, once it is known to be a `Game`: the one check of the
+    game that every public function taking one makes."""
+    if not isinstance(game, Game):
+        raise TypeError(f"expected a Game, got {type(game).__name__}")
+    return game
+
+
 def _check_player(game: Game, n: object) -> None:
+    _check_game(game)
     if not (_is_int(n) and n in game.roles):
         raise ValueError(f"unknown player {n!r}")
 
 
-def turn_payoff(game: Game, n: int, v: str) -> int:
+def turn_payoff(game: Game, n: int, v: str | None) -> int:
     """Per-turn reward of player `n` for the token visiting vertex `v`.
 
     Reachers collect +1 on their own target vertices, avoiders collect -1
-    there; every other vertex is worth 0, and so is the terminal state.
-    An `n` that is not a player of `game` is a ValueError.
+    there; every other vertex is worth 0, and so is the terminal state,
+    which `v` None stands for. An `n` that is not a player of `game`, or a
+    `v` that is neither None nor a vertex id, is a ValueError.
     """
     _check_player(game, n)
+    if v is None:
+        return 0
+    if not isinstance(v, str) or v not in game._index:
+        raise ValueError(f"unknown vertex {v!r}")
     if v not in game.targets[n]:
         return 0
     return 1 if game.roles[n] is Role.REACHER else -1

@@ -36,7 +36,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring
 from typing import AbstractSet, Any, Mapping
 
-from .game import Game, GameSpec, Role, _gc_paused, validate_game
+from .game import Game, GameSpec, Role, _check_game, _gc_paused, validate_game
 from .limits import _is_int
 from .valuation import PayoffValue, Profile, ProfileError, _moves, _strategies, check_profile
 
@@ -235,6 +235,7 @@ def emit_game(game: Game, profiles: Mapping[str, Profile] | None = None) -> str:
     `check_profile` is a ProfileError, as `parse_document` would raise,
     and so are `profiles` that are no mapping of names to profiles.
     """
+    _check_game(game)
     if profiles is not None and not isinstance(profiles, Mapping):
         raise ProfileError(f"profiles map names to profiles, got {profiles!r}")
     # Each vertex id is escaped once. Every list entry is written with a
@@ -273,6 +274,18 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _check_values(game: Game, values: object) -> None:
+    """Refuse a value table that lacks a map for some player, or an entry
+    for some vertex in one of them."""
+    for m in game.players:
+        table = values.get(m) if isinstance(values, Mapping) else None
+        if not isinstance(table, Mapping):
+            raise ValueError(f"the value table holds no map for player {m}")
+        for v in game.vertices:
+            if v not in table:
+                raise ValueError(f"the value map of player {m} holds no entry for {v!r}")
+
+
 def export_dot(
     game: Game,
     profile: Profile | None = None,
@@ -284,11 +297,16 @@ def export_dot(
     ellipses, and target vertices get a double border. When a profile is
     given its chosen edges are highlighted; when a value table is given
     each vertex is annotated with every player's exact payoff from there.
+    A value table without a map for some player, or without an entry for
+    some vertex in one, is a ValueError naming what is missing.
     """
+    _check_game(game)
     chosen: set[tuple[str, str]] = set()
     if profile is not None:
         names, nxt = game.vertices, _moves(game._core, profile)
         chosen = {(names[v], names[nxt[v]]) for v in game._core.choice}
+    if values is not None:
+        _check_values(game, values)
 
     lines = ["digraph game {", "  rankdir=LR;"]
     for v in game.vertices:

@@ -18,10 +18,14 @@ a pure check that builds its move array (one successor index per
 vertex) in the same pass.
 Each game remembers the last profile that `value_table`, a verdict or the
 dynamics judged (`_Core.judged`), so the verdicts on one profile check it
-and build its hit table once, and on a dynamics result they reuse its
-last responses instead of solving them again. The value maps of that
-profile are decoded once and handed out as copies, also as the values
-of a best response whose codes equal the profile's own.
+and build its hit table once. `is_nash` and `is_nash_qualitative` record
+every player's response with it (`_responses`), or reuse those the
+dynamics recorded, and decide on codes alone: an equilibrium's verdict
+decodes no value map. Only a failing profile's report comes through
+`value_table` and `best_response`, which reuse what is recorded. The
+value maps of the judged profile are decoded once and handed out as
+copies, also as the values of a best response whose codes equal the
+profile's own.
 
 `best_response` computes a payoff-maximizing memoryless strategy for one
 player against fixed opponents by one backward pass from the player's own
@@ -45,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Mapping, Sequence
 
-from .game import Game, _check_player, turn_payoff
+from .game import Game, _check_game, _check_player, turn_payoff
 from .limits import _is_int, check_guard
 
 __all__ = [
@@ -83,8 +87,9 @@ class Profile:
 
     Players without any vertex to move at may be omitted; empty strategies
     are dropped from the canonical form, so ``Profile({1: m, 2: {}})``
-    equals ``Profile({1: m})``. Profiles are immutable, hashable and
-    compare by content.
+    equals ``Profile({1: m})``. A strategy that is no mapping, an empty
+    one included, is a `ProfileError`. Profiles are immutable, hashable
+    and compare by content.
 
     The canonical form holds one ``(n, vertices, moves)`` triple per
     player, in player order: `vertices` is the sorted tuple of the vertex
@@ -102,8 +107,8 @@ class Profile:
         try:
             for n in sorted(strategies):
                 strategy = strategies[n]
+                _require_strategy(n, strategy)
                 if strategy:
-                    _require_strategy(n, strategy)
                     vertices = tuple(sorted(strategy))
                     items.append((n, vertices, tuple(map(strategy.__getitem__, vertices))))
         except TypeError as exc:
@@ -159,6 +164,7 @@ def check_profile(game: Game, profile: Profile) -> None:
     Raises:
         ProfileError: listing every way the profile fails to fit `game`.
     """
+    _check_game(game)
     _moves(game._core, profile)
 
 
@@ -240,7 +246,7 @@ def play(game: Game, profile: Profile, start: str) -> Play:
     cycle forever), so it always has at most ``len(game.vertices) + 1``
     entries.
     """
-    core = game._core
+    core = _check_game(game)._core
     nxt = _moves(core, profile)
     if not isinstance(start, str) or start not in core.index:
         raise ValueError(f"unknown start vertex {start!r}")
@@ -287,15 +293,16 @@ class _Core:
 
     `judged` holds ``(profile, move array, codes, responses, values)``
     for the last profile judged here, and starts with `_UNJUDGED`, which
-    no caller can pass as a profile. Only `_judged`, `value_table` and
-    `_profile` store it, so a mere check or play never evicts it. `codes`
-    are every player's payoff codes, or None until `_judged` adds them to
-    a dynamics result. `responses` map every player to `_respond`'s result
-    on the move array when the profile came out of best-response
-    dynamics, which hold them all at convergence, and are None otherwise;
-    `best_response` on that profile object returns them. `values` are
-    every player's value map, or None until `value_table` decodes them;
-    only copies of them leave this module. Each update stores one new
+    no caller can pass as a profile. Only `_judged`, `_responses`,
+    `value_table` and `_profile` store it, so a mere check or play never
+    evicts it. `codes` are every player's payoff codes, or None until
+    `_judged` adds them to a dynamics result. `responses` map every player
+    to `_respond`'s result on the move array, or are None until known: the
+    dynamics store them with their result, since they hold them all at
+    convergence, and `_responses` adds them for the verdicts on any other
+    profile. `best_response` on that profile object returns them. `values`
+    are every player's value map, or None until `value_table` decodes
+    them; only copies of them leave this module. Each update stores one new
     tuple, and nothing in it is ever mutated.
 
     `zeros` maps every vertex id to `ZERO`. It is None until the first
@@ -480,6 +487,16 @@ def _judged(core: _Core, profile: Profile) -> tuple:
     return judged
 
 
+def _responses(core: _Core, profile: Profile) -> tuple:
+    """`_judged(core, profile)` with every player's `_respond` result on
+    the judged move array filled in, and those the dynamics recorded kept."""
+    judged = _judged(core, profile)
+    if judged[3] is None:
+        responses = {n: _respond(core, judged[1], n) for n in core.sign}
+        judged = core.judged = (*judged[:3], responses, judged[4])
+    return judged
+
+
 def _profile(core: _Core, nxt: list[int], responses: dict[int, tuple]) -> Profile:
     """The `Profile` of the checked move array `nxt`, recorded in `core.judged`
     with `responses`, every player's `_respond` result on `nxt`."""
@@ -501,7 +518,7 @@ def value_table(game: Game, profile: Profile) -> dict[int, dict[str, PayoffValue
     has the shape of the value map `best_response` returns. Every call
     returns fresh maps, which the caller may change.
     """
-    core = game._core
+    core = _check_game(game)._core
     judged = _judged(core, profile)
     values = judged[4]
     if values is None:
@@ -511,7 +528,7 @@ def value_table(game: Game, profile: Profile) -> dict[int, dict[str, PayoffValue
     return {n: values[n].copy() for n in game.players}
 
 
-def _respond(core: _Core, nxt: list[int], n: int) -> tuple[dict[int, int], list[int]]:
+def _respond(core: _Core, nxt: Sequence[int], n: int) -> tuple[dict[int, int], list[int]]:
     """Player `n`'s best response to the opponents' moves in `nxt`, which
     is never read at n's own choice vertices: the chosen successor at each
     of them, and n's payoff code from every start vertex (see `_decode`).
@@ -566,9 +583,9 @@ def _best(game: Game, opponents: Profile, n: int, solve) -> tuple[Strategy, dict
     # Both best responses: check `n` and `opponents`, then name the moves
     # and decode the codes that `solve(core, nxt, n)` returns. The judged
     # profile object lends its checked move array, and `_respond`'s result
-    # when the dynamics recorded it. Codes equal to n's codes under it are
-    # not decoded again once `value_table` decoded them: n's recorded map
-    # is copied instead.
+    # when the dynamics or a verdict recorded it. Codes equal to n's codes
+    # under it are not decoded again once `value_table` decoded them: n's
+    # recorded map is copied instead.
     _check_player(game, n)
     core = game._core
     judged = core.judged

@@ -322,6 +322,13 @@ class TestActionsAndMoves:
         assert turn_payoff(g1, 1, "v1") == 0
         assert turn_payoff(g2, 1, "w2") == -1
         assert turn_payoff(g2, 2, "w2") == 1
+        assert turn_payoff(g1, 1, None) == 0  # the terminal state
+
+    @pytest.mark.parametrize("v", ["nope", "", [], 3, ("v3",)])
+    def test_a_turn_payoff_at_no_vertex_is_a_value_error(self, g1, v):
+        with pytest.raises(ValueError) as err:
+            turn_payoff(g1, 1, v)
+        assert str(err.value) == f"unknown vertex {v!r}"
 
 
 class TestStructuralInvariants:

@@ -314,6 +314,26 @@ class TestDot:
         assert "u1=+γ^1 u2=-γ^1" in text  # start vertex v1
         assert "u1=+1 u2=-1" in text  # the target itself
 
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda t: {**t, 1: {}}, "the value map of player 1 holds no entry for 'v1'"),
+            (
+                lambda t: {**t, 2: {v: x for v, x in t[2].items() if v != "v3"}},
+                "the value map of player 2 holds no entry for 'v3'",
+            ),
+            (lambda t: {1: t[1]}, "the value table holds no map for player 2"),
+            (lambda t: {**t, 1: "v1 v2 v3"}, "the value table holds no map for player 1"),
+            (lambda t: "table", "the value table holds no map for player 1"),
+        ],
+        ids=["empty-map", "short-map", "no-player", "no-mapping", "no-table"],
+    )
+    def test_a_value_table_of_the_wrong_shape_is_a_value_error(self, g1, g1_hat, spoil, message):
+        values = spoil(value_table(g1, g1_hat))
+        with pytest.raises(ValueError) as err:
+            export_dot(g1, g1_hat, values)
+        assert str(err.value) == message
+
     def test_double_border_only_on_targets(self, g1):
         lines = export_dot(g1).splitlines()
         bordered = [ln for ln in lines if "peripheries=2" in ln]

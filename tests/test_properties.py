@@ -157,6 +157,30 @@ def test_dynamics_stop_only_at_equilibria(drawn):
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(games_and_profiles())
+def test_a_verdict_passes_exactly_where_no_best_response_gains(drawn):
+    """`is_nash` passes a profile exactly when no player's best response
+    beats the profile's value map at any vertex, and `is_nash_qualitative`
+    exactly when none beats it in sign: on the drawn profile and on the
+    dynamics result from it, judged first as the dynamics left it."""
+    game, profile = drawn
+    found = solve_br_dynamics(game, profile)
+    for p in [profile] if found is None else [found, profile]:
+        verdicts = is_nash(game, p).is_ne, is_nash_qualitative(game, p).is_ne
+        fresh = Profile(p.as_dict())
+        table = value_table(game, fresh)
+        pairs = [
+            (available, table[n][v])
+            for n in game.players
+            for v, available in best_response(game, fresh, n)[1].items()
+        ]
+        assert verdicts == (
+            not any(available > achieved for available, achieved in pairs),
+            not any(available.sign > achieved.sign for available, achieved in pairs),
+        )
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(games_and_profiles(), st.data())
 def test_a_reused_profile_is_judged_like_fresh_copies(drawn, data):
     """A game remembers the last profile object it checked in full; calls

@@ -8,11 +8,13 @@ slow per-play recomputation and to brute-force enumeration.
 from __future__ import annotations
 
 import functools
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
+import mprs
 from mprs import (
     NEVER,
     ZERO,
@@ -23,17 +25,20 @@ from mprs import (
     ProfileError,
     Role,
     TooLargeError,
+    all_profiles,
     best_response,
     best_response_enum,
     check_certificate,
     check_profile,
     emit_game,
+    enumerate_ne,
     export_dot,
     is_nash,
     is_nash_qualitative,
     outcome,
     parse_document,
     play,
+    profile_space,
     profile_to_json,
     solve_br_dynamics,
     total_payoff,
@@ -178,7 +183,15 @@ class TestProfile:
     @pytest.mark.parametrize("strategy", [[("a", "b")], "ab", 7], ids=["pairs", "string", "int"])
     def test_a_strategy_that_is_no_mapping_is_a_profile_error(self, strategy):
         with pytest.raises(ProfileError, match="strategy of player 2 must map vertices"):
-            Profile({0: [], 1: {"a": "b"}, 2: strategy})
+            Profile({0: {}, 1: {"a": "b"}, 2: strategy})
+
+    @pytest.mark.parametrize("strategy", [None, 0, "", []], ids=["none", "zero", "str", "list"])
+    def test_a_falsy_strategy_that_is_no_mapping_is_a_profile_error(self, strategy):
+        """Only an empty mapping is dropped as an empty strategy."""
+        message = f"the strategy of player 1 must map vertices to moves, got {strategy!r}"
+        with pytest.raises(ProfileError) as err:
+            Profile({1: strategy})
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("strategy", [5, None, [("v1", "v2")]], ids=["int", "none", "pairs"])
     def test_replacing_with_no_mapping_is_a_profile_error(self, strategy):
@@ -624,7 +637,7 @@ class TestJudgedProfile:
             assert responses == []
             fresh = Profile(found.as_dict())
             assert [verdict(game, fresh) for verdict in verdicts] == reports
-            assert responses == list(game.players) * 2
+            assert responses == list(game.players)
             responses.clear()
 
 
@@ -666,3 +679,57 @@ def test_a_fresh_game_has_judged_no_profile(name):
     with pytest.raises(ProfileError) as err:
         PROFILE_TAKERS[name](small_game(1), None)
     assert str(err.value) == "expected a Profile, got NoneType"
+
+
+# Every public function that takes a game, with the arguments it needs besides.
+GAME_TAKERS = {
+    **{name: call for name, call in PROFILE_TAKERS.items() if name != "profile_to_json"},
+    "total_payoff": lambda g, p: total_payoff(g, 1, NEVER),
+    "turn_payoff": lambda g, p: turn_payoff(g, 1, "v1"),
+    "profile_space": lambda g, p: profile_space(g),
+    "all_profiles": lambda g, p: all_profiles(g),
+    "enumerate_ne": lambda g, p: enumerate_ne(g),
+}
+
+
+def test_every_public_function_that_takes_a_game_is_listed():
+    taking = {
+        name
+        for name in mprs.__all__
+        if inspect.isfunction(getattr(mprs, name))
+        and next(iter(inspect.signature(getattr(mprs, name)).parameters), None) == "game"
+    }
+    assert taking == set(GAME_TAKERS)
+
+
+@pytest.mark.parametrize("call", GAME_TAKERS.values(), ids=GAME_TAKERS.keys())
+def test_anything_but_a_game_is_a_type_error(g1, g1_hat, call):
+    """Every public function checks its game through one door, which lets
+    only a `Game` in, also right after that game judged the profile."""
+    call(g1, g1_hat)
+    for wrong, kind in ((None, "NoneType"), (g1._core, "_Core"), (emit_game(g1), "str")):
+        with pytest.raises(TypeError) as err:
+            call(wrong, g1_hat)
+        assert str(err.value) == f"expected a Game, got {kind}"
+
+
+# Calls with a game and one more argument that is wrong as well.
+TWICE_WRONG = {
+    "best_response": lambda g, p: best_response(g, p, "x"),
+    "best_response_enum": lambda g, p: best_response_enum(g, p, "x"),
+    "turn_payoff": lambda g, p: turn_payoff(g, "x", "v1"),
+    "total_payoff": lambda g, p: total_payoff(g, 0.5, NEVER),
+    "solve_br_dynamics": lambda g, p: solve_br_dynamics(g, p, max_rounds=0),
+    "play": lambda g, p: play(g, p, "nowhere"),
+    "enumerate_ne": lambda g, p: enumerate_ne(g, limit=0),
+    "all_profiles": lambda g, p: all_profiles(g, guard=0),
+}
+
+
+@pytest.mark.parametrize("call", TWICE_WRONG.values(), ids=TWICE_WRONG.keys())
+def test_the_game_is_checked_before_the_other_arguments(g1, g1_hat, call):
+    with pytest.raises(TypeError) as err:
+        call(None, g1_hat)
+    assert str(err.value) == "expected a Game, got NoneType"
+    with pytest.raises(ValueError):
+        call(g1, g1_hat)

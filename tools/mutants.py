@@ -265,6 +265,69 @@ MUTANTS = [
         ("tests/test_properties.py",),
     ),
     Mutant(
+        "the verdict's code test counts a tie as a gain",
+        "src/mprs/equilibrium.py",
+        "map(gt, theirs, mine)",
+        "map(lambda a, b: a >= b, theirs, mine)",
+        ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
+        "the qualitative verdict compares raw codes, not their signs",
+        "src/mprs/equilibrium.py",
+        "mine, theirs = map(_sign, mine), map(_sign, theirs)",
+        "pass",
+        ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
+        "the verdict's code test skips the last player",
+        "src/mprs/equilibrium.py",
+        "for n, mine in codes.items():",
+        "for n, mine in list(codes.items())[:-1]:",
+        ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
+        "the verdict's equal-codes shortcut skips a player who gains only at the first vertex",
+        "src/mprs/equilibrium.py",
+        "if tuple(theirs) == mine:",
+        "if tuple(theirs)[1:] == mine[1:]:",
+        ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
+        "a verdict solves again the responses the dynamics recorded",
+        "src/mprs/valuation.py",
+        "if judged[3] is None:",
+        "if True:",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "the game door lets anything in",
+        "src/mprs/game.py",
+        "if not isinstance(game, Game):",
+        "if False:",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "a turn payoff reads any unknown vertex as worth 0",
+        "src/mprs/game.py",
+        "if not isinstance(v, str) or v not in game._index:",
+        "if False:",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "a DOT graph takes a value table of any shape",
+        "src/mprs/gamefile.py",
+        "_check_values(game, values)",
+        "pass",
+        ("tests/test_gamefile.py",),
+    ),
+    Mutant(
+        "a falsy strategy is dropped unchecked",
+        "src/mprs/valuation.py",
+        "_require_strategy(n, strategy)\n                if strategy:",
+        "if strategy:\n                    _require_strategy(n, strategy)",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
         "a choice reads the move at the vertex's sorted place, whatever sits there",
         "src/mprs/valuation.py",
         "if k < len(vertices) and vertices[k] == v:",
