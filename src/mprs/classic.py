@@ -86,7 +86,14 @@ class TwoPlayerArena:
         object.__setattr__(self, "target", frozenset(map(str, target)))
 
 
+def _check_arena(arena: object) -> None:
+    """The one check of the arena that every public function taking one makes."""
+    if not isinstance(arena, TwoPlayerArena):
+        raise TypeError(f"expected a TwoPlayerArena, got {type(arena).__name__}")
+
+
 def _two_player(arena: TwoPlayerArena, first: Role, second: Role) -> Game:
+    _check_arena(arena)
     overlap = arena.reacher_owned & arena.avoider_owned
     if overlap:
         raise InvalidGameError(
@@ -133,6 +140,7 @@ def attractor(arena: TwoPlayerArena) -> frozenset[str]:
         InvalidGameError: when an edge or a target vertex lies outside the
             arena's vertex set.
     """
+    _check_arena(arena)
     problems = [
         Violation(
             ViolationKind.DANGLING_EDGE, f"edge ({u}, {w}) mentions undeclared vertex {end!r}"

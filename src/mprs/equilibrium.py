@@ -115,7 +115,7 @@ def check_certificate(game: Game, profile: Profile) -> NEReport:
     negative code: only then is w's play walked, and it hits a target.
     """
     core = _check_game(game)._core
-    _, nxt, codes, _, _ = _judged(core, profile)
+    _, nxt, codes, _ = _judged(core, profile)
     _assert_consistent(core, nxt, codes)
 
     violations = []
@@ -154,7 +154,7 @@ def _deviation_scan(
     # payoffs' signs, and both run in vertex order. Only gains are
     # reported, read off `value_table` and `best_response`, so an
     # equilibrium's verdict decodes no value map.
-    _, _, codes, responses, _ = _responses(_check_game(game)._core, profile)
+    _, _, codes, responses = _responses(_check_game(game)._core, profile)
     gains = []
     for n, mine in codes.items():
         theirs = responses[n][1]

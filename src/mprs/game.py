@@ -181,7 +181,10 @@ def validate_game(spec: GameSpec) -> Game:
 
     Raises:
         InvalidGameError: with the full violation list, if any check fails.
+        TypeError: when `spec` is no `GameSpec`.
     """
+    if not isinstance(spec, GameSpec):
+        raise TypeError(f"expected a GameSpec, got {type(spec).__name__}")
     violations: list[Violation] = []
 
     def bad(kind: ViolationKind, detail: str) -> None:

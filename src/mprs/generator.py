@@ -48,14 +48,19 @@ def random_game(params: GeneratorParams) -> Game:
     """Draw a validated game from `params`, deterministically in the seed.
 
     Raises:
-        InfeasibleError: when the parameters are out of range, or when no
-            dead-end-free edge set turns up after many resamples (only
-            plausible at extreme densities).
+        TypeError: when `params` are no `GeneratorParams`.
+        InfeasibleError: when a field has the wrong type or is out of
+            range, or when no dead-end-free edge set turns up after many
+            resamples (only plausible at extreme densities).
     """
-    for name in ("num_players", "num_vertices", "targets_per_player"):
-        count = getattr(params, name)
-        if not _is_int(count):
-            raise InfeasibleError(f"{name} must be an int, got {count!r}")
+    if not isinstance(params, GeneratorParams):
+        raise TypeError(f"expected GeneratorParams, got {type(params).__name__}")
+    for name in ("num_players", "num_vertices", "targets_per_player", "seed"):
+        value = getattr(params, name)
+        if not _is_int(value):
+            raise InfeasibleError(f"{name} must be an int, got {value!r}")
+    if not isinstance(params.roles, (tuple, list, type(None))):
+        raise InfeasibleError(f"roles must be None or a tuple of roles, got {params.roles!r}")
     density = params.edge_density
     if isinstance(density, bool) or not isinstance(density, numbers.Real):
         raise InfeasibleError(f"edge_density must be a real number, got {density!r}")

@@ -22,10 +22,9 @@ and build its hit table once. `is_nash` and `is_nash_qualitative` record
 every player's response with it (`_responses`), or reuse those the
 dynamics recorded, and decide on codes alone: an equilibrium's verdict
 decodes no value map. Only a failing profile's report comes through
-`value_table` and `best_response`, which reuse what is recorded. The
-value maps of the judged profile are decoded once and handed out as
-copies, also as the values of a best response whose codes equal the
-profile's own.
+`value_table` and `best_response`, which reuse the recorded codes and
+responses. Value maps are never recorded: each call decodes fresh ones
+from the codes, into a copy of the game's one all-`ZERO` map.
 
 `best_response` computes a payoff-maximizing memoryless strategy for one
 player against fixed opponents by one backward pass from the player's own
@@ -220,10 +219,12 @@ class PayoffValue:
         """Evaluate at a concrete discount factor."""
         return self.sign * Fraction(gamma) ** self.exponent
 
-    # Written out, because `is_nash` compares with it; `total_ordering`
-    # derives the other three. Between equal signs s, the larger
+    # `total_ordering` derives the other three, and refuses along with it
+    # anything but a payoff. Between equal signs s, the larger
     # s * -exponent wins.
-    def __gt__(self, other: "PayoffValue") -> bool:
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, PayoffValue):
+            return NotImplemented
         if self.sign != other.sign:
             return self.sign > other.sign
         return self.sign * (other.exponent - self.exponent) > 0
@@ -272,6 +273,9 @@ def outcome(game: Game, profile: Profile, start: str) -> Outcome:
 def total_payoff(game: Game, n: int, o: Outcome) -> PayoffValue:
     """Discounted total payoff of player `n` for outcome `o`: the hit
     vertex's `turn_payoff` times gamma**time, or zero without a hit."""
+    _check_player(game, n)
+    if not isinstance(o, Outcome):
+        raise TypeError(f"expected an Outcome, got {type(o).__name__}")
     sign = turn_payoff(game, n, o.vertex)  # 0 at vertex None, with no hit
     return PayoffValue(sign, o.time) if sign else ZERO
 
@@ -291,22 +295,20 @@ class _Core:
     n's `turn_payoff` there. Payoffs are integer codes (see `_decode`).
     Built once per game, on first use, by `Game._core`.
 
-    `judged` holds ``(profile, move array, codes, responses, values)``
-    for the last profile judged here, and starts with `_UNJUDGED`, which
-    no caller can pass as a profile. Only `_judged`, `_responses`,
-    `value_table` and `_profile` store it, so a mere check or play never
-    evicts it. `codes` are every player's payoff codes, or None until
-    `_judged` adds them to a dynamics result. `responses` map every player
-    to `_respond`'s result on the move array, or are None until known: the
-    dynamics store them with their result, since they hold them all at
-    convergence, and `_responses` adds them for the verdicts on any other
-    profile. `best_response` on that profile object returns them. `values`
-    are every player's value map, or None until `value_table` decodes
-    them; only copies of them leave this module. Each update stores one new
-    tuple, and nothing in it is ever mutated.
+    `judged` holds ``(profile, move array, codes, responses)`` for the
+    last profile judged here, and starts with `_UNJUDGED`, which no caller
+    can pass as a profile. Only `_judged`, `_responses` and `_profile`
+    store it, so a mere check or play never evicts it. `codes` are every
+    player's payoff codes, or None until `_judged` adds them to a dynamics
+    result. `responses` map every player to `_respond`'s result on the
+    move array, or are None until known: the dynamics store them with
+    their result, since they hold them all at convergence, and
+    `_responses` adds them for the verdicts on any other profile.
+    `best_response` on that profile object returns them. Each update
+    stores one new tuple, and nothing in it is ever mutated.
 
-    `zeros` maps every vertex id to `ZERO`. It is None until the first
-    value map of the game is decoded, and is never handed out itself.
+    `zeros` maps every vertex id to `ZERO`. Every value map starts as a
+    copy of it, and it is never handed out itself.
     """
 
     __slots__ = (
@@ -337,8 +339,8 @@ class _Core:
             mine[owner[v]].append(v)
         self.mine = {n: tuple(vs) for n, vs in mine.items()}
         self.sign = {n: turn_payoff(game, n, names[own[0]]) for n, own in self.own.items()}
-        self.judged = (_UNJUDGED, (), None, None, None)
-        self.zeros = None
+        self.judged = (_UNJUDGED, (), None, None)
+        self.zeros = dict.fromkeys(names, ZERO)
 
 
 # A payoff 0 or sign * gamma**t with t <= len(vertices) is kept inside the
@@ -360,10 +362,7 @@ def _payoffs(core: _Core, codes: Sequence[int]) -> dict[str, PayoffValue]:
     """Vertex id to payoff: a copy of the game's all-`ZERO` map with the
     nonzero codes decoded into it. A player is paid only on plays into
     their own targets, so often most codes are 0."""
-    zeros = core.zeros
-    if zeros is None:
-        zeros = core.zeros = dict.fromkeys(core.index, ZERO)
-    values = zeros.copy()
+    values = core.zeros.copy()
     paid = map(_decode, filter(None, codes), itertools.repeat(core.base))
     values.update(zip(itertools.compress(core.names, codes), paid))
     return values
@@ -476,14 +475,14 @@ def _codes(core: _Core, n: int, hits: tuple[list[int], dict[int, list[int]]]) ->
 
 def _judged(core: _Core, profile: Profile) -> tuple:
     """`core.judged` for `profile`, with every player's payoff codes filled
-    in, and the responses and value maps it already held for `profile` kept."""
+    in, and the responses it already held for `profile` kept."""
     judged = core.judged
     if judged[0] is not profile:
-        judged = (profile, tuple(_moves(core, profile)), None, None, None)
+        judged = (profile, tuple(_moves(core, profile)), None, None)
     if judged[2] is None:
         hits = _hits(core, judged[1])
         codes = {n: tuple(_codes(core, n, hits)) for n in core.sign}
-        judged = core.judged = (*judged[:2], codes, judged[3], None)
+        judged = core.judged = (*judged[:2], codes, judged[3])
     return judged
 
 
@@ -493,7 +492,7 @@ def _responses(core: _Core, profile: Profile) -> tuple:
     judged = _judged(core, profile)
     if judged[3] is None:
         responses = {n: _respond(core, judged[1], n) for n in core.sign}
-        judged = core.judged = (*judged[:3], responses, judged[4])
+        judged = core.judged = (*judged[:3], responses)
     return judged
 
 
@@ -507,7 +506,7 @@ def _profile(core: _Core, nxt: list[int], responses: dict[int, tuple]) -> Profil
         if mine
     )
     profile = Profile._canonical(items)
-    core.judged = (profile, tuple(nxt), None, responses, None)
+    core.judged = (profile, tuple(nxt), None, responses)
     return profile
 
 
@@ -519,13 +518,8 @@ def value_table(game: Game, profile: Profile) -> dict[int, dict[str, PayoffValue
     returns fresh maps, which the caller may change.
     """
     core = _check_game(game)._core
-    judged = _judged(core, profile)
-    values = judged[4]
-    if values is None:
-        codes = judged[2]
-        values = {n: _payoffs(core, codes[n]) for n in game.players}
-        core.judged = (*judged[:4], values)
-    return {n: values[n].copy() for n in game.players}
+    codes = _judged(core, profile)[2]
+    return {n: _payoffs(core, codes[n]) for n in game.players}
 
 
 def _respond(core: _Core, nxt: Sequence[int], n: int) -> tuple[dict[int, int], list[int]]:
@@ -583,9 +577,7 @@ def _best(game: Game, opponents: Profile, n: int, solve) -> tuple[Strategy, dict
     # Both best responses: check `n` and `opponents`, then name the moves
     # and decode the codes that `solve(core, nxt, n)` returns. The judged
     # profile object lends its checked move array, and `_respond`'s result
-    # when the dynamics or a verdict recorded it. Codes equal to n's codes
-    # under it are not decoded again once `value_table` decoded them: n's
-    # recorded map is copied instead.
+    # when the dynamics or a verdict recorded it.
     _check_player(game, n)
     core = game._core
     judged = core.judged
@@ -595,10 +587,7 @@ def _best(game: Game, opponents: Profile, n: int, solve) -> tuple[Strategy, dict
     else:
         moves, codes = solve(core, list(judged[1]) if recorded else _moves(core, opponents, n), n)
     names = core.names
-    strategy = {names[v]: names[w] for v, w in moves.items()}
-    if recorded and judged[4] is not None and judged[2][n] == tuple(codes):
-        return strategy, judged[4][n].copy()
-    return strategy, _payoffs(core, codes)
+    return {names[v]: names[w] for v, w in moves.items()}, _payoffs(core, codes)
 
 
 def best_response(

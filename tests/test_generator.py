@@ -98,6 +98,11 @@ def test_out_of_range_parameters(params):
         ("edge_density", "0.5"),
         ("edge_density", True),
         ("edge_density", None),
+        ("roles", 5),
+        ("roles", Role.REACHER),
+        ("seed", [1]),
+        ("seed", None),
+        ("seed", 1.0),
     ],
 )
 def test_parameters_of_the_wrong_type(field, value):
@@ -105,6 +110,13 @@ def test_parameters_of_the_wrong_type(field, value):
     params[field] = value
     with pytest.raises(InfeasibleError, match=field):
         random_game(GeneratorParams(**params))
+
+
+@pytest.mark.parametrize("params", [None, {"num_players": 1, "num_vertices": 3}, (1, 3)])
+def test_anything_but_generator_params_is_a_type_error(params):
+    with pytest.raises(TypeError) as err:
+        random_game(params)
+    assert str(err.value) == f"expected GeneratorParams, got {type(params).__name__}"
 
 
 def test_exact_densities_are_accepted():

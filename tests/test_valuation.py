@@ -101,6 +101,24 @@ class TestPayoffValue:
                     x, y = a.numeric(gamma), b.numeric(gamma)
                     assert symbolic == (x < y, x <= y, x > y, x >= y), (a, b, gamma)
 
+    def test_comparing_with_a_non_payoff_is_a_type_error(self):
+        """Payoffs order only among themselves: against anything else every
+        comparison refuses, as it does between unrelated types."""
+        compares = (
+            lambda a, b: a > b,
+            lambda a, b: a < b,
+            lambda a, b: a >= b,
+            lambda a, b: a <= b,
+            lambda a, b: b < a,
+        )
+        for other in (0, 1, None, Fraction(1, 2), "0"):
+            for compare in compares:
+                with pytest.raises(TypeError, match="not supported"):
+                    compare(POS(1), other)
+            with pytest.raises(TypeError, match="not supported"):
+                sorted([POS(1), other])
+        assert POS(1) != 1 and ZERO != 0
+
     @pytest.mark.parametrize("size", range(1, 7))
     def test_payoff_codes(self, size):
         """Integer codes of every payoff a game of `size` vertices can produce:
@@ -284,6 +302,17 @@ class TestOutcomeAndPayoff:
             with pytest.raises(ValueError, match=f"^unknown player {n!r}$"):
                 payoff(g1, n, argument)
         assert total_payoff(g1, 1, NEVER).sign == 0
+
+    @pytest.mark.parametrize("o", [None, "v1", (2, "v3"), 0])
+    def test_anything_but_an_outcome_is_a_type_error(self, g1, o):
+        with pytest.raises(TypeError) as err:
+            total_payoff(g1, 1, o)
+        assert str(err.value) == f"expected an Outcome, got {type(o).__name__}"
+        # The game and the player are checked first.
+        with pytest.raises(TypeError, match="expected a Game"):
+            total_payoff(None, 1, o)
+        with pytest.raises(ValueError, match="unknown player"):
+            total_payoff(g1, 7, o)
 
     def test_payoff_ignores_foreign_targets(self):
         game = small_game(11)
@@ -605,9 +634,9 @@ class TestJudgedProfile:
                 assert values == best_response(game, found, n)[1]
 
     def test_returned_maps_are_the_callers_own(self):
-        """Value maps are decoded once per profile and handed out as
-        copies, also to a best response whose codes match the table's:
-        writing into a returned map changes no later result."""
+        """Every call decodes fresh value maps, on the dynamics result and
+        on an equal profile alike: writing into a returned map changes no
+        later result."""
         for game, found in dynamics_results():
             fresh = Profile(found.as_dict())
             expected = (
@@ -629,6 +658,21 @@ class TestJudgedProfile:
                     enum = [best_response_enum(game, profile, n) for n in game.players]
                     assert enum == expected[2]
                     assert is_nash(game, profile).is_ne
+
+    def test_every_call_decodes_maps_of_its_own(self):
+        """On the judged profile, two tables and every player's best
+        response hand out equal maps, no two of them the same object, and
+        none of them the game's shared all-zero map."""
+        for game, found in dynamics_results():
+            assert is_nash(game, found).is_ne
+            first, second = value_table(game, found), value_table(game, found)
+            assert first == second
+            responses = [best_response(game, found, n)[1] for n in game.players]
+            assert responses == [first[n] for n in game.players]
+            maps = [*first.values(), *second.values(), *responses]
+            assert len({id(m) for m in maps}) == len(maps)
+            assert all(m is not game._core.zeros for m in maps)
+            assert game._core.zeros == dict.fromkeys(game.vertices, ZERO)
 
     def test_responses_survive_the_codes_being_filled_in(self, responses):
         verdicts = (is_nash, check_certificate, is_nash_qualitative)

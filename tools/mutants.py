@@ -202,24 +202,10 @@ MUTANTS = [
         ("tests/test_valuation.py",),
     ),
     Mutant(
-        "a best response copies the recorded map whatever its codes",
-        "src/mprs/valuation.py",
-        " and judged[2][n] == tuple(codes)",
-        "",
-        RESPONSE_TESTS,
-    ),
-    Mutant(
-        "the table hands out the recorded maps themselves",
-        "src/mprs/valuation.py",
-        "{n: values[n].copy() for n in game.players}",
-        "{n: values[n] for n in game.players}",
-        ("tests/test_valuation.py",),
-    ),
-    Mutant(
         "decoding writes into the game's zero map",
         "src/mprs/valuation.py",
-        "values = zeros.copy()",
-        "values = zeros",
+        "values = core.zeros.copy()",
+        "values = core.zeros",
         ("tests/test_valuation.py",),
     ),
     Mutant(
@@ -246,8 +232,8 @@ MUTANTS = [
     Mutant(
         "a fresh game records None as its judged profile",
         "src/mprs/valuation.py",
-        "self.judged = (_UNJUDGED, (), None, None, None)",
-        "self.judged = (None, (), None, None, None)",
+        "self.judged = (_UNJUDGED, (), None, None)",
+        "self.judged = (None, (), None, None)",
         ("tests/test_valuation.py",),
     ),
     Mutant(
@@ -333,6 +319,55 @@ MUTANTS = [
         "if k < len(vertices) and vertices[k] == v:",
         "if k < len(vertices):",
         ("tests/test_properties.py",),
+    ),
+    Mutant(
+        "a payoff compares with anything",
+        "src/mprs/valuation.py",
+        "if not isinstance(other, PayoffValue):",
+        "if False:",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "a total payoff takes anything as its outcome",
+        "src/mprs/valuation.py",
+        "if not isinstance(o, Outcome):",
+        "if False:",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "the arena door lets anything in",
+        "src/mprs/classic.py",
+        "if not isinstance(arena, TwoPlayerArena):",
+        "if False:",
+        ("tests/test_classic.py",),
+    ),
+    Mutant(
+        "validation takes anything as its spec",
+        "src/mprs/game.py",
+        "if not isinstance(spec, GameSpec):",
+        "if False:",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "the generator takes anything as its parameters",
+        "src/mprs/generator.py",
+        "if not isinstance(params, GeneratorParams):",
+        "if False:",
+        ("tests/test_generator.py",),
+    ),
+    Mutant(
+        "the generator takes roles of any type",
+        "src/mprs/generator.py",
+        "if not isinstance(params.roles, (tuple, list, type(None))):",
+        "if False:",
+        ("tests/test_generator.py",),
+    ),
+    Mutant(
+        "the generator takes a seed of any type",
+        "src/mprs/generator.py",
+        '"targets_per_player", "seed")',
+        '"targets_per_player")',
+        ("tests/test_generator.py",),
     ),
 ]
 
