@@ -132,9 +132,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     doc = _load(args.file)
+    # The scan runs first, so a game over the guard prints nothing.
+    equilibria = set(enumerate_ne(doc.game))
     for profile in all_profiles(doc.game):
-        report = is_nash(doc.game, profile)
-        line = {"is_ne": report.is_ne, "profile": profile_to_json(profile)}
+        line = {"is_ne": profile in equilibria, "profile": profile_to_json(profile)}
         print(json.dumps(line, sort_keys=True))
     return 0
 

@@ -3,16 +3,18 @@
 A profile is an equilibrium when no player can improve their exact
 discounted payoff from any start vertex by switching to another memoryless
 strategy while everyone else stays put. `is_nash` checks this directly
-against every player's best response, on payoff codes: an equilibrium's
-verdict decodes no value map, and only a failing profile's report is
-built from `value_table` and `best_response`. `check_certificate` checks
-the equivalent local condition instead, namely that at every vertex the
-owner's chosen move maximizes the one-step discounted continuation read
-off the profile's own value table, which also yields its report. The two
-routes are independent and must agree on every game.
+against every player's best response, on payoff codes (`_gains`): an
+equilibrium's verdict decodes no value map, and only a failing profile's
+report is built from `value_table` and `best_response`.
+`check_certificate` checks the equivalent local condition instead, namely
+that at every vertex the owner's chosen move maximizes the one-step
+discounted continuation read off the profile's own value table, which
+also yields its report. The two routes are independent and must agree on
+every game.
 
 `enumerate_ne` walks the whole profile space (small games only, see the
-enumeration guard) and `solve_br_dynamics` iterates rounds of best
+enumeration guard) and settles each profile with the same code test,
+building no report, and `solve_br_dynamics` iterates rounds of best
 responses, which converges on many instances but may cycle, in which case
 callers fall back to enumeration. Every game of this class has at least
 one equilibrium, so enumeration never comes back empty.
@@ -145,16 +147,13 @@ def _sign(code: int) -> int:
     return (code > 0) - (code < 0)
 
 
-def _deviation_scan(
-    game: Game, profile: Profile, qualitative: bool
-) -> tuple[Deviation, ...]:
-    # Each player's codes along the profile, from the hit table's forward
-    # walk, against their response's codes, from `_respond`'s backward
-    # pass: codes order exactly as payoffs do, and their signs as the
-    # payoffs' signs, and both run in vertex order. Only gains are
-    # reported, read off `value_table` and `best_response`, so an
-    # equilibrium's verdict decodes no value map.
-    _, _, codes, responses = _responses(_check_game(game)._core, profile)
+def _gains(core: _Core, profile: Profile, qualitative: bool) -> list[tuple[int, str]]:
+    # Every (player, vertex) where the player's best response does strictly
+    # better, in player and then vertex order. Each player's codes along
+    # the profile, from the hit table's forward walk, meet their response's
+    # codes, from `_respond`'s backward pass: codes order exactly as payoffs
+    # do, and their signs as the payoffs' signs. No value map is decoded.
+    _, _, codes, responses = _responses(core, profile)
     gains = []
     for n, mine in codes.items():
         theirs = responses[n][1]
@@ -162,9 +161,16 @@ def _deviation_scan(
             continue
         if qualitative:
             mine, theirs = map(_sign, mine), map(_sign, theirs)
-        gains += zip(itertools.repeat(n), itertools.compress(game.vertices, map(gt, theirs, mine)))
+        gains += zip(itertools.repeat(n), itertools.compress(core.names, map(gt, theirs, mine)))
+    return gains
+
+
+def _verdict(game: Game, profile: Profile, qualitative: bool) -> NEReport:
+    # The verdict comes from the codes alone. Only a failing profile's
+    # report is read off `value_table` and `best_response`, at its gains.
+    gains = _gains(_check_game(game)._core, profile, qualitative)
     if not gains:
-        return ()
+        return NEReport(True, ())
     values = value_table(game, profile)
     best = {n: best_response(game, profile, n) for n in game.players}
     violations = []
@@ -176,7 +182,7 @@ def _deviation_scan(
         # `strategy` moves exactly at the player's own choice vertices; a
         # gain anywhere else names no move.
         violations.append(Deviation(n, v, strategy.get(v), achieved, available))
-    return tuple(violations)
+    return NEReport(False, tuple(violations))
 
 
 def is_nash(game: Game, profile: Profile) -> NEReport:
@@ -185,8 +191,7 @@ def is_nash(game: Game, profile: Profile) -> NEReport:
     Improvement is demanded from every start vertex at once, so a profile
     fails as soon as one player gains from one vertex.
     """
-    violations = _deviation_scan(game, profile, qualitative=False)
-    return NEReport(not violations, violations)
+    return _verdict(game, profile, qualitative=False)
 
 
 def is_nash_qualitative(game: Game, profile: Profile) -> NEReport:
@@ -195,8 +200,7 @@ def is_nash_qualitative(game: Game, profile: Profile) -> NEReport:
     Every exact equilibrium also passes this coarser check, since taking
     signs preserves the payoff order; the converse does not hold.
     """
-    violations = _deviation_scan(game, profile, qualitative=True)
-    return NEReport(not violations, violations)
+    return _verdict(game, profile, qualitative=True)
 
 
 def profile_space(game: Game) -> int:
@@ -250,17 +254,20 @@ def enumerate_ne(
 
     Stops after `limit` hits when given. The result is never empty when
     the whole space is scanned: a memoryless equilibrium always exists.
+    Each profile is settled by `is_nash`'s code test alone, so the scan
+    decodes no value map and builds no report; its list is exactly the
+    profiles that `is_nash` passes.
 
     Raises:
         TooLargeError: when the profile space exceeds the guard.
         ValueError: when `limit` is not an int of at least 1.
     """
-    _check_game(game)
+    core = _check_game(game)._core
     if limit is not None:
         _check_count("limit", limit)
     found = []
     for profile in all_profiles(game, guard):
-        if is_nash(game, profile).is_ne:
+        if not _gains(core, profile, False):
             found.append(profile)
             if limit is not None and len(found) >= limit:
                 break

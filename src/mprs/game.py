@@ -172,6 +172,15 @@ class Game:
         return _Core(self)
 
 
+def _discount(raw: object) -> Fraction | None:
+    """`raw` as an exact rational strictly between 0 and 1, or None."""
+    try:
+        gamma = Fraction(raw)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        return None
+    return gamma if 0 < gamma < 1 else None
+
+
 @_gc_paused
 def validate_game(spec: GameSpec) -> Game:
     """Check every game invariant and return the immutable handle.
@@ -305,11 +314,8 @@ def validate_game(spec: GameSpec) -> Game:
         if not ws and v not in total_target:
             bad(ViolationKind.DEAD_END, f"non-target vertex {v!r} has no outgoing edge")
 
-    try:
-        gamma = Fraction(spec.gamma)
-    except (ValueError, TypeError, ZeroDivisionError):
-        gamma = None
-    if gamma is None or not (0 < gamma < 1):
+    gamma = _discount(spec.gamma)
+    if gamma is None:
         bad(
             ViolationKind.BAD_GAMMA,
             f"discount factor must be a rational strictly between 0 and 1, got {spec.gamma!r}",

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .game import Game, GameSpec, Role, validate_game
+from .game import Game, GameSpec, Role, _discount, validate_game
 from .limits import _is_int
 
 __all__ = ["GeneratorParams", "InfeasibleError", "random_game"]
@@ -61,6 +61,15 @@ def random_game(params: GeneratorParams) -> Game:
             raise InfeasibleError(f"{name} must be an int, got {value!r}")
     if not isinstance(params.roles, (tuple, list, type(None))):
         raise InfeasibleError(f"roles must be None or a tuple of roles, got {params.roles!r}")
+    for role in params.roles or ():
+        try:
+            Role(role)
+        except ValueError:
+            raise InfeasibleError(f"roles must be known roles, got {role!r}") from None
+    if _discount(params.gamma) is None:
+        raise InfeasibleError(
+            f"gamma must be a rational strictly between 0 and 1, got {params.gamma!r}"
+        )
     density = params.edge_density
     if isinstance(density, bool) or not isinstance(density, numbers.Real):
         raise InfeasibleError(f"edge_density must be a real number, got {density!r}")

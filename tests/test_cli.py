@@ -8,10 +8,10 @@ import sys
 
 import pytest
 
-from mprs import Profile, emit_game, make_reachability
+from mprs import Profile, all_profiles, emit_game, is_nash, make_reachability, profile_to_json
 from mprs.cli import main
 
-from conftest import child_env
+from conftest import child_env, small_game
 
 
 @pytest.fixture
@@ -186,6 +186,29 @@ class TestEnumerate:
             {"is_ne": False, "profile": {"1": {"v1": "v2"}, "2": {"v2": "v1"}}},
             {"is_ne": True, "profile": {"1": {"v1": "v3"}, "2": {"v2": "v1"}}},
         ]
+
+    def test_flags_are_the_verdict_of_each_profile(self, tmp_path, capsys):
+        """Flags come from membership in the scan's equilibria; stdout is
+        byte for byte what a flag from `is_nash` on each profile gives,
+        on every acceptance game."""
+        for seed in range(500):
+            game = small_game(seed)
+            path = tmp_path / f"game-{seed}.json"
+            path.write_text(emit_game(game), encoding="utf-8")
+            assert main(["enumerate", str(path)]) == 0, seed
+            lines = (
+                {"is_ne": is_nash(game, p).is_ne, "profile": profile_to_json(p)}
+                for p in all_profiles(game)
+            )
+            expected = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+            assert capsys.readouterr().out == expected, seed
+
+    def test_a_game_over_the_guard_prints_nothing(self, g1_file, capsys, monkeypatch):
+        monkeypatch.setenv("MPRS_ENUM_GUARD", "1")
+        assert main(["enumerate", g1_file]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestGen:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 import random
 from collections import Counter
 
@@ -23,6 +24,7 @@ from mprs import (
     best_response_enum,
     check_certificate,
     check_profile,
+    emit_game,
     enumerate_ne,
     export_dot,
     is_nash,
@@ -34,6 +36,7 @@ from mprs import (
     value_table,
 )
 from mprs import equilibrium, valuation
+from mprs.cli import main
 from mprs.limits import GuardError
 
 from conftest import random_profile, small_game
@@ -361,6 +364,30 @@ class TestEnumeration:
             assert full == [p for p in profiles if check_certificate(game, p).is_ne], seed
             for k in (1, 2):
                 assert enumerate_ne(game, limit=k) == full[:k], (seed, k)
+
+    def test_the_scan_builds_no_report(self, g1, g1_cycle, tmp_path, capsys, monkeypatch):
+        """The scan settles each profile on payoff codes alone: with both
+        sources of a failing profile's report broken, `enumerate_ne` and
+        `mprs enumerate` still give the equilibria `is_nash` gives."""
+        games = [small_game(seed) for seed in range(20)]
+        expected = [[p for p in all_profiles(g) if is_nash(g, p).is_ne] for g in games]
+        # A document whose profiles are not all equilibria.
+        k = next(k for k, g in enumerate(games) if len(expected[k]) < profile_space(g))
+        path = tmp_path / "game.json"
+        path.write_text(emit_game(games[k]), encoding="utf-8")
+
+        def broken(*args):
+            raise AssertionError("a report was built")
+
+        monkeypatch.setattr(equilibrium, "value_table", broken)
+        monkeypatch.setattr(equilibrium, "best_response", broken)
+        with pytest.raises(AssertionError, match="a report was built"):
+            is_nash(g1, g1_cycle)
+        assert [enumerate_ne(g) for g in games] == expected
+        assert main(["enumerate", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        flags = [json.loads(line)["is_ne"] for line in lines]
+        assert flags == [p in expected[k] for p in all_profiles(games[k])]
 
     def test_explicit_guard_below_one_is_rejected(self, g1):
         with pytest.raises(GuardError) as err:

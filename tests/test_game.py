@@ -104,7 +104,9 @@ class TestValidation:
             validate_game(spec)
         assert kinds(e) == {ViolationKind.UNOWNED_VERTEX}
 
-    @pytest.mark.parametrize("gamma", [0, 1, Fraction(3, 2), -1, "junk"])
+    @pytest.mark.parametrize(
+        "gamma", [0, 1, Fraction(3, 2), -1, "junk", None, float("inf"), float("nan")]
+    )
     def test_bad_gamma(self, gamma):
         spec = GameSpec(
             vertices=["v1"],

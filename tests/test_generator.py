@@ -57,9 +57,20 @@ def test_fixed_roles_are_respected():
     assert random_game(params).roles == {1: Role.AVOIDER, 2: Role.AVOIDER}
 
 
-def test_gamma_is_passed_through():
-    params = GeneratorParams(num_players=1, num_vertices=4, gamma=Fraction(3, 10), seed=1)
-    assert random_game(params).gamma == Fraction(3, 10)
+@pytest.mark.parametrize(
+    "roles",
+    [("reacher", "avoider"), (Role.REACHER, "avoider"), ["reacher", Role.AVOIDER]],
+)
+def test_every_role_a_role_accepts_is_a_role(roles):
+    fixed = GeneratorParams(num_players=2, num_vertices=4, roles=(Role.REACHER, Role.AVOIDER))
+    params = GeneratorParams(num_players=2, num_vertices=4, roles=roles)
+    assert random_game(params) == random_game(fixed)
+
+
+@pytest.mark.parametrize("gamma", [Fraction(3, 10), "1/3", 0.25])
+def test_gamma_is_passed_through(gamma):
+    params = GeneratorParams(num_players=1, num_vertices=4, gamma=gamma, seed=1)
+    assert random_game(params).gamma == Fraction(gamma)
 
 
 @pytest.mark.parametrize(
@@ -103,6 +114,15 @@ def test_out_of_range_parameters(params):
         ("seed", [1]),
         ("seed", None),
         ("seed", 1.0),
+        ("roles", ("x", "y")),
+        ("roles", (Role.REACHER, None)),
+        ("roles", ([], "avoider")),
+        ("gamma", "abc"),
+        ("gamma", None),
+        ("gamma", Fraction(3, 2)),
+        ("gamma", 0),
+        ("gamma", float("inf")),
+        ("gamma", float("nan")),
     ],
 )
 def test_parameters_of_the_wrong_type(field, value):

@@ -23,6 +23,7 @@ from mprs import (
     Profile,
     ProfileError,
     Role,
+    TooLargeError,
     Violation,
     ViolationKind,
     all_profiles,
@@ -30,6 +31,7 @@ from mprs import (
     best_response_enum,
     check_certificate,
     emit_game,
+    enumerate_ne,
     is_nash,
     is_nash_qualitative,
     outcome,
@@ -154,6 +156,31 @@ def test_dynamics_stop_only_at_equilibria(drawn):
     # the dynamics only where they started at an equilibrium.
     start_is_ne = is_nash(game, profile).is_ne
     assert solve_br_dynamics(game, profile, max_rounds=1) == (profile if start_is_ne else None)
+
+
+# Above this many profiles a drawn game's scan is left to the guard. Most
+# drawn games have a few dozen profiles at most, the largest thousands.
+SCAN_GUARD = 512
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(specs(), st.data())
+def test_enumeration_is_the_filter_of_every_verdict(spec, data):
+    """`enumerate_ne` settles profiles on codes alone, so both reporting
+    verdicts stay its oracles: it returns exactly the profiles of
+    `all_profiles` that `is_nash` passes, and that `check_certificate`
+    passes, in that order, and `limit=k` keeps the first k of them."""
+    game = validate_game(spec)
+    if profile_space(game) > SCAN_GUARD:
+        with pytest.raises(TooLargeError):
+            enumerate_ne(game, guard=SCAN_GUARD)
+        return
+    full = enumerate_ne(game, guard=SCAN_GUARD)
+    profiles = list(all_profiles(game))
+    assert full == [p for p in profiles if is_nash(game, p).is_ne]
+    assert full == [p for p in profiles if check_certificate(game, p).is_ne]
+    k = data.draw(st.integers(1, len(full) + 1), label="limit")
+    assert enumerate_ne(game, limit=k) == full[:k]
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

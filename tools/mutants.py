@@ -369,6 +369,57 @@ MUTANTS = [
         '"targets_per_player")',
         ("tests/test_generator.py",),
     ),
+    Mutant(
+        "the generator takes any role value",
+        "src/mprs/generator.py",
+        "Role(role)",
+        "role",
+        ("tests/test_generator.py",),
+    ),
+    Mutant(
+        "the generator takes any discount",
+        "src/mprs/generator.py",
+        "if _discount(params.gamma) is None:",
+        "if False:",
+        ("tests/test_generator.py",),
+    ),
+    Mutant(
+        "the scan accepts a profile that only its last player gains from",
+        "src/mprs/equilibrium.py",
+        "if not _gains(core, profile, False):",
+        "if all(n == game.players[-1] for n, _ in _gains(core, profile, False)):",
+        ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
+        "the scan settles profiles on the qualitative code test",
+        "src/mprs/equilibrium.py",
+        "if not _gains(core, profile, False):",
+        "if not _gains(core, profile, True):",
+        ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
+        # A response is never below the profile, so with the equal-codes
+        # shortcut in place a tie is a gain only in reports; without it,
+        # every tie of an equilibrium fails the scan too.
+        "the code test counts a tie as a gain and checks every player in full",
+        "src/mprs/equilibrium.py",
+        "if tuple(theirs) == mine:  # no gain anywhere, as at every equilibrium\n"
+        "            continue\n"
+        "        if qualitative:\n"
+        "            mine, theirs = map(_sign, mine), map(_sign, theirs)\n"
+        "        gains += zip(itertools.repeat(n), itertools.compress(core.names, map(gt, theirs, mine)))",
+        "if qualitative:\n"
+        "            mine, theirs = map(_sign, mine), map(_sign, theirs)\n"
+        "        gains += zip(itertools.repeat(n), itertools.compress(core.names, map(lambda a, b: a >= b, theirs, mine)))",
+        ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
+        "enumerate flags the profiles that are no equilibria",
+        "src/mprs/cli.py",
+        '"is_ne": profile in equilibria',
+        '"is_ne": profile not in equilibria',
+        ("tests/test_cli.py",),
+    ),
 ]
 
 
