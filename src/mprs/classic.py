@@ -18,8 +18,8 @@ implementation bug in one of the two routes.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable
 
 from .equilibrium import enumerate_ne
 from .game import (
@@ -29,6 +29,7 @@ from .game import (
     Role,
     Violation,
     ViolationKind,
+    _vertex_ids,
     validate_game,
 )
 from .valuation import Profile, value_table
@@ -50,7 +51,8 @@ class TwoPlayerArena:
 
     The partition names say who controls what in the reachability reading;
     `make_safety` keeps the same control and swaps the objectives. Vertex
-    ids are stored as strings, as `validate_game` reads them.
+    ids are stored as strings, as `validate_game` reads them, and what it
+    refuses as a vertex set or an edge list is an `InvalidGameError` here.
     """
 
     vertices: frozenset[str]
@@ -68,6 +70,10 @@ class TwoPlayerArena:
         target: Iterable[str],
     ):
         pairs, problems = set(), []
+        if not isinstance(edges, Iterable):
+            detail = f"the edge list must be a collection of pairs, got {edges!r}"
+            problems.append(Violation(ViolationKind.BAD_EDGE, detail))
+            edges = ()
         for edge in edges:
             try:
                 u, w = edge
@@ -77,13 +83,13 @@ class TwoPlayerArena:
                 )
                 continue
             pairs.add((str(u), str(w)))
+        object.__setattr__(self, "edges", frozenset(pairs))
+        names = ("vertices", "reacher_owned", "avoider_owned", "target")
+        for name, raw in zip(names, (vertices, reacher_owned, avoider_owned, target)):
+            ids = _vertex_ids(raw, f"the arena's {name}", problems) or ()
+            object.__setattr__(self, name, frozenset(ids))
         if problems:
             raise InvalidGameError(problems)
-        object.__setattr__(self, "vertices", frozenset(map(str, vertices)))
-        object.__setattr__(self, "edges", frozenset(pairs))
-        object.__setattr__(self, "reacher_owned", frozenset(map(str, reacher_owned)))
-        object.__setattr__(self, "avoider_owned", frozenset(map(str, avoider_owned)))
-        object.__setattr__(self, "target", frozenset(map(str, target)))
 
 
 def _check_arena(arena: object) -> None:

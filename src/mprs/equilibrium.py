@@ -12,12 +12,12 @@ discounted continuation read off the profile's own value table, which
 also yields its report. The two routes are independent and must agree on
 every game.
 
-`enumerate_ne` walks the whole profile space (small games only, see the
-enumeration guard) and settles each profile with the same code test,
-building no report, and `solve_br_dynamics` iterates rounds of best
-responses, which converges on many instances but may cycle, in which case
-callers fall back to enumeration. Every game of this class has at least
-one equilibrium, so enumeration never comes back empty.
+`enumerate_ne` walks the move arrays of the whole profile space (small
+games only, see the enumeration guard), settles each with the same code
+test and names only the equilibria. `solve_br_dynamics` iterates rounds
+of best responses, which converges on many instances but may cycle, in
+which case callers fall back to enumeration. Every game of this class
+has an equilibrium, so enumeration never comes back empty.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import gt, itemgetter
+from operator import gt
 from typing import Iterator
 
 from .game import Game, _check_game
@@ -35,11 +35,12 @@ from .valuation import (
     Profile,
     _Core,
     _decode,
+    _judge,
     _judged,
     _moves,
+    _name,
     _profile,
     _respond,
-    _responses,
     best_response,
     value_table,
 )
@@ -147,13 +148,12 @@ def _sign(code: int) -> int:
     return (code > 0) - (code < 0)
 
 
-def _gains(core: _Core, profile: Profile, qualitative: bool) -> list[tuple[int, str]]:
+def _gains(core: _Core, codes: dict, responses: dict, qualitative: bool) -> list[tuple[int, str]]:
     # Every (player, vertex) where the player's best response does strictly
-    # better, in player and then vertex order. Each player's codes along
-    # the profile, from the hit table's forward walk, meet their response's
-    # codes, from `_respond`'s backward pass: codes order exactly as payoffs
-    # do, and their signs as the payoffs' signs. No value map is decoded.
-    _, _, codes, responses = _responses(core, profile)
+    # better, in player and then vertex order, from `_judge`'s codes along
+    # the profile (the hit table's forward walk) and response codes (the
+    # backward pass of `_respond`): codes order exactly as payoffs do, and
+    # their signs as the payoffs' signs. No value map is decoded.
     gains = []
     for n, mine in codes.items():
         theirs = responses[n][1]
@@ -168,7 +168,8 @@ def _gains(core: _Core, profile: Profile, qualitative: bool) -> list[tuple[int, 
 def _verdict(game: Game, profile: Profile, qualitative: bool) -> NEReport:
     # The verdict comes from the codes alone. Only a failing profile's
     # report is read off `value_table` and `best_response`, at its gains.
-    gains = _gains(_check_game(game)._core, profile, qualitative)
+    core = _check_game(game)._core
+    gains = _gains(core, *_judged(core, profile)[2:], qualitative)
     if not gains:
         return NEReport(True, ())
     values = value_table(game, profile)
@@ -214,6 +215,7 @@ def all_profiles(game: Game, guard: int | None = None) -> Iterator[Profile]:
 
     Vertices are taken in lexicographic order and each runs through its
     successors in lexicographic order, the last vertex varying fastest.
+    All of them share each player's vertex tuple (see `valuation._name`).
 
     Raises:
         TooLargeError: when the profile space exceeds the guard. This
@@ -221,25 +223,18 @@ def all_profiles(game: Game, guard: int | None = None) -> Iterator[Profile]:
             itself, before any profile is drawn.
     """
     check_guard(profile_space(game), guard)
-    return _profiles(game)
+    core = game._core
+    return (_name(core, nxt) for nxt in _arrays(core))
 
 
-def _profiles(game: Game) -> Iterator[Profile]:
-    """The generator behind `all_profiles`, once its checks pass."""
-    vertices = game.choice_vertices
-    owners = [game.owner[v] for v in vertices]
-    # Each player's vertex tuple, which every profile shares, and a getter
-    # of the player's moves out of a choice, made once. The getter of a
-    # single position takes a slice, so that it too returns a tuple.
-    players = sorted(set(owners))
-    shared = [tuple(v for v, m in zip(vertices, owners) if m == n) for n in players]
-    places = [[k for k, m in enumerate(owners) if m == n] for n in players]
-    getters = [
-        itemgetter(*ks) if len(ks) > 1 else itemgetter(slice(ks[0], ks[0] + 1)) for ks in places
-    ]
-    parts = tuple(zip(players, shared, getters))
-    for choice in itertools.product(*(game.successors(v) for v in vertices)):
-        yield Profile._canonical(tuple([(n, vs, moves(choice)) for n, vs, moves in parts]))
+def _arrays(core: _Core) -> Iterator[list[int]]:
+    """Every move array in `all_profiles` order: one list, rewritten in place."""
+    nxt = [-1] * len(core.names)
+    choice = core.choice
+    for moves in itertools.product(*map(core.succ.__getitem__, choice)):
+        for v, w in zip(choice, moves):
+            nxt[v] = w
+        yield nxt
 
 
 def _check_count(name: str, value: object) -> None:
@@ -254,9 +249,10 @@ def enumerate_ne(
 
     Stops after `limit` hits when given. The result is never empty when
     the whole space is scanned: a memoryless equilibrium always exists.
-    Each profile is settled by `is_nash`'s code test alone, so the scan
-    decodes no value map and builds no report; its list is exactly the
-    profiles that `is_nash` passes.
+    Each move array behind `all_profiles` is settled by `is_nash`'s code
+    test alone: no profile is checked, recorded or reported, and only the
+    equilibria are named. The list is exactly the profiles that `is_nash`
+    passes.
 
     Raises:
         TooLargeError: when the profile space exceeds the guard.
@@ -265,10 +261,11 @@ def enumerate_ne(
     core = _check_game(game)._core
     if limit is not None:
         _check_count("limit", limit)
+    check_guard(profile_space(game), guard)
     found = []
-    for profile in all_profiles(game, guard):
-        if not _gains(core, profile, False):
-            found.append(profile)
+    for nxt in _arrays(core):
+        if not _gains(core, *_judge(core, nxt), False):
+            found.append(_name(core, nxt))
             if limit is not None and len(found) >= limit:
                 break
     return found
@@ -287,14 +284,13 @@ def solve_br_dynamics(
     back to `enumerate_ne`. A `max_rounds` that is not an int of at least 1
     is a ValueError.
 
-    The dynamics run on the game's move array: each response comes from
-    the same pass and tie-break as `best_response`, and a `Profile`
-    is built only for the result. The profile itself is never evaluated.
-    A player gains somewhere exactly when a current move of theirs leads
-    lower, by their response codes, than the response's move: if none
-    does, those codes solve the one-step recursion along the profile and
-    so are its payoffs; if one does, the player gains there, because no
-    code is 1 or -1 and so one discount step keeps distinct codes apart.
+    The dynamics run on a move array, with the pass and tie-break of
+    `best_response`, and name a `Profile` only for the result. A player
+    gains somewhere exactly when a current move of theirs leads lower, by
+    their response codes, than the response's move: if none does, those
+    codes solve the one-step recursion along the profile and so are its
+    payoffs; if one does, the player gains there, because no code is 1 or
+    -1 and so one discount step keeps distinct codes apart.
 
     A response that cannot change is skipped. `_respond` never reads the
     responder's own moves, so a response depends on the opponents' moves
@@ -305,10 +301,8 @@ def solve_br_dynamics(
     result for every `max_rounds`, stays as if everyone always responded.
 
     At convergence every player is current, so each player's last
-    response is their response to the result. `responses` keeps them,
-    and the result is recorded with them in the game's judged profile
-    (see `valuation._Core`): `best_response`, and with it `is_nash` and
-    `is_nash_qualitative`, on that profile object run no pass of their own.
+    response is their response to the result. The result is recorded with
+    them (`valuation._profile`), and no verdict on it solves them again.
     """
     core = _check_game(game)._core
     _check_count("max_rounds", max_rounds)

@@ -181,6 +181,18 @@ def _discount(raw: object) -> Fraction | None:
     return gamma if 0 < gamma < 1 else None
 
 
+def _vertex_ids(raw: Iterable[str], what: str, violations: list[Violation]) -> list[str] | None:
+    # A bare string would be read one character at a time, so it is refused.
+    if not isinstance(raw, str):
+        try:
+            return list(map(str, raw))
+        except TypeError:
+            pass
+    detail = f"{what} must be a collection of vertex ids, got {raw!r}"
+    violations.append(Violation(ViolationKind.BAD_VERTEX_SET, detail))
+    return None
+
+
 @_gc_paused
 def validate_game(spec: GameSpec) -> Game:
     """Check every game invariant and return the immutable handle.
@@ -199,18 +211,8 @@ def validate_game(spec: GameSpec) -> Game:
     def bad(kind: ViolationKind, detail: str) -> None:
         violations.append(Violation(kind, detail))
 
-    def vertex_ids(raw: Iterable[str], what: str) -> list[str] | None:
-        # A bare string would be read one character at a time, so it is refused.
-        if not isinstance(raw, str):
-            try:
-                return list(map(str, raw))
-            except TypeError:
-                pass
-        bad(ViolationKind.BAD_VERTEX_SET, f"{what} must be a collection of vertex ids, got {raw!r}")
-        return None
-
     # Sorted before deduplicated: a sort is linear on ids that come in order.
-    vertices = sorted(vertex_ids(spec.vertices, "the vertex list") or ())
+    vertices = sorted(_vertex_ids(spec.vertices, "the vertex list", violations) or ())
     vset = frozenset(vertices)
     if len(vset) < len(vertices):
         vertices = sorted(vset)
@@ -297,7 +299,7 @@ def validate_game(spec: GameSpec) -> Game:
         if n not in role_map or _is_int(n) != (n in players):
             bad(ViolationKind.UNKNOWN_PLAYER, f"target set declared for undeclared player {n!r}")
     for n in players:
-        tset = vertex_ids(target_sets.get(n, ()), f"target set of player {n}")
+        tset = _vertex_ids(target_sets.get(n, ()), f"target set of player {n}", violations)
         if tset is None:
             continue
         for v in sorted(set(tset).difference(vset)):

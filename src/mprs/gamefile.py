@@ -233,11 +233,15 @@ def emit_game(game: Game, profiles: Mapping[str, Profile] | None = None) -> str:
     Structurally equal games yield byte-identical output regardless of the
     order their pieces were supplied in. A profile that fails
     `check_profile` is a ProfileError, as `parse_document` would raise,
-    and so are `profiles` that are no mapping of names to profiles.
+    and so are `profiles` that are no mapping of names to profiles, and a
+    name that is no string, which the document could not give back.
     """
     _check_game(game)
     if profiles is not None and not isinstance(profiles, Mapping):
         raise ProfileError(f"profiles map names to profiles, got {profiles!r}")
+    for name in profiles or ():
+        if not isinstance(name, str):
+            raise ProfileError(f"a profile name must be a string, got {name!r}")
     # Each vertex id is escaped once. Every list entry is written with a
     # leading comma, which the first entry of its list then drops.
     ids = list(map(encode_basestring, game.vertices))

@@ -12,19 +12,18 @@ payoff codes (see `_decode`); `PayoffValue` maps appear only at the API.
 
 A `Profile` holds each player's strategy as two parallel tuples, the
 sorted vertex ids and the chosen successors, and no (vertex, move) pair.
-The profile scan and the dynamics build theirs in that form directly
-(`Profile._canonical`). Every profile goes through one routine, `_moves`,
-a pure check that builds its move array (one successor index per
-vertex) in the same pass.
-Each game remembers the last profile that `value_table`, a verdict or the
-dynamics judged (`_Core.judged`), so the verdicts on one profile check it
-and build its hit table once. `is_nash` and `is_nash_qualitative` record
-every player's response with it (`_responses`), or reuse those the
-dynamics recorded, and decide on codes alone: an equilibrium's verdict
-decodes no value map. Only a failing profile's report comes through
-`value_table` and `best_response`, which reuse the recorded codes and
-responses. Value maps are never recorded: each call decodes fresh ones
-from the codes, into a copy of the game's one all-`ZERO` map.
+The solvers work on move arrays, one successor index per vertex. A
+profile from outside gets its array from `_moves`, a pure check; the
+profile scan and the dynamics make their own arrays and name a `Profile`
+only for what they return (`_name`). `_judge` judges an array: every
+player's payoff codes and best response. Each game remembers the last
+profile that `value_table`, a verdict or the dynamics judged
+(`_Core.judged`), so the verdicts on one profile object check and judge
+it once, and none on a dynamics result solves the responses again.
+`is_nash` and `is_nash_qualitative` decide on codes alone; only a failing
+profile's report comes through `value_table` and `best_response`. Value
+maps are never recorded: each call decodes fresh ones from the codes,
+into a copy of the game's one all-`ZERO` map.
 
 `best_response` computes a payoff-maximizing memoryless strategy for one
 player against fixed opponents by one backward pass from the player's own
@@ -93,8 +92,8 @@ class Profile:
     The canonical form holds one ``(n, vertices, moves)`` triple per
     player, in player order: `vertices` is the sorted tuple of the vertex
     ids player n moves at, and `moves` the parallel tuple of the chosen
-    successors. The profiles `all_profiles` yields share each player's
-    vertex tuple and make only new move tuples.
+    successors. The profiles of `all_profiles`, `enumerate_ne` and the
+    dynamics share each player's vertex tuple; only move tuples are new.
     """
 
     __slots__ = ("_items",)
@@ -290,22 +289,19 @@ class _Core:
     Vertex i is ``game.vertices[i]``, so index order is lexicographic
     order. Target vertices are absorbing: they have no successors and are
     nobody's predecessor. `own[n]` lists player n's target vertices and
-    `mine[n]` player n's choice vertices, both in index order.
-    `sign[n]` is the sign of player n's payoff at each of n's own targets,
-    n's `turn_payoff` there. Payoffs are integer codes (see `_decode`).
-    Built once per game, on first use, by `Game._core`.
+    `mine[n]` player n's choice vertices, both in index order; `named`
+    holds each mover's ``(n, vertex ids, mine[n])``, whose id tuples
+    `_name` shares. `sign[n]` is the sign of player n's payoff at each of
+    n's own targets, n's `turn_payoff` there. Payoffs are integer codes
+    (see `_decode`). Built once per game, on first use, by `Game._core`.
 
     `judged` holds ``(profile, move array, codes, responses)`` for the
     last profile judged here, and starts with `_UNJUDGED`, which no caller
-    can pass as a profile. Only `_judged`, `_responses` and `_profile`
-    store it, so a mere check or play never evicts it. `codes` are every
-    player's payoff codes, or None until `_judged` adds them to a dynamics
-    result. `responses` map every player to `_respond`'s result on the
-    move array, or are None until known: the dynamics store them with
-    their result, since they hold them all at convergence, and
-    `_responses` adds them for the verdicts on any other profile.
-    `best_response` on that profile object returns them. Each update
-    stores one new tuple, and nothing in it is ever mutated.
+    can pass as a profile. Only `_judged` and `_profile` store it, so a
+    mere check, play or scan never evicts it. Codes and responses are
+    `_judge`'s; codes are None only on a dynamics result, until `_judged`
+    adds them. `best_response` on that profile object returns the
+    recorded response. Each update stores one new tuple, never mutated.
 
     `zeros` maps every vertex id to `ZERO`. Every value map starts as a
     copy of it, and it is never handed out itself.
@@ -313,7 +309,7 @@ class _Core:
 
     __slots__ = (
         "names", "index", "base", "owner", "succ", "pred", "choice", "mine", "own", "sign",
-        "judged", "zeros",
+        "named", "judged", "zeros",
     )
 
     def __init__(self, game: Game):
@@ -338,6 +334,8 @@ class _Core:
         for v in self.choice:
             mine[owner[v]].append(v)
         self.mine = {n: tuple(vs) for n, vs in mine.items()}
+        name = names.__getitem__
+        self.named = tuple((n, tuple(map(name, vs)), vs) for n, vs in self.mine.items() if vs)
         self.sign = {n: turn_payoff(game, n, names[own[0]]) for n, own in self.own.items()}
         self.judged = (_UNJUDGED, (), None, None)
         self.zeros = dict.fromkeys(names, ZERO)
@@ -473,39 +471,41 @@ def _codes(core: _Core, n: int, hits: tuple[list[int], dict[int, list[int]]]) ->
     return code
 
 
+def _judge(core: _Core, nxt: Sequence[int], responses: dict | None = None) -> tuple[dict, dict]:
+    """Every player's payoff codes on the checked move array `nxt`, from the
+    hit table, and every player's `_respond` result, unless given as `responses`."""
+    hits = _hits(core, nxt)
+    codes = {n: tuple(_codes(core, n, hits)) for n in core.sign}
+    if responses is None:
+        responses = {n: _respond(core, nxt, n) for n in core.sign}
+    return codes, responses
+
+
 def _judged(core: _Core, profile: Profile) -> tuple:
-    """`core.judged` for `profile`, with every player's payoff codes filled
-    in, and the responses it already held for `profile` kept."""
+    """`core.judged` for `profile`, recorded whole; a dynamics result gets
+    its codes next to the responses it came with."""
     judged = core.judged
     if judged[0] is not profile:
-        judged = (profile, tuple(_moves(core, profile)), None, None)
-    if judged[2] is None:
-        hits = _hits(core, judged[1])
-        codes = {n: tuple(_codes(core, n, hits)) for n in core.sign}
-        judged = core.judged = (*judged[:2], codes, judged[3])
+        nxt = _moves(core, profile)
+        judged = core.judged = (profile, tuple(nxt), *_judge(core, nxt))
+    elif judged[2] is None:
+        judged = core.judged = (*judged[:2], *_judge(core, judged[1], judged[3]))
     return judged
 
 
-def _responses(core: _Core, profile: Profile) -> tuple:
-    """`_judged(core, profile)` with every player's `_respond` result on
-    the judged move array filled in, and those the dynamics recorded kept."""
-    judged = _judged(core, profile)
-    if judged[3] is None:
-        responses = {n: _respond(core, judged[1], n) for n in core.sign}
-        judged = core.judged = (*judged[:3], responses)
-    return judged
+def _name(core: _Core, nxt: Sequence[int]) -> Profile:
+    """The `Profile` of the checked move array `nxt`. Each player's vertex
+    tuple is the one `core.named` holds, so only the move tuples are new."""
+    names, moves = core.names.__getitem__, nxt.__getitem__
+    return Profile._canonical(
+        tuple([(n, vs, tuple(map(names, map(moves, mine)))) for n, vs, mine in core.named])
+    )
 
 
 def _profile(core: _Core, nxt: list[int], responses: dict[int, tuple]) -> Profile:
-    """The `Profile` of the checked move array `nxt`, recorded in `core.judged`
-    with `responses`, every player's `_respond` result on `nxt`."""
-    names = core.names.__getitem__
-    items = tuple(
-        (n, tuple(map(names, mine)), tuple(map(names, map(nxt.__getitem__, mine))))
-        for n, mine in core.mine.items()
-        if mine
-    )
-    profile = Profile._canonical(items)
+    """`_name(core, nxt)`, recorded with `responses`, every player's
+    `_respond` result on `nxt`."""
+    profile = _name(core, nxt)
     core.judged = (profile, tuple(nxt), None, responses)
     return profile
 
@@ -573,19 +573,8 @@ def _respond(core: _Core, nxt: Sequence[int], n: int) -> tuple[dict[int, int], l
     return moves, code
 
 
-def _best(game: Game, opponents: Profile, n: int, solve) -> tuple[Strategy, dict[str, PayoffValue]]:
-    # Both best responses: check `n` and `opponents`, then name the moves
-    # and decode the codes that `solve(core, nxt, n)` returns. The judged
-    # profile object lends its checked move array, and `_respond`'s result
-    # when the dynamics or a verdict recorded it.
-    _check_player(game, n)
-    core = game._core
-    judged = core.judged
-    recorded = judged[0] is opponents
-    if solve is _respond and recorded and judged[3] is not None:
-        moves, codes = judged[3][n]
-    else:
-        moves, codes = solve(core, list(judged[1]) if recorded else _moves(core, opponents, n), n)
+def _decoded(core: _Core, moves: dict[int, int], codes: Sequence[int]) -> tuple:
+    """A response as the API returns it: named moves and a value map."""
     names = core.names
     return {names[v]: names[w] for v, w in moves.items()}, _payoffs(core, codes)
 
@@ -608,7 +597,11 @@ def best_response(
         ProfileError: when `opponents` do not fit `game`, with the message
             `check_profile` gives once `n`'s entries are legal and complete.
     """
-    return _best(game, opponents, n, _respond)
+    _check_player(game, n)
+    core = game._core
+    if core.judged[0] is opponents:
+        return _decoded(core, *core.judged[3][n])
+    return _decoded(core, *_respond(core, _moves(core, opponents, n), n))
 
 
 def best_response_enum(
@@ -625,24 +618,24 @@ def best_response_enum(
         TooLargeError: when the strategy space exceeds the guard.
     """
 
-    def search(core: _Core, nxt: list[int], n: int) -> tuple[dict[int, int], list[int]]:
-        mine = core.mine[n]
-        check_guard(math.prod(len(core.succ[v]) for v in mine), guard)
+    _check_player(game, n)
+    core = game._core
+    nxt = _moves(core, opponents, n)
+    mine = core.mine[n]
+    check_guard(math.prod(len(core.succ[v]) for v in mine), guard)
 
-        def evaluate(choice: tuple[int, ...]) -> list[int]:
-            for v, w in zip(mine, choice):
-                nxt[v] = w
-            return _codes(core, n, _hits(core, nxt))
+    def evaluate(choice: tuple[int, ...]) -> list[int]:
+        for v, w in zip(mine, choice):
+            nxt[v] = w
+        return _codes(core, n, _hits(core, nxt))
 
-        best: list[int] | None = None
-        for choice in itertools.product(*(core.succ[v] for v in mine)):
-            codes = evaluate(choice)
-            best = codes if best is None else list(map(max, best, codes))
-        assert best is not None  # the empty product still yields one candidate
+    best: list[int] | None = None
+    for choice in itertools.product(*(core.succ[v] for v in mine)):
+        codes = evaluate(choice)
+        best = codes if best is None else list(map(max, best, codes))
+    assert best is not None  # the empty product still yields one candidate
 
-        for choice in itertools.product(*(core.succ[v] for v in mine)):
-            if evaluate(choice) == best:
-                return dict(zip(mine, choice)), best
-        raise AssertionError("no single strategy achieves the per-vertex maxima")
-
-    return _best(game, opponents, n, search)
+    for choice in itertools.product(*(core.succ[v] for v in mine)):
+        if evaluate(choice) == best:
+            return _decoded(core, dict(zip(mine, choice)), best)
+    raise AssertionError("no single strategy achieves the per-vertex maxima")

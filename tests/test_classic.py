@@ -90,6 +90,32 @@ class TestArenaConstruction:
         assert violation.kind is ViolationKind.BAD_EDGE
         assert repr(edge) in violation.detail
 
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("vertices", None, ViolationKind.BAD_VERTEX_SET),
+            ("reacher_owned", "v1", ViolationKind.BAD_VERTEX_SET),
+            ("avoider_owned", 7, ViolationKind.BAD_VERTEX_SET),
+            ("target", "v3", ViolationKind.BAD_VERTEX_SET),
+            ("edges", 5, ViolationKind.BAD_EDGE),
+        ],
+    )
+    def test_an_input_that_is_no_collection_is_rejected(self, field, value, kind):
+        """A bare string is no vertex set: it would be read one character
+        at a time, and answer for the wrong partition."""
+        arena = dict(
+            vertices=["v1", "v2", "v3"],
+            edges=[("v1", "v2"), ("v2", "v3")],
+            reacher_owned=["v1"],
+            avoider_owned=["v2", "v3"],
+            target=["v3"],
+        )
+        with pytest.raises(InvalidGameError) as raised:
+            TwoPlayerArena(**{**arena, field: value})
+        (violation,) = raised.value.violations
+        assert violation.kind is kind
+        assert repr(value) in violation.detail
+
     def test_unassigned_vertex_is_rejected(self):
         arena = TwoPlayerArena(
             vertices=["a", "b", "c"],

@@ -389,6 +389,44 @@ class TestEnumeration:
         flags = [json.loads(line)["is_ne"] for line in lines]
         assert flags == [p in expected[k] for p in all_profiles(games[k])]
 
+    def test_the_scan_checks_and_records_no_profile(self, monkeypatch):
+        """`enumerate_ne` judges the move arrays it builds itself: in full
+        and to its first equilibrium it checks no profile through `_moves`
+        and leaves the game's judged profile as it found it, on a fresh
+        game and after a verdict."""
+        checked = []
+        moves = valuation._moves
+
+        def counted(*args, **kwargs):
+            checked.append(args)
+            return moves(*args, **kwargs)
+
+        monkeypatch.setattr(valuation, "_moves", counted)
+        monkeypatch.setattr(equilibrium, "_moves", counted)
+        rng = random.Random(23)
+        for seed in range(40):
+            game = small_game(seed)
+            for _ in range(2):
+                judged = game._core.judged
+                full = enumerate_ne(game)
+                assert enumerate_ne(game, limit=1) == full[:1]
+                assert checked == [] and game._core.judged is judged, seed
+                is_nash(game, random_profile(game, rng))
+                checked.clear()
+
+    def test_named_profiles_share_each_players_vertex_tuple(self):
+        """Consecutive `all_profiles` profiles, the equilibria and the
+        dynamics result all hold the same vertex tuple object per player."""
+        for seed in range(40):
+            game = small_game(seed)
+            profiles = list(all_profiles(game, guard=10**5))
+            found = solve_br_dynamics(game, profiles[0])
+            named = [*profiles, *enumerate_ne(game)] + [found] * (found is not None)
+            for p, q in zip(named, named[1:]):
+                assert len(p._items) == len(q._items), seed
+                for (n, vertices, _), (m, shared, _) in zip(p._items, q._items):
+                    assert n == m and vertices is shared, seed
+
     def test_explicit_guard_below_one_is_rejected(self, g1):
         with pytest.raises(GuardError) as err:
             enumerate_ne(g1, guard=0)

@@ -233,6 +233,14 @@ class TestEmit:
             emit_game(g1, [g1_hat])
         assert str(err.value) == f"profiles map names to profiles, got {[g1_hat]!r}"
 
+    @pytest.mark.parametrize("names", [(1, "a"), ((1, 2),), (1,), (None,)])
+    def test_a_profile_name_that_is_no_string_is_a_profile_error(self, g1, g1_hat, names):
+        """A document's profile names are JSON keys, so strings: another
+        name is refused, never renamed or left to fail inside `json`."""
+        with pytest.raises(ProfileError) as err:
+            emit_game(g1, dict.fromkeys(names, g1_hat))
+        assert str(err.value) == f"a profile name must be a string, got {names[0]!r}"
+
     def test_profile_json_shape(self, g1_hat):
         assert profile_to_json(g1_hat) == {"1": {"v1": "v3"}, "2": {"v2": "v1"}}
 

@@ -153,13 +153,6 @@ MUTANTS = [
         ("tests/test_valuation.py",),
     ),
     Mutant(
-        "a best response takes the judged move array for any profile",
-        "src/mprs/valuation.py",
-        "list(judged[1]) if recorded else",
-        "list(judged[1]) if judged[1] else",
-        ("tests/test_valuation.py",),
-    ),
-    Mutant(
         "the verdicts reuse whichever profile was judged",
         "src/mprs/valuation.py",
         "if judged[0] is not profile:",
@@ -195,13 +188,6 @@ MUTANTS = [
         RESPONSE_TESTS,
     ),
     Mutant(
-        "brute-force responses read the recorded ones",
-        "src/mprs/valuation.py",
-        "solve is _respond and ",
-        "",
-        ("tests/test_valuation.py",),
-    ),
-    Mutant(
         "decoding writes into the game's zero map",
         "src/mprs/valuation.py",
         "values = core.zeros.copy()",
@@ -235,13 +221,6 @@ MUTANTS = [
         "self.judged = (_UNJUDGED, (), None, None)",
         "self.judged = (None, (), None, None)",
         ("tests/test_valuation.py",),
-    ),
-    Mutant(
-        "the scan pairs one player's vertices with another's moves",
-        "src/mprs/equilibrium.py",
-        "parts = tuple(zip(players, shared, getters))",
-        "parts = tuple(zip(players, shared, getters[::-1]))",
-        ("tests/test_properties.py",),
     ),
     Mutant(
         "profiles compare by their vertices alone",
@@ -281,8 +260,8 @@ MUTANTS = [
     Mutant(
         "a verdict solves again the responses the dynamics recorded",
         "src/mprs/valuation.py",
-        "if judged[3] is None:",
-        "if True:",
+        "_judge(core, judged[1], judged[3])",
+        "_judge(core, judged[1])",
         ("tests/test_valuation.py",),
     ),
     Mutant(
@@ -386,15 +365,15 @@ MUTANTS = [
     Mutant(
         "the scan accepts a profile that only its last player gains from",
         "src/mprs/equilibrium.py",
-        "if not _gains(core, profile, False):",
-        "if all(n == game.players[-1] for n, _ in _gains(core, profile, False)):",
+        "if not _gains(core, *_judge(core, nxt), False):",
+        "if all(n == game.players[-1] for n, _ in _gains(core, *_judge(core, nxt), False)):",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
         "the scan settles profiles on the qualitative code test",
         "src/mprs/equilibrium.py",
-        "if not _gains(core, profile, False):",
-        "if not _gains(core, profile, True):",
+        "if not _gains(core, *_judge(core, nxt), False):",
+        "if not _gains(core, *_judge(core, nxt), True):",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
@@ -412,6 +391,62 @@ MUTANTS = [
         "            mine, theirs = map(_sign, mine), map(_sign, theirs)\n"
         "        gains += zip(itertools.repeat(n), itertools.compress(core.names, map(lambda a, b: a >= b, theirs, mine)))",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
+        "the scan never rewrites the last choice vertex",
+        "src/mprs/equilibrium.py",
+        "for v, w in zip(choice, moves):",
+        "for v, w in zip(choice[:-1], moves):",
+        ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
+        "a named profile pairs one player's vertices with another's moves",
+        "src/mprs/valuation.py",
+        "for n, vs, mine in core.named]",
+        "for (n, vs, _), (_, _, mine) in zip(core.named, core.named[1:] + core.named[:1])]",
+        ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
+        "the judge ignores the responses it is given",
+        "src/mprs/valuation.py",
+        "if responses is None:",
+        "if True:",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "a named profile shares its vertex tuples with no other",
+        "src/mprs/valuation.py",
+        "(n, vs, tuple(map(names, map(moves, mine))))",
+        "(n, tuple(list(vs)), tuple(map(names, map(moves, mine))))",
+        ("tests/test_equilibrium.py",),
+    ),
+    Mutant(
+        "the scan records each profile it judges",
+        "src/mprs/equilibrium.py",
+        "for nxt in _arrays(core):",
+        "for nxt in (list(_judged(core, _name(core, a))[1]) for a in _arrays(core)):",
+        ("tests/test_equilibrium.py",),
+    ),
+    Mutant(
+        "a document takes profile names of any type",
+        "src/mprs/gamefile.py",
+        "if not isinstance(name, str):",
+        "if False:",
+        ("tests/test_gamefile.py",),
+    ),
+    Mutant(
+        "an arena takes an edge list that is no collection",
+        "src/mprs/classic.py",
+        "if not isinstance(edges, Iterable):",
+        "if False:",
+        ("tests/test_classic.py",),
+    ),
+    Mutant(
+        "an arena reads a bare string as a vertex set",
+        "src/mprs/game.py",
+        "if not isinstance(raw, str):",
+        "if True:",
+        ("tests/test_classic.py",),
     ),
     Mutant(
         "enumerate flags the profiles that are no equilibria",
