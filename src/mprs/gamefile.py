@@ -196,7 +196,10 @@ def parse_document(text: str) -> GameDocument:
             shape problem such as unknown keys or wrong types.
         InvalidGameError: when the described game breaks an invariant.
         ProfileError: when a shipped profile does not fit the game.
+        TypeError: when `text` is no `str`, bytes included.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"expected a str, got {type(text).__name__}")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -208,7 +211,8 @@ def parse_document(text: str) -> GameDocument:
     _require_keys(raw, {"gamma", "players", "vertices", "edges", "profiles"}, "document")
 
     roles, targets = _parse_players(raw.get("players", []))
-    vertices, owner = _parse_vertices(raw.get("vertices", []))
+    # Popped, so the vertex entries are let go before validation.
+    vertices, owner = _parse_vertices(raw.pop("vertices", []))
     edges = _parse_edges(raw.get("edges", []))
     gamma = _parse_gamma(raw.get("gamma", "1/2"))
 

@@ -599,8 +599,9 @@ def best_response(
     """
     _check_player(game, n)
     core = game._core
-    if core.judged[0] is opponents:
-        return _decoded(core, *core.judged[3][n])
+    judged = core.judged  # read once: the test and the read see one record
+    if judged[0] is opponents:
+        return _decoded(core, *judged[3][n])
     return _decoded(core, *_respond(core, _moves(core, opponents, n), n))
 
 

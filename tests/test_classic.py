@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import inspect
 from collections import Counter
 
 import pytest
 
-import mprs
 from mprs import (
     ZERO,
     GameSpec,
@@ -127,36 +125,6 @@ class TestArenaConstruction:
         with pytest.raises(InvalidGameError) as err:
             make_reachability(arena)
         assert any(v.kind is ViolationKind.UNOWNED_VERTEX for v in err.value.violations)
-
-
-# Every public function that takes an arena, called with the arena alone.
-ARENA_TAKERS = {
-    "attractor": attractor,
-    "cross_check_two_player": cross_check_two_player,
-    "make_reachability": make_reachability,
-    "make_safety": make_safety,
-}
-
-
-def test_every_public_function_that_takes_an_arena_is_listed():
-    taking = {
-        name
-        for name in mprs.__all__
-        if inspect.isfunction(getattr(mprs, name))
-        and next(iter(inspect.signature(getattr(mprs, name)).parameters), None) == "arena"
-    }
-    assert taking == set(ARENA_TAKERS)
-
-
-@pytest.mark.parametrize("call", ARENA_TAKERS.values(), ids=ARENA_TAKERS.keys())
-def test_anything_but_an_arena_is_a_type_error(g3_arena, call):
-    """Every function on arenas checks its arena through one door."""
-    call(g3_arena)
-    game = make_reachability(g3_arena)
-    for wrong, kind in ((None, "NoneType"), (game, "Game"), (vars(g3_arena), "dict")):
-        with pytest.raises(TypeError) as err:
-            call(wrong)
-        assert str(err.value) == f"expected a TwoPlayerArena, got {kind}"
 
 
 class TestSpecialShapes:

@@ -103,6 +103,9 @@ class TestParse:
     def test_document_must_be_an_object(self):
         with pytest.raises(ParseError):
             parse_document("[1, 2, 3]")
+        for raw in (G1_TEXT.encode(), bytearray(G1_TEXT.encode())):  # valid JSON, but no str
+            with pytest.raises(TypeError, match=f"^expected a str, got {type(raw).__name__}$"):
+                parse_document(raw)
 
     @pytest.mark.parametrize(
         "mangle",
@@ -224,9 +227,11 @@ class TestEmit:
         with pytest.raises(ProfileError) as err:
             emit_game(g1, {"x": Profile({9: {"zz": "yy"}})})
         assert str(err.value).startswith("strategy given for undeclared player 9")
-        for profile in (g1_hat.replace(2, {}), g1_hat.as_dict()):
-            with pytest.raises(ProfileError):
-                emit_game(g1, {"hat": g1_hat, "x": profile})
+        with pytest.raises(ProfileError, match="^no move fixed"):
+            emit_game(g1, {"hat": g1_hat, "x": g1_hat.replace(2, {})})
+        for wrong, kind in ((g1_hat.as_dict(), "dict"), (g1_hat._items, "tuple")):
+            with pytest.raises(ProfileError, match=f"^expected a Profile, got {kind}$"):
+                emit_game(g1, {"hat": g1_hat, "x": wrong})
 
     def test_profiles_that_are_no_mapping_are_a_profile_error(self, g1, g1_hat):
         with pytest.raises(ProfileError) as err:

@@ -132,13 +132,6 @@ def test_parameters_of_the_wrong_type(field, value):
         random_game(GeneratorParams(**params))
 
 
-@pytest.mark.parametrize("params", [None, {"num_players": 1, "num_vertices": 3}, (1, 3)])
-def test_anything_but_generator_params_is_a_type_error(params):
-    with pytest.raises(TypeError) as err:
-        random_game(params)
-    assert str(err.value) == f"expected GeneratorParams, got {type(params).__name__}"
-
-
 def test_exact_densities_are_accepted():
     for density in (1, Fraction(1, 2)):
         assert random_game(GeneratorParams(num_players=1, num_vertices=3, edge_density=density))

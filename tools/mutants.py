@@ -164,7 +164,7 @@ MUTANTS = [
         "src/mprs/valuation.py",
         "if not isinstance(profile, Profile):",
         "if False:",
-        ("tests/test_valuation.py",),
+        ("tests/test_doors.py",),
     ),
     Mutant(
         "a document is written with its profiles unchecked",
@@ -220,7 +220,7 @@ MUTANTS = [
         "src/mprs/valuation.py",
         "self.judged = (_UNJUDGED, (), None, None)",
         "self.judged = (None, (), None, None)",
-        ("tests/test_valuation.py",),
+        ("tests/test_doors.py",),
     ),
     Mutant(
         "profiles compare by their vertices alone",
@@ -269,7 +269,7 @@ MUTANTS = [
         "src/mprs/game.py",
         "if not isinstance(game, Game):",
         "if False:",
-        ("tests/test_valuation.py",),
+        ("tests/test_doors.py",),
     ),
     Mutant(
         "a turn payoff reads any unknown vertex as worth 0",
@@ -311,28 +311,28 @@ MUTANTS = [
         "src/mprs/valuation.py",
         "if not isinstance(o, Outcome):",
         "if False:",
-        ("tests/test_valuation.py",),
+        ("tests/test_doors.py",),
     ),
     Mutant(
         "the arena door lets anything in",
         "src/mprs/classic.py",
         "if not isinstance(arena, TwoPlayerArena):",
         "if False:",
-        ("tests/test_classic.py",),
+        ("tests/test_doors.py",),
     ),
     Mutant(
         "validation takes anything as its spec",
         "src/mprs/game.py",
         "if not isinstance(spec, GameSpec):",
         "if False:",
-        ("tests/test_game.py",),
+        ("tests/test_doors.py",),
     ),
     Mutant(
         "the generator takes anything as its parameters",
         "src/mprs/generator.py",
         "if not isinstance(params, GeneratorParams):",
         "if False:",
-        ("tests/test_generator.py",),
+        ("tests/test_doors.py",),
     ),
     Mutant(
         "the generator takes roles of any type",
@@ -447,6 +447,13 @@ MUTANTS = [
         "if not isinstance(raw, str):",
         "if True:",
         ("tests/test_classic.py",),
+    ),
+    Mutant(
+        "a document is parsed from anything",
+        "src/mprs/gamefile.py",
+        "if not isinstance(text, str):",
+        "if False:",
+        ("tests/test_doors.py",),
     ),
     Mutant(
         "enumerate flags the profiles that are no equilibria",
