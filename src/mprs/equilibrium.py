@@ -34,8 +34,9 @@ from .valuation import (
     PayoffValue,
     Profile,
     _Core,
+    _codes,
     _decode,
-    _judge,
+    _hits,
     _judged,
     _moves,
     _name,
@@ -118,7 +119,7 @@ def check_certificate(game: Game, profile: Profile) -> NEReport:
     negative code: only then is w's play walked, and it hits a target.
     """
     core = _check_game(game)._core
-    _, nxt, codes, _ = _judged(core, profile)
+    nxt, codes, _ = _judged(core, profile)
     _assert_consistent(core, nxt, codes)
 
     violations = []
@@ -150,8 +151,8 @@ def _sign(code: int) -> int:
 
 def _gains(core: _Core, codes: dict, responses: dict, qualitative: bool) -> list[tuple[int, str]]:
     # Every (player, vertex) where the player's best response does strictly
-    # better, in player and then vertex order, from `_judge`'s codes along
-    # the profile (the hit table's forward walk) and response codes (the
+    # better, in player and then vertex order, from the codes along the
+    # profile (the hit table's forward walk) and the response codes (the
     # backward pass of `_respond`): codes order exactly as payoffs do, and
     # their signs as the payoffs' signs. No value map is decoded.
     gains = []
@@ -169,7 +170,8 @@ def _verdict(game: Game, profile: Profile, qualitative: bool) -> NEReport:
     # The verdict comes from the codes alone. Only a failing profile's
     # report is read off `value_table` and `best_response`, at its gains.
     core = _check_game(game)._core
-    gains = _gains(core, *_judged(core, profile)[2:], qualitative)
+    _, codes, responses = _judged(core, profile, respond=True)
+    gains = _gains(core, codes, responses, qualitative)
     if not gains:
         return NEReport(True, ())
     values = value_table(game, profile)
@@ -264,7 +266,10 @@ def enumerate_ne(
     check_guard(profile_space(game), guard)
     found = []
     for nxt in _arrays(core):
-        if not _gains(core, *_judge(core, nxt), False):
+        hits = _hits(core, nxt)
+        codes = {n: tuple(_codes(core, n, hits)) for n in core.sign}
+        responses = {n: _respond(core, nxt, n) for n in core.sign}
+        if not _gains(core, codes, responses, False):
             found.append(_name(core, nxt))
             if limit is not None and len(found) >= limit:
                 break

@@ -148,7 +148,9 @@ class Game:
     _index: Mapping[str, int] = field(compare=False)
 
     def successors(self, v: str) -> tuple[str, ...]:
-        """Out-neighbours of `v` in lexicographic order."""
+        """Out-neighbours of `v` in lexicographic order; an unknown `v` is a ValueError."""
+        if not isinstance(v, str) or v not in self._index:
+            raise ValueError(f"unknown vertex {v!r}")
         return tuple(map(self.vertices.__getitem__, self._isucc[self._index[v]]))
 
     @cached_property

@@ -15,12 +15,12 @@ sorted vertex ids and the chosen successors, and no (vertex, move) pair.
 The solvers work on move arrays, one successor index per vertex. A
 profile from outside gets its array from `_moves`, a pure check; the
 profile scan and the dynamics make their own arrays and name a `Profile`
-only for what they return (`_name`). `_judge` judges an array: every
-player's payoff codes and best response. Each game remembers the last
+only for what they return (`_name`). Each game remembers the last
 profile that `value_table`, a verdict or the dynamics judged
-(`_Core.judged`), so the verdicts on one profile object check and judge
-it once, and none on a dynamics result solves the responses again.
-`is_nash` and `is_nash_qualitative` decide on codes alone; only a failing
+(`_Core.judged`), and adds its codes and responses on first read:
+`value_table` and `check_certificate` solve no response, `is_nash` and
+`is_nash_qualitative` each player's once per profile object, and none on
+a dynamics result again. These two decide on codes alone; only a failing
 profile's report comes through `value_table` and `best_response`. Value
 maps are never recorded: each call decodes fresh ones from the codes,
 into a copy of the game's one all-`ZERO` map.
@@ -134,7 +134,10 @@ class Profile:
     def replace(self, n: int, strategy: Mapping[str, str]) -> "Profile":
         """A new profile with player `n`'s strategy swapped out."""
         _require_strategy(n, strategy)
-        return Profile({**self.as_dict(), n: strategy})
+        try:
+            return Profile({**self.as_dict(), n: strategy})
+        except TypeError:  # an unhashable `n`: `Profile` raises no TypeError
+            raise ProfileError(f"a player id must be hashable, got {n!r}") from None
 
     def as_dict(self) -> dict[int, Strategy]:
         return {n: dict(zip(vertices, moves)) for n, vertices, moves in self._items}
@@ -215,8 +218,13 @@ class PayoffValue:
         return PayoffValue(self.sign, self.exponent + 1)
 
     def numeric(self, gamma: Fraction) -> Fraction:
-        """Evaluate at a concrete discount factor."""
-        return self.sign * Fraction(gamma) ** self.exponent
+        """Evaluate at a concrete discount factor, any finite number `Fraction` reads."""
+        try:
+            return self.sign * Fraction(gamma) ** self.exponent
+        except TypeError:
+            raise TypeError(f"expected a Fraction, got {type(gamma).__name__}") from None
+        except (ValueError, ArithmeticError):
+            raise ValueError(f"gamma must be a finite number, got {gamma!r}") from None
 
     # `total_ordering` derives the other three, and refuses along with it
     # anything but a payoff. Between equal signs s, the larger
@@ -298,10 +306,11 @@ class _Core:
     `judged` holds ``(profile, move array, codes, responses)`` for the
     last profile judged here, and starts with `_UNJUDGED`, which no caller
     can pass as a profile. Only `_judged` and `_profile` store it, so a
-    mere check, play or scan never evicts it. Codes and responses are
-    `_judge`'s; codes are None only on a dynamics result, until `_judged`
-    adds them. `best_response` on that profile object returns the
-    recorded response. Each update stores one new tuple, never mutated.
+    mere check, play or scan never evicts it. Both are None until `_judged`
+    adds codes for the first verdict or `value_table` that reads them, and
+    responses for the first `is_nash` or `is_nash_qualitative`; the
+    dynamics record theirs, which `best_response` then returns. Each
+    update stores one new tuple, never mutated.
 
     `zeros` maps every vertex id to `ZERO`. Every value map starts as a
     copy of it, and it is never handed out itself.
@@ -471,26 +480,20 @@ def _codes(core: _Core, n: int, hits: tuple[list[int], dict[int, list[int]]]) ->
     return code
 
 
-def _judge(core: _Core, nxt: Sequence[int], responses: dict | None = None) -> tuple[dict, dict]:
-    """Every player's payoff codes on the checked move array `nxt`, from the
-    hit table, and every player's `_respond` result, unless given as `responses`."""
-    hits = _hits(core, nxt)
-    codes = {n: tuple(_codes(core, n, hits)) for n in core.sign}
-    if responses is None:
+def _judged(core: _Core, profile: Profile, respond: bool = False) -> tuple:
+    """The move array of `profile`, every player's codes and, if `respond`
+    or recorded, `_respond` results: each part is computed once per profile
+    object, on first request, and recorded in `core.judged`."""
+    last, nxt, codes, responses = core.judged
+    if last is not profile:
+        nxt, codes, responses = tuple(_moves(core, profile)), None, None
+    if codes is None:
+        hits = _hits(core, nxt)
+        codes = {n: tuple(_codes(core, n, hits)) for n in core.sign}
+    if respond and responses is None:
         responses = {n: _respond(core, nxt, n) for n in core.sign}
-    return codes, responses
-
-
-def _judged(core: _Core, profile: Profile) -> tuple:
-    """`core.judged` for `profile`, recorded whole; a dynamics result gets
-    its codes next to the responses it came with."""
-    judged = core.judged
-    if judged[0] is not profile:
-        nxt = _moves(core, profile)
-        judged = core.judged = (profile, tuple(nxt), *_judge(core, nxt))
-    elif judged[2] is None:
-        judged = core.judged = (*judged[:2], *_judge(core, judged[1], judged[3]))
-    return judged
+    core.judged = (profile, nxt, codes, responses)
+    return nxt, codes, responses
 
 
 def _name(core: _Core, nxt: Sequence[int]) -> Profile:
@@ -518,7 +521,7 @@ def value_table(game: Game, profile: Profile) -> dict[int, dict[str, PayoffValue
     returns fresh maps, which the caller may change.
     """
     core = _check_game(game)._core
-    codes = _judged(core, profile)[2]
+    _, codes, _ = _judged(core, profile)
     return {n: _payoffs(core, codes[n]) for n in game.players}
 
 
@@ -600,7 +603,7 @@ def best_response(
     _check_player(game, n)
     core = game._core
     judged = core.judged  # read once: the test and the read see one record
-    if judged[0] is opponents:
+    if judged[0] is opponents and judged[3] is not None:
         return _decoded(core, *judged[3][n])
     return _decoded(core, *_respond(core, _moves(core, opponents, n), n))
 

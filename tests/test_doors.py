@@ -1,20 +1,23 @@
 """One sweep of hostile arguments over the public API and the command line.
 
-Each function in `mprs.__all__`, and each class in `CHECKING`, is read off
-its signature, so a new one is swept unlisted; a new parameter name needs
-one entry in `VALID`. A parameter annotated with a class in `DOORS` refuses
-anything else with that door's exact message, ahead of any later error.
+Each function in `mprs.__all__`, each class in `CHECKING` and each public
+method of a receiver in `RECEIVERS` is read off its signature, so a new one
+is swept unlisted; a new parameter name needs one entry in `VALID`. A
+parameter annotated with a class in `DOORS` refuses anything else with that
+door's exact message, ahead of any later error.
 """
 
 import inspect
 import json
 import typing
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 import mprs
-from mprs import Game, GameSpec, GeneratorParams, Outcome, Profile, ProfileError, TooLargeError
+from mprs import Game, GameSpec, GeneratorParams, Outcome, PayoffValue, Profile, ProfileError
+from mprs import TooLargeError
 from mprs import TwoPlayerArena, emit_game, make_reachability, value_table
 from mprs.cli import main
 
@@ -40,14 +43,29 @@ DOORS = {Game: "a Game", Profile: "a Profile", TwoPlayerArena: "a TwoPlayerArena
          GameSpec: "a GameSpec", GeneratorParams: "GeneratorParams", Outcome: "an Outcome"}
 # One valid argument per parameter name; the game is a fresh g1 each time.
 VALID = {
-    "game": None, "profile": HAT, "opponents": HAT, "seed": HAT, "n": 1, "v": "v3", "start": "v1",
+    "game": None, "profile": HAT, "opponents": HAT, "seed": HAT, "n": 1, "v": "v1", "start": "v1",
     "o": Outcome(1, "v3"), "guard": None, "limit": None, "max_rounds": 100, "text": TEXT,
     "spec": GameSpec(G1.vertices, G1.edges, G1.owner, G1.roles, G1.targets), "arena": ARENA,
     "params": GeneratorParams(2, 3), "profiles": {"hat": HAT}, "values": value_table(G1, HAT),
     "strategies": HAT.as_dict(), "sign": 1, "exponent": 2, **vars(ARENA),
+    "gamma": Fraction(1, 2), "strategy": {"v1": "v3"},
 }
-SWEPT = [n for n in mprs.__all__ if inspect.isfunction(getattr(mprs, n)) or n in CHECKING]
-PARAMETERS = {n: inspect.signature(getattr(mprs, n), eval_str=True).parameters for n in SWEPT}
+# One valid receiver per public class that has public methods.
+RECEIVERS = {Game: G1, PayoffValue: PayoffValue(-1, 2), Profile: HAT}
+
+
+def methods(cls: type) -> list[str]:
+    """The public methods `cls` itself defines."""
+    return [m for m, f in vars(cls).items() if callable(f) and not m.startswith("_")]
+
+
+FUNCTIONS = [n for n in mprs.__all__ if inspect.isfunction(getattr(mprs, n)) or n in CHECKING]
+SWEPT = {n: getattr(mprs, n) for n in FUNCTIONS} | {
+    f"{cls.__name__}.{m}": getattr(receiver, m)
+    for cls, receiver in RECEIVERS.items()
+    for m in methods(cls)
+}
+PARAMETERS = {n: inspect.signature(f, eval_str=True).parameters for n, f in SWEPT.items()}
 # Nineteen hostile values, then the wrong ones the retired door tests used.
 HOSTILE = [
     None, True, 0, -1, 1.5, float("nan"), "", "zz", b"x", [], {}, (), {1: None},
@@ -71,7 +89,7 @@ def attempt(name: str, judged: bool, wrong: dict) -> str | None:
         if judged:
             value_table(args["game"], HAT)
     try:
-        result = getattr(mprs, name)(**args)
+        result = SWEPT[name](**args)
         if inspect.isgenerator(result):
             list(result)
         error = None
@@ -108,6 +126,40 @@ def test_every_public_class_is_listed():
     }
     unlisted = classes - CHECKING - RECORDS
     assert not unlisted, f"add {unlisted} to CHECKING or RECORDS"
+    unreceived = {n for n in classes if methods(getattr(mprs, n))} - {c.__name__ for c in RECEIVERS}
+    assert not unreceived, f"add a receiver of {unreceived} to RECEIVERS"
+
+
+# Method calls that once let a bare error out, each with its typed error.
+LEAKS = [
+    ("Game.successors", "nope", ValueError, "unknown vertex 'nope'"),
+    ("Game.successors", [], ValueError, "unknown vertex []"),
+    ("PayoffValue.numeric", None, TypeError, "expected a Fraction, got NoneType"),
+    ("PayoffValue.numeric", b"1/2", TypeError, "expected a Fraction, got bytes"),
+    ("PayoffValue.numeric", float("inf"), ValueError, "gamma must be a finite number, got inf"),
+    ("PayoffValue.numeric", float("nan"), ValueError, "gamma must be a finite number, got nan"),
+    ("PayoffValue.numeric", "1/0", ValueError, "gamma must be a finite number, got '1/0'"),
+    ("PayoffValue.numeric", "zz", ValueError, "gamma must be a finite number, got 'zz'"),
+    ("Profile.replace", [], ProfileError, "a player id must be hashable, got []"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, value, error, message", LEAKS, ids=[f"{n}({v!r})" for n, v, *_ in LEAKS]
+)
+def test_a_method_raises_its_typed_error(name, value, error, message):
+    first = next(iter(PARAMETERS[name]))
+    with pytest.raises(Exception) as raised:
+        SWEPT[name](**{p: VALID[p] for p in PARAMETERS[name]} | {first: value})
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_the_method_doors_take_what_they_took():
+    assert G1.successors("v1") == ("v2", "v3") and G1.successors("v3") == ()
+    gammas = (Fraction(1, 2), 0.5, "1/2", Decimal("0.5"))
+    assert {PayoffValue(-1, 2).numeric(gamma) for gamma in gammas} == {Fraction(-1, 4)}
+    assert PayoffValue(1, 3).numeric(True) == PayoffValue(1).numeric(2) == 1
+    assert HAT.replace(2, {"v2": "v1"}) == HAT
 
 
 # Each swept name on a fresh g1; those that take a game also on one that judged `HAT`.
@@ -126,7 +178,7 @@ def test_hostile_arguments(name, judged):
 
 
 # The swept names whose first parameter has a door.
-GUARDED = [n for n in SWEPT if door(list(PARAMETERS[n].values())[0].annotation)[0]]
+GUARDED = [n for n, ps in PARAMETERS.items() if ps and door(next(iter(ps.values())).annotation)[0]]
 
 
 @pytest.mark.parametrize("name", GUARDED)

@@ -308,7 +308,7 @@ class TestActionsAndMoves:
     def test_owner_chooses_among_out_edges(self, g1):
         assert g1.owner["v1"] == 1
         assert g1.successors("v1") == ("v2", "v3")
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown vertex 'v9'"):
             g1.successors("v9")
 
     def test_everyone_else_gets_the_trivial_action(self, g1):

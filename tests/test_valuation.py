@@ -494,35 +494,35 @@ def responses(monkeypatch):
     return called
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The move arrays whose hit table `_hits` builds, in call order."""
+    called = []
+    hits = valuation._hits
+
+    def counted(core, nxt):
+        called.append(list(nxt))
+        return hits(core, nxt)
+
+    monkeypatch.setattr(valuation, "_hits", counted)
+    return called
+
+
 class TestJudgedProfile:
-    """Each game remembers the last profile it checked in full, so both
-    verdicts on one profile object check it and build its hit table once,
-    and on a dynamics result reuse the dynamics' last responses."""
+    """Each game remembers the last profile it judged, with its hit table
+    and responses once a call has read them, so the verdicts on one profile
+    object check it and build its hit table once, only `is_nash` and
+    `is_nash_qualitative` solve responses, and on a dynamics result they
+    reuse the dynamics' last responses."""
 
-    def test_both_verdicts_build_one_hit_table(self, g1, g1_hat, monkeypatch):
-        built = []
-        hits = valuation._hits
-
-        def counted(core, nxt):
-            built.append(list(nxt))
-            return hits(core, nxt)
-
-        monkeypatch.setattr(valuation, "_hits", counted)
+    def test_both_verdicts_build_one_hit_table(self, g1, g1_hat, built):
         assert is_nash(g1, g1_hat).is_ne
         assert check_certificate(g1, g1_hat).is_ne
         assert built == [[2, 0, -1]]
 
-    def test_only_valuing_a_profile_evicts_the_judged_one(self, g1, g1_hat, monkeypatch):
+    def test_only_valuing_a_profile_evicts_the_judged_one(self, g1, g1_hat, built):
         """A check, a play, a best response, a DOT graph or a document on
         another profile leaves the judged profile and its hit table be."""
-        built = []
-        hits = valuation._hits
-
-        def counted(core, nxt):
-            built.append(list(nxt))
-            return hits(core, nxt)
-
-        monkeypatch.setattr(valuation, "_hits", counted)
         cycle = Profile({1: {"v1": "v2"}, 2: {"v2": "v1"}})
         assert is_nash(g1, g1_hat).is_ne
         check_profile(g1, cycle)
@@ -597,15 +597,7 @@ class TestJudgedProfile:
             for n in game.players:
                 assert best_response(game, found, n) == best_response(game, fresh, n)
 
-    def test_an_equal_profile_and_brute_force_solve_afresh(self, responses, monkeypatch):
-        built = []
-        hits = valuation._hits
-
-        def counted(core, nxt):
-            built.append(list(nxt))
-            return hits(core, nxt)
-
-        monkeypatch.setattr(valuation, "_hits", counted)
+    def test_an_equal_profile_and_brute_force_solve_afresh(self, responses, built):
         for game, found in dynamics_results():
             equal = Profile(found.as_dict())
             for n in game.players:
@@ -668,3 +660,46 @@ class TestJudgedProfile:
             assert responses == list(game.players)
             responses.clear()
 
+    def test_the_code_readers_solve_no_response(self, responses, built):
+        """`value_table` and `check_certificate` on a fresh profile build its
+        hit table once and solve no response; `best_response` on it then
+        solves the asked player's response alone, as on an equal profile."""
+        rng = random.Random(27)
+        for seed in range(40):
+            game = small_game(seed)
+            profile = random_profile(game, rng)
+            table, report = value_table(game, profile), check_certificate(game, profile)
+            assert value_table(game, profile) == table
+            assert check_certificate(game, profile) == report
+            assert responses == [] and len(built) == 1, seed
+            equal = Profile(profile.as_dict())
+            for n in game.players:
+                assert best_response(game, profile, n) == best_response(game, equal, n)
+                assert responses == [n, n]
+                responses.clear()
+            built.clear()
+
+    def test_a_verdict_after_the_code_readers_solves_each_response_once(self, responses, built):
+        rng = random.Random(28)
+        for seed in range(40):
+            game = small_game(seed)
+            profile = random_profile(game, rng)
+            value_table(game, profile)
+            check_certificate(game, profile)
+            reports = [is_nash(game, profile), is_nash_qualitative(game, profile)]
+            for n in game.players:
+                best_response(game, profile, n)
+            assert responses == list(game.players) and len(built) == 1, seed
+            equal = Profile(profile.as_dict())
+            assert [is_nash(game, equal), is_nash_qualitative(game, equal)] == reports
+            responses.clear()
+            built.clear()
+
+    def test_nothing_on_a_dynamics_result_solves_a_response(self, responses, built):
+        for game, found in dynamics_results():
+            table = value_table(game, found)
+            assert check_certificate(game, found).is_ne and is_nash(game, found).is_ne
+            for n in game.players:
+                assert best_response(game, found, n)[1] == table[n]
+            assert responses == [] and len(built) == 1
+            built.clear()

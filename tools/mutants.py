@@ -155,8 +155,8 @@ MUTANTS = [
     Mutant(
         "the verdicts reuse whichever profile was judged",
         "src/mprs/valuation.py",
-        "if judged[0] is not profile:",
-        "if judged[0] is None:",
+        "if last is not profile:",
+        "if last is None:",
         ("tests/test_valuation.py", "tests/test_equilibrium.py"),
     ),
     Mutant(
@@ -260,8 +260,8 @@ MUTANTS = [
     Mutant(
         "a verdict solves again the responses the dynamics recorded",
         "src/mprs/valuation.py",
-        "_judge(core, judged[1], judged[3])",
-        "_judge(core, judged[1])",
+        "if respond and responses is None:",
+        "if respond:",
         ("tests/test_valuation.py",),
     ),
     Mutant(
@@ -365,15 +365,15 @@ MUTANTS = [
     Mutant(
         "the scan accepts a profile that only its last player gains from",
         "src/mprs/equilibrium.py",
-        "if not _gains(core, *_judge(core, nxt), False):",
-        "if all(n == game.players[-1] for n, _ in _gains(core, *_judge(core, nxt), False)):",
+        "if not _gains(core, codes, responses, False):",
+        "if all(n == game.players[-1] for n, _ in _gains(core, codes, responses, False)):",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
         "the scan settles profiles on the qualitative code test",
         "src/mprs/equilibrium.py",
-        "if not _gains(core, *_judge(core, nxt), False):",
-        "if not _gains(core, *_judge(core, nxt), True):",
+        "if not _gains(core, codes, responses, False):",
+        "if not _gains(core, codes, responses, True):",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
@@ -407,10 +407,10 @@ MUTANTS = [
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
-        "the judge ignores the responses it is given",
+        "the judged record forgets the responses it holds",
         "src/mprs/valuation.py",
-        "if responses is None:",
-        "if True:",
+        "last, nxt, codes, responses = core.judged",
+        "last, nxt, codes, responses = (*core.judged[:3], None)",
         ("tests/test_valuation.py",),
     ),
     Mutant(
@@ -424,7 +424,7 @@ MUTANTS = [
         "the scan records each profile it judges",
         "src/mprs/equilibrium.py",
         "for nxt in _arrays(core):",
-        "for nxt in (list(_judged(core, _name(core, a))[1]) for a in _arrays(core)):",
+        "for nxt in (list(_judged(core, _name(core, a))[0]) for a in _arrays(core)):",
         ("tests/test_equilibrium.py",),
     ),
     Mutant(
@@ -461,6 +461,48 @@ MUTANTS = [
         '"is_ne": profile in equilibria',
         '"is_ne": profile not in equilibria',
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "a code-only reader fills responses",
+        "src/mprs/valuation.py",
+        "if respond and responses is None:",
+        "if responses is None:",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "filling codes drops a dynamics record's responses",
+        "src/mprs/valuation.py",
+        "codes = {n: tuple(_codes(core, n, hits)) for n in core.sign}",
+        "codes, responses = {n: tuple(_codes(core, n, hits)) for n in core.sign}, None",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "best_response takes its shortcut on a record without responses",
+        "src/mprs/valuation.py",
+        "if judged[0] is opponents and judged[3] is not None:",
+        "if judged[0] is opponents:",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "a successor list reads any unknown vertex",
+        "src/mprs/game.py",
+        "if not isinstance(v, str) or v not in self._index:",
+        "if False:",
+        ("tests/test_doors.py",),
+    ),
+    Mutant(
+        "a payoff is evaluated at any discount Fraction reads or refuses",
+        "src/mprs/valuation.py",
+        "except (ValueError, ArithmeticError):",
+        "except ZeroDivisionError:",
+        ("tests/test_doors.py",),
+    ),
+    Mutant(
+        "a replaced strategy lets an unhashable player id's TypeError out",
+        "src/mprs/valuation.py",
+        'raise ProfileError(f"a player id must be hashable, got {n!r}") from None',
+        "raise",
+        ("tests/test_doors.py",),
     ),
 ]
 
