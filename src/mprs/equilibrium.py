@@ -15,9 +15,9 @@ every game.
 `enumerate_ne` walks the move arrays of the whole profile space (small
 games only, see the enumeration guard), settles each with the same code
 test and names only the equilibria. `solve_br_dynamics` iterates rounds
-of best responses, which converges on many instances but may cycle, in
-which case callers fall back to enumeration. Every game of this class
-has an equilibrium, so enumeration never comes back empty.
+of best responses until a round changes nothing or its round budget runs
+out, in which case callers fall back to enumeration. Every game of this
+class has an equilibrium, so enumeration never comes back empty.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .valuation import (
     _Core,
     _codes,
     _decode,
-    _hits,
     _judged,
     _moves,
     _name,
@@ -152,7 +151,7 @@ def _sign(code: int) -> int:
 def _gains(core: _Core, codes: dict, responses: dict, qualitative: bool) -> list[tuple[int, str]]:
     # Every (player, vertex) where the player's best response does strictly
     # better, in player and then vertex order, from the codes along the
-    # profile (the hit table's forward walk) and the response codes (the
+    # profile (the forward walk of `_codes`) and the response codes (the
     # backward pass of `_respond`): codes order exactly as payoffs do, and
     # their signs as the payoffs' signs. No value map is decoded.
     gains = []
@@ -266,8 +265,7 @@ def enumerate_ne(
     check_guard(profile_space(game), guard)
     found = []
     for nxt in _arrays(core):
-        hits = _hits(core, nxt)
-        codes = {n: tuple(_codes(core, n, hits)) for n in core.sign}
+        codes = _codes(core, nxt)
         responses = {n: _respond(core, nxt, n) for n in core.sign}
         if not _gains(core, codes, responses, False):
             found.append(_name(core, nxt))
@@ -284,10 +282,12 @@ def solve_br_dynamics(
     Each round lets every player in turn replace their strategy with a
     best response, but only when it is a strict improvement somewhere. A
     full round without any replacement means no player can improve, so the
-    result passes `is_nash`. Returns None when a previously visited
-    profile comes around again or `max_rounds` runs out; callers then fall
-    back to `enumerate_ne`. A `max_rounds` that is not an int of at least 1
-    is a ValueError.
+    result passes `is_nash`. Returns None exactly when `max_rounds` rounds
+    have not settled; callers then fall back to `enumerate_ne`. The state
+    of the dynamics is the move array together with the next mover, and
+    whether they can cycle is open for this class of games: a cycle, if
+    one exists, returns None once the budget is spent. A `max_rounds` that
+    is not an int of at least 1 is a ValueError.
 
     The dynamics run on a move array, with the pass and tie-break of
     `best_response`, and name a `Profile` only for the result. A player
@@ -302,8 +302,8 @@ def solve_br_dynamics(
     alone: while nobody else has switched since, a player who did not
     switch would not switch now, and one who switched would get back the
     moves just taken. `current` holds such players; a switch resets it to
-    the switcher. Every switch, visited profile and round, and so the
-    result for every `max_rounds`, stays as if everyone always responded.
+    the switcher. Every switch and round, and so the result for every
+    `max_rounds`, stays as if everyone always responded.
 
     At convergence every player is current, so each player's last
     response is their response to the result. The result is recorded with
@@ -312,7 +312,6 @@ def solve_br_dynamics(
     core = _check_game(game)._core
     _check_count("max_rounds", max_rounds)
     nxt = _moves(core, seed)
-    visited = {tuple(nxt)}
     current: set[int] = set()
     responses: dict[int, tuple] = {}
     for _ in range(max_rounds):
@@ -324,10 +323,6 @@ def solve_br_dynamics(
             if any(code[nxt[v]] != code[w] for v, w in moves.items()):
                 for v, w in moves.items():
                     nxt[v] = w
-                key = tuple(nxt)
-                if key in visited:
-                    return None
-                visited.add(key)
                 changed = True
                 current = {n}
             else:

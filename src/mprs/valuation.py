@@ -279,10 +279,15 @@ def outcome(game: Game, profile: Profile, start: str) -> Outcome:
 
 def total_payoff(game: Game, n: int, o: Outcome) -> PayoffValue:
     """Discounted total payoff of player `n` for outcome `o`: the hit
-    vertex's `turn_payoff` times gamma**time, or zero without a hit."""
+    vertex's `turn_payoff` times gamma**time, or zero without a hit.
+    Any `o` but `NEVER` or a hit at an int time of at least 0 (not a
+    bool) on a target of `game` is a ValueError."""
     _check_player(game, n)
     if not isinstance(o, Outcome):
         raise TypeError(f"expected an Outcome, got {type(o).__name__}")
+    hit = _is_int(o.time) and o.time >= 0 and isinstance(o.vertex, str)
+    if not (o == NEVER or hit and o.vertex in game.total_target):
+        raise ValueError(f"not an outcome of this game: time {o.time!r}, vertex {o.vertex!r}")
     sign = turn_payoff(game, n, o.vertex)  # 0 at vertex None, with no hit
     return PayoffValue(sign, o.time) if sign else ZERO
 
@@ -433,14 +438,16 @@ def _moves(core: _Core, profile: Profile, skip: int | None = None) -> list[int]:
     return nxt
 
 
-def _hits(core: _Core, nxt: list[int]) -> tuple[list[int], dict[int, list[int]]]:
-    """First hit from every start vertex when each vertex moves to `nxt`.
+def _codes(core: _Core, nxt: Sequence[int]) -> dict[int, tuple[int, ...]]:
+    """Every player's payoff code from every start vertex when each vertex
+    moves to `nxt` (see `_decode`): nonzero only on the plays that hit one
+    of the player's own targets.
 
-    Returns the hitting time per vertex, meaningless when the play never
-    hits, and per target vertex the vertices whose plays hit it first,
-    itself included. Walks each unresolved vertex forward with
-    memoization, so the whole table costs linear time in the number of
-    vertices.
+    Finds the first hit from every start vertex: the hitting time, which
+    means nothing when the play never hits, and per target vertex the
+    vertices whose plays hit it first, itself included. Walks each
+    unresolved vertex forward with memoization, so the whole table costs
+    linear time in the number of vertices.
     """
     size = len(core.names)
     when = [-1 if ws else 0 for ws in core.succ]  # -1 unresolved, -2 on the walk
@@ -465,19 +472,14 @@ def _hits(core: _Core, nxt: list[int]) -> tuple[list[int], dict[int, list[int]]]
             where[u] = w
         if w < size:
             reached[w] += path
-    return when, reached
-
-
-def _codes(core: _Core, n: int, hits: tuple[list[int], dict[int, list[int]]]) -> list[int]:
-    """Player `n`'s payoff code from every start vertex (see `_decode`):
-    nonzero only on the plays that hit one of n's own targets."""
-    s, base = core.sign[n], core.base
-    when, reached = hits
-    code = [0] * len(when)
-    for w in core.own[n]:
-        for v in reached[w]:
-            code[v] = s * (base - when[v])
-    return code
+    base, codes = core.base, {}
+    for n, s in core.sign.items():
+        code = [0] * size
+        for w in core.own[n]:
+            for v in reached[w]:
+                code[v] = s * (base - when[v])
+        codes[n] = tuple(code)
+    return codes
 
 
 def _judged(core: _Core, profile: Profile, respond: bool = False) -> tuple:
@@ -488,8 +490,7 @@ def _judged(core: _Core, profile: Profile, respond: bool = False) -> tuple:
     if last is not profile:
         nxt, codes, responses = tuple(_moves(core, profile)), None, None
     if codes is None:
-        hits = _hits(core, nxt)
-        codes = {n: tuple(_codes(core, n, hits)) for n in core.sign}
+        codes = _codes(core, nxt)
     if respond and responses is None:
         responses = {n: _respond(core, nxt, n) for n in core.sign}
     core.judged = (profile, nxt, codes, responses)
@@ -628,15 +629,15 @@ def best_response_enum(
     mine = core.mine[n]
     check_guard(math.prod(len(core.succ[v]) for v in mine), guard)
 
-    def evaluate(choice: tuple[int, ...]) -> list[int]:
+    def evaluate(choice: tuple[int, ...]) -> tuple[int, ...]:
         for v, w in zip(mine, choice):
             nxt[v] = w
-        return _codes(core, n, _hits(core, nxt))
+        return _codes(core, nxt)[n]
 
-    best: list[int] | None = None
+    best: tuple[int, ...] | None = None
     for choice in itertools.product(*(core.succ[v] for v in mine)):
         codes = evaluate(choice)
-        best = codes if best is None else list(map(max, best, codes))
+        best = codes if best is None else tuple(map(max, best, codes))
     assert best is not None  # the empty product still yields one candidate
 
     for choice in itertools.product(*(core.succ[v] for v in mine)):

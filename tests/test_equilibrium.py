@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import random
 from collections import Counter
@@ -14,6 +15,7 @@ from mprs import (
     Deviation,
     GameSpec,
     GeneratorParams,
+    InvalidGameError,
     PayoffValue,
     Profile,
     ProfileError,
@@ -214,14 +216,14 @@ class TestCertificate:
 
     def test_one_hit_table_per_check_whatever_the_violations(self, g1, g1_cycle, monkeypatch):
         built = []
-        hits = valuation._hits
+        codes = valuation._codes
 
         def counted(core, nxt):
             built.append(len(nxt))
-            return hits(core, nxt)
+            return codes(core, nxt)
 
-        monkeypatch.setattr(valuation, "_hits", counted)
-        monkeypatch.setattr(equilibrium, "_hits", counted, raising=False)
+        monkeypatch.setattr(valuation, "_codes", counted)
+        monkeypatch.setattr(equilibrium, "_codes", counted, raising=False)
         chain, along = reacher_chain(4000)
         for game, profile, flagged in ((g1, g1_cycle, 1), (chain, along, 3998)):
             built.clear()
@@ -498,9 +500,9 @@ class TestBestResponseDynamics:
     def test_matches_a_loop_over_the_public_api(self):
         # The same dynamics written with `best_response`, `value_table` and
         # `Profile.replace` only, as they ran before they moved onto move
-        # arrays; both must stop at the same profile or both give up.
+        # arrays; both must stop at the same profile or both give up once
+        # `max_rounds` rounds have not settled.
         def reference(game, current, max_rounds):
-            visited = {current}
             for _ in range(max_rounds):
                 changed = False
                 for n in game.players:
@@ -508,9 +510,6 @@ class TestBestResponseDynamics:
                     now = value_table(game, current)[n]
                     if any(better[v] > now[v] for v in game.vertices):
                         current = current.replace(n, strategy)
-                        if current in visited:
-                            return None
-                        visited.add(current)
                         changed = True
                 if not changed:
                     return current
@@ -528,6 +527,38 @@ class TestBestResponseDynamics:
                     gave_up[max_rounds] += found is None
         # Short budgets both run out and suffice, so each way out is compared.
         assert 0 < gave_up[1] < 1500 and gave_up[2] > 0
+
+    def test_census_of_two_vertex_games(self):
+        # Every raw spec with two players on vertices a and b: owners,
+        # roles, nonempty target sets and edge subsets. From every start
+        # the dynamics settle within the default budget on a profile both
+        # verdicts pass, and the scan finds exactly the profiles `is_nash`
+        # passes.
+        vertices = ("a", "b")
+        edges = list(itertools.product(vertices, repeat=2))
+        nonempty = [("a",), ("b",), ("a", "b")]
+        valid = 0
+        for owners, roles, targets, mask in itertools.product(
+            itertools.product((1, 2), repeat=2),
+            itertools.product(Role, repeat=2),
+            itertools.product(nonempty, repeat=2),
+            itertools.product((0, 1), repeat=len(edges)),
+        ):
+            spec = GameSpec(vertices, list(itertools.compress(edges, mask)),
+                            dict(zip(vertices, owners)), dict(zip((1, 2), roles)),
+                            dict(zip((1, 2), targets)))
+            try:
+                game = validate_game(spec)
+            except InvalidGameError:
+                continue
+            valid += 1
+            profiles = list(all_profiles(game))
+            for start in profiles:
+                found = solve_br_dynamics(game, start)
+                assert found is not None, (spec, start)
+                assert is_nash(game, found).is_ne and check_certificate(game, found).is_ne
+            assert enumerate_ne(game) == [p for p in profiles if is_nash(game, p).is_ne], spec
+        assert valid == 2176
 
 
 class TestCountArguments:

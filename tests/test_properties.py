@@ -138,7 +138,7 @@ def test_certificate_deviations_match_a_switched_valuation(drawn):
         v = core.index[dev.vertex]
         switched = list(nxt)
         switched[v] = core.index[dev.better_action]
-        code = valuation._codes(core, dev.player, valuation._hits(core, switched))[v]
+        code = valuation._codes(core, switched)[dev.player][v]
         available = valuation._decode(code, core.base)
         achieved = table[dev.player][dev.vertex]
         assert dev == Deviation(dev.player, dev.vertex, dev.better_action, achieved, available)

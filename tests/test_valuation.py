@@ -298,6 +298,19 @@ class TestOutcomeAndPayoff:
                 payoff(g1, n, argument)
         assert total_payoff(g1, 1, NEVER).sign == 0
 
+    @pytest.mark.parametrize(
+        "o",
+        [Outcome(3, None), Outcome(2, "v1"), Outcome(None, "v3"), Outcome(-1, "v3"),
+         Outcome(True, "v3"), Outcome(1.0, "v3"), Outcome(1, "nope"), Outcome(1, ["v3"])],
+        ids=["time-without-vertex", "non-target", "vertex-without-time", "negative-time",
+             "bool-time", "float-time", "unknown-vertex", "unhashable-vertex"],
+    )
+    def test_a_malformed_outcome_is_a_value_error(self, g1, o):
+        # A hit needs an int time of at least 0 and a target; Never needs neither.
+        for n in g1.players:
+            with pytest.raises(ValueError, match="^not an outcome of this game: time "):
+                total_payoff(g1, n, o)
+
     def test_payoff_ignores_foreign_targets(self):
         game = small_game(11)
         # a hit on a vertex outside player n's own target set is worth nothing
@@ -496,15 +509,15 @@ def responses(monkeypatch):
 
 @pytest.fixture
 def built(monkeypatch):
-    """The move arrays whose hit table `_hits` builds, in call order."""
+    """The move arrays whose hit table `_codes` builds, in call order."""
     called = []
-    hits = valuation._hits
+    codes = valuation._codes
 
     def counted(core, nxt):
         called.append(list(nxt))
-        return hits(core, nxt)
+        return codes(core, nxt)
 
-    monkeypatch.setattr(valuation, "_hits", counted)
+    monkeypatch.setattr(valuation, "_codes", counted)
     return called
 
 

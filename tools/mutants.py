@@ -76,6 +76,13 @@ MUTANTS = [
         ("tests/test_equilibrium.py",),
     ),
     Mutant(
+        "the dynamics give up a round early",
+        "src/mprs/equilibrium.py",
+        "for _ in range(max_rounds):",
+        "for _ in range(max_rounds - 1):",
+        ("tests/test_equilibrium.py",),
+    ),
+    Mutant(
         "a core that keeps target successors",
         "src/mprs/valuation.py",
         "succ[v] = ()",
@@ -314,6 +321,13 @@ MUTANTS = [
         ("tests/test_doors.py",),
     ),
     Mutant(
+        "a total payoff takes a hit on any vertex",
+        "src/mprs/valuation.py",
+        "o.vertex in game.total_target",
+        "o.vertex in game._index",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
         "the arena door lets anything in",
         "src/mprs/classic.py",
         "if not isinstance(arena, TwoPlayerArena):",
@@ -472,8 +486,8 @@ MUTANTS = [
     Mutant(
         "filling codes drops a dynamics record's responses",
         "src/mprs/valuation.py",
-        "codes = {n: tuple(_codes(core, n, hits)) for n in core.sign}",
-        "codes, responses = {n: tuple(_codes(core, n, hits)) for n in core.sign}, None",
+        "codes = _codes(core, nxt)",
+        "codes, responses = _codes(core, nxt), None",
         ("tests/test_valuation.py",),
     ),
     Mutant(
