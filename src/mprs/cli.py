@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Thin wrappers over the library: validate, simulate, check, solve,
-enumerate, gen, export-dot and cross-check. Exit codes: 0 on success (or
-equilibrium found), 1 when validation or a check fails, 2 on usage errors.
+enumerate, gen, export-dot and cross-check. Commands raise; `main` reports.
+Exit codes: 0 on success (or equilibrium found), 1 when a check fails, on
+any library error and on output the terminal cannot encode, 2 on usage
+errors and a malformed enumeration guard (`GuardError`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .gamefile import (
     parse_document,
     profile_to_json,
 )
-from .generator import GeneratorParams, InfeasibleError, random_game
+from .generator import GeneratorParams, random_game
 from .limits import GuardError, TooLargeError
 from .valuation import Profile, ProfileError, outcome, play, total_payoff, value_table
 
@@ -73,9 +75,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     profile = _named_profile(doc, args.profile)
     game = doc.game
-    if args.start not in game.owner:
-        print(f"error: unknown start vertex {args.start!r}", file=sys.stderr)
-        return 1
     trace = play(game, profile, args.start)
     print("play: " + " -> ".join("<terminal>" if v is None else v for v in trace))
     o = outcome(game, profile, args.start)
@@ -170,15 +169,12 @@ def cmd_cross_check(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     game = doc.game
     if game.players != (1, 2):
-        print("error: cross-check needs exactly two players", file=sys.stderr)
-        return 1
+        raise ValueError("cross-check needs exactly two players")
     by_role = {game.roles[1]: 1, game.roles[2]: 2}
     if len(by_role) != 2:
-        print("error: cross-check needs one reacher and one avoider", file=sys.stderr)
-        return 1
+        raise ValueError("cross-check needs one reacher and one avoider")
     if game.targets[1] != game.targets[2]:
-        print("error: cross-check needs a single shared target set", file=sys.stderr)
-        return 1
+        raise ValueError("cross-check needs a single shared target set")
     reacher = by_role[Role.REACHER]
     arena = TwoPlayerArena(
         vertices=game.vertices,
@@ -277,9 +273,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ParseError, ProfileError, InfeasibleError, TooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -287,6 +280,9 @@ def main(argv: list[str] | None = None) -> int:
         print("invalid game:", file=sys.stderr)
         for violation in exc.violations:
             print(f"  {violation}", file=sys.stderr)
+        return 1
+    except (OSError, ValueError, TooLargeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

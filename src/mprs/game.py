@@ -291,7 +291,10 @@ def validate_game(spec: GameSpec) -> Game:
         if not (_is_int(n) and n in role_map):
             bad(ViolationKind.UNKNOWN_PLAYER, f"vertex {v!r} is owned by undeclared player {n!r}")
             continue
-        owner[v] = n
+        # Two keys may spell one vertex id, such as 1 and "1".
+        if owner.setdefault(v, n) != n:
+            detail = f"vertex {v!r} is owned by players {owner[v]} and {n}"
+            bad(ViolationKind.MULTIPLY_OWNED, detail)
     for v in vset.difference(owner):
         bad(ViolationKind.UNOWNED_VERTEX, f"vertex {v!r} has no owner")
 

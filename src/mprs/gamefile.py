@@ -142,6 +142,12 @@ def _parse_vertices(raw: Any) -> tuple[list[str], dict[str, int]]:
             raise ParseError(f"owner of {vid!r} must be an integer player id")
         vertices.append(vid)
         owner[vid] = pid
+    # JSON may spell a lone surrogate, which no UTF-8 output can hold.
+    try:
+        "".join(vertices).encode("utf-8")
+    except UnicodeEncodeError:
+        vid = next(v for v in vertices if v != v.encode("utf-8", "ignore").decode("utf-8"))
+        raise ParseError(f"vertex id must be Unicode text, got {vid!r}") from None
     return vertices, owner
 
 

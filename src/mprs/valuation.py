@@ -404,10 +404,11 @@ def _moves(core: _Core, profile: Profile, skip: int | None = None) -> list[int]:
     problems = []
     legal = 0
     for n, vertices, moves in _strategies(profile):
-        if n == skip:
-            continue
-        if n not in core.mine:
+        # `True` or `1.0` would find player 1's vertices, yet is no player id.
+        if not _is_int(n) or n not in core.mine:
             problems.append(f"strategy given for undeclared player {n}")
+            continue
+        if n == skip:
             continue
         for v, w in zip(vertices, moves):
             i = index.get(v)

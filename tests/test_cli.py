@@ -276,6 +276,37 @@ class TestExportDot:
         assert main(["export-dot", g1_file, "-o", str(target)]) == 0
         assert target.read_text(encoding="utf-8").startswith("digraph game {")
 
+    @staticmethod
+    def one_vertex_file(tmp_path, vid: str) -> str:
+        doc = {
+            "players": [{"id": 1, "role": "reacher", "targets": [vid]}],
+            "vertices": [{"id": vid, "owner": 1}],
+            "edges": [],
+        }
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("out", [[], ["-o", "g.dot"]], ids=["stdout", "file"])
+    def test_a_lone_surrogate_vertex_id_is_an_error(self, tmp_path, capsys, out, monkeypatch):
+        # Valid JSON, yet no UTF-8 output can hold the id.
+        monkeypatch.chdir(tmp_path)
+        assert main(["export-dot", self.one_vertex_file(tmp_path, "\ud800"), *out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: vertex id must be Unicode text, got '\\ud800'\n"
+        assert captured.out == "" and not (tmp_path / "g.dot").exists()
+
+    def test_output_the_terminal_cannot_encode_is_an_error(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mprs", "export-dot", self.one_vertex_file(tmp_path, "é")],
+            capture_output=True,
+            encoding="utf-8",
+            env=child_env(PYTHONIOENCODING="ascii"),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: 'ascii' codec can't encode character '\\xe9'")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
 
 class TestCrossCheck:
     def test_worked_game(self, g1_file, capsys):

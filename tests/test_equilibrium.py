@@ -530,10 +530,11 @@ class TestBestResponseDynamics:
 
     def test_census_of_two_vertex_games(self):
         # Every raw spec with two players on vertices a and b: owners,
-        # roles, nonempty target sets and edge subsets. From every start
-        # the dynamics settle within the default budget on a profile both
-        # verdicts pass, and the scan finds exactly the profiles `is_nash`
-        # passes.
+        # roles, nonempty target sets and edge subsets. Against every
+        # profile both best responses agree on every player's values, which
+        # the fast response's strategy earns. From every start the dynamics
+        # settle within the default budget on a profile both verdicts pass,
+        # and the scan finds exactly the profiles `is_nash` passes.
         vertices = ("a", "b")
         edges = list(itertools.product(vertices, repeat=2))
         nonempty = [("a",), ("b",), ("a", "b")]
@@ -554,6 +555,10 @@ class TestBestResponseDynamics:
             valid += 1
             profiles = list(all_profiles(game))
             for start in profiles:
+                for n in game.players:
+                    strategy, values = best_response(game, start, n)
+                    assert best_response_enum(game, start, n)[1] == values, (spec, start, n)
+                    assert value_table(game, start.replace(n, strategy))[n] == values
                 found = solve_br_dynamics(game, start)
                 assert found is not None, (spec, start)
                 assert is_nash(game, found).is_ne and check_certificate(game, found).is_ne

@@ -98,6 +98,19 @@ class TestValidation:
             validate_game(spec)
         assert kinds(e) == {ViolationKind.UNOWNED_VERTEX}
 
+    def test_two_spellings_of_one_vertex_with_different_owners(self):
+        # 1 and "1" both name vertex "1"; neither owner may silently win.
+        spec = GameSpec(
+            ["1", "2"],
+            [("1", "2"), ("2", "1")],
+            {1: 1, "1": 2, "2": 1},
+            {1: Role.REACHER, 2: Role.AVOIDER},
+            {1: ["2"], 2: ["2"]},
+        )
+        with pytest.raises(InvalidGameError) as e:
+            validate_game(spec)
+        assert str(e.value) == "multiply_owned: vertex '1' is owned by players 1 and 2"
+
     @pytest.mark.parametrize(
         "gamma", [0, 1, Fraction(3, 2), -1, "junk", None, float("inf"), float("nan")]
     )

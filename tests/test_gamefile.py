@@ -164,6 +164,7 @@ class TestParse:
             (V2, '{"id": 2, "owner": 2}', "vertex id must be a string, got 2"),
             (V2, '{"id": "v1", "owner": 2}', "duplicate vertex id 'v1'"),
             (V2, '{"id": "v2", "owner": true}', "owner of 'v2' must be an integer player id"),
+            (V2, '{"id": "\\ud800", "owner": 2}', "vertex id must be Unicode text, got '\\ud800'"),
             (EDGES, '{"v2": "v1"}', "'edges' must be a list"),
             (E21, '{"v2": "v1"}', PAIR + "{'v2': 'v1'}"),
             (E21, '"v2"', PAIR + "'v2'"),
@@ -180,7 +181,8 @@ class TestParse:
         ],
         ids=[
             "vertex-not-object", "vertex-no-id", "vertex-no-owner", "vertex-unknown-keys",
-            "vertex-int-id", "vertex-dup-id", "vertex-bool-owner", "edges-not-list",
+            "vertex-int-id", "vertex-dup-id", "vertex-bool-owner", "vertex-lone-surrogate",
+            "edges-not-list",
             "edge-object", "edge-string", "edge-number", "edge-one-item", "edge-three-items",
             "edge-number-end", "edge-null-end", "edge-bool-end", "edge-first-bad-entry",
             "targets-string", "strategy-list", "strategy-number-move",

@@ -226,6 +226,17 @@ class TestProfile:
         assert "v2" in text  # not player 1's vertex
         assert "3" in text  # unknown player
 
+    @pytest.mark.parametrize("key", [pytest.param(True, id="bool"), pytest.param(1.0, id="float")])
+    def test_a_key_equal_to_a_player_id_is_no_player(self, g1, key):
+        # `key` equals 1 and hashes like it, but no document could name it.
+        bad = Profile({key: {"v1": "v3"}, 2: {"v2": "v1"}})
+        message = f"^strategy given for undeclared player {key!r}"
+        for door in (check_profile, is_nash, lambda g, p: emit_game(g, {"p": p})):
+            with pytest.raises(ProfileError, match=message):
+                door(g1, bad)
+        with pytest.raises(ProfileError, match=message):
+            best_response(g1, bad, 1)
+
     def test_check_profile_requires_every_choice_vertex(self, g1):
         with pytest.raises(ProfileError):
             check_profile(g1, Profile({1: {"v1": "v3"}}))  # v2 unassigned

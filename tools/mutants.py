@@ -518,6 +518,34 @@ MUTANTS = [
         "raise",
         ("tests/test_doors.py",),
     ),
+    Mutant(
+        "main lets a ValueError out",
+        "src/mprs/cli.py",
+        "except (OSError, ValueError, TooLargeError) as exc:",
+        "except (OSError, TooLargeError) as exc:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "a vertex id may hold a lone surrogate",
+        "src/mprs/gamefile.py",
+        '"".join(vertices).encode("utf-8")',
+        '"".join(vertices).encode("utf-8", "surrogatepass")',
+        ("tests/test_gamefile.py",),
+    ),
+    Mutant(
+        "a second owner spelling overwrites the first",
+        "src/mprs/game.py",
+        "if owner.setdefault(v, n) != n:",
+        "if owner.update({v: n}):",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "a profile reads True as player 1",
+        "src/mprs/valuation.py",
+        "if not _is_int(n) or n not in core.mine:",
+        "if n not in core.mine:",
+        ("tests/test_valuation.py",),
+    ),
 ]
 
 
