@@ -14,10 +14,13 @@ every game.
 
 `enumerate_ne` walks the move arrays of the whole profile space (small
 games only, see the enumeration guard), settles each with the same code
-test and names only the equilibria. `solve_br_dynamics` iterates rounds
-of best responses until a round changes nothing or its round budget runs
-out, in which case callers fall back to enumeration. Every game of this
-class has an equilibrium, so enumeration never comes back empty.
+test and names only the equilibria. The test stops at the first player
+who gains, so a failing array costs no response after that player's, and
+the list is still exactly the profiles `is_nash` passes.
+`solve_br_dynamics` iterates rounds of best responses until a round
+changes nothing or its round budget runs out, in which case callers fall
+back to enumeration. Every game of this class has an equilibrium, so
+enumeration never comes back empty.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import gt
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .game import Game, _check_game
 from .limits import _is_int, check_guard
@@ -148,21 +152,24 @@ def _sign(code: int) -> int:
     return (code > 0) - (code < 0)
 
 
-def _gains(core: _Core, codes: dict, responses: dict, qualitative: bool) -> list[tuple[int, str]]:
+def _gains(
+    core: _Core, codes: dict, respond: Callable[[int], tuple], qualitative: bool
+) -> Iterator[tuple[int, str]]:
     # Every (player, vertex) where the player's best response does strictly
     # better, in player and then vertex order, from the codes along the
     # profile (the forward walk of `_codes`) and the response codes (the
     # backward pass of `_respond`): codes order exactly as payoffs do, and
-    # their signs as the payoffs' signs. No value map is decoded.
-    gains = []
+    # their signs as the payoffs' signs. No value map is decoded. Player
+    # n's `(moves, codes)` response, `respond(n)`, is asked for only when
+    # the scan reaches n, so a caller who stops at the first gain solves
+    # no response after the first player who gains.
     for n, mine in codes.items():
-        theirs = responses[n][1]
+        theirs = respond(n)[1]
         if tuple(theirs) == mine:  # no gain anywhere, as at every equilibrium
             continue
         if qualitative:
             mine, theirs = map(_sign, mine), map(_sign, theirs)
-        gains += zip(itertools.repeat(n), itertools.compress(core.names, map(gt, theirs, mine)))
-    return gains
+        yield from zip(itertools.repeat(n), itertools.compress(core.names, map(gt, theirs, mine)))
 
 
 def _verdict(game: Game, profile: Profile, qualitative: bool) -> NEReport:
@@ -170,7 +177,7 @@ def _verdict(game: Game, profile: Profile, qualitative: bool) -> NEReport:
     # report is read off `value_table` and `best_response`, at its gains.
     core = _check_game(game)._core
     _, codes, responses = _judged(core, profile, respond=True)
-    gains = _gains(core, codes, responses, qualitative)
+    gains = list(_gains(core, codes, responses.__getitem__, qualitative))
     if not gains:
         return NEReport(True, ())
     values = value_table(game, profile)
@@ -252,8 +259,10 @@ def enumerate_ne(
     the whole space is scanned: a memoryless equilibrium always exists.
     Each move array behind `all_profiles` is settled by `is_nash`'s code
     test alone: no profile is checked, recorded or reported, and only the
-    equilibria are named. The list is exactly the profiles that `is_nash`
-    passes.
+    equilibria are named. The test solves the players' responses in turn
+    and stops at the first player who gains, so only an equilibrium costs
+    every player's response. The list is still exactly the profiles that
+    `is_nash` passes.
 
     Raises:
         TooLargeError: when the profile space exceeds the guard.
@@ -265,9 +274,8 @@ def enumerate_ne(
     check_guard(profile_space(game), guard)
     found = []
     for nxt in _arrays(core):
-        codes = _codes(core, nxt)
-        responses = {n: _respond(core, nxt, n) for n in core.sign}
-        if not _gains(core, codes, responses, False):
+        gains = _gains(core, _codes(core, nxt), partial(_respond, core, nxt), False)
+        if next(gains, None) is None:
             found.append(_name(core, nxt))
             if limit is not None and len(found) >= limit:
                 break

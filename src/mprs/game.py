@@ -183,13 +183,29 @@ def _discount(raw: object) -> Fraction | None:
     return gamma if 0 < gamma < 1 else None
 
 
+def _unencodable(ids: list[str]) -> str | None:
+    """The first of `ids` that no UTF-8 output can hold, or None. Python
+    and JSON strings may spell a lone surrogate half, such as "\\ud800"."""
+    try:
+        "".join(ids).encode("utf-8")
+    except UnicodeEncodeError:
+        return next(v for v in ids if v != v.encode("utf-8", "ignore").decode("utf-8"))
+    return None
+
+
 def _vertex_ids(raw: Iterable[str], what: str, violations: list[Violation]) -> list[str] | None:
     # A bare string would be read one character at a time, so it is refused.
     if not isinstance(raw, str):
         try:
-            return list(map(str, raw))
+            ids = list(map(str, raw))
         except TypeError:
             pass
+        else:
+            vid = _unencodable(ids)
+            if vid is not None:
+                detail = f"vertex id in {what} must be Unicode text, got {vid!r}"
+                violations.append(Violation(ViolationKind.BAD_VERTEX_SET, detail))
+            return ids
     detail = f"{what} must be a collection of vertex ids, got {raw!r}"
     violations.append(Violation(ViolationKind.BAD_VERTEX_SET, detail))
     return None

@@ -36,7 +36,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring
 from typing import AbstractSet, Any, Mapping
 
-from .game import Game, GameSpec, Role, _check_game, _gc_paused, validate_game
+from .game import Game, GameSpec, Role, _check_game, _gc_paused, _unencodable, validate_game
 from .limits import _is_int
 from .valuation import PayoffValue, Profile, ProfileError, _moves, _strategies, check_profile
 
@@ -142,12 +142,9 @@ def _parse_vertices(raw: Any) -> tuple[list[str], dict[str, int]]:
             raise ParseError(f"owner of {vid!r} must be an integer player id")
         vertices.append(vid)
         owner[vid] = pid
-    # JSON may spell a lone surrogate, which no UTF-8 output can hold.
-    try:
-        "".join(vertices).encode("utf-8")
-    except UnicodeEncodeError:
-        vid = next(v for v in vertices if v != v.encode("utf-8", "ignore").decode("utf-8"))
-        raise ParseError(f"vertex id must be Unicode text, got {vid!r}") from None
+    vid = _unencodable(vertices)
+    if vid is not None:
+        raise ParseError(f"vertex id must be Unicode text, got {vid!r}")
     return vertices, owner
 
 

@@ -114,6 +114,21 @@ class TestArenaConstruction:
         assert violation.kind is kind
         assert repr(value) in violation.detail
 
+    def test_a_lone_surrogate_vertex_id_is_rejected(self):
+        with pytest.raises(InvalidGameError) as raised:
+            TwoPlayerArena(
+                vertices=["\udc80", "x"],
+                edges=[("x", "\udc80")],
+                reacher_owned=["x"],
+                avoider_owned=["\udc80"],
+                target=["\udc80"],
+            )
+        details = {v.detail for v in raised.value.violations}
+        assert details == {
+            f"vertex id in the arena's {name} must be Unicode text, got '\\udc80'"
+            for name in ("vertices", "avoider_owned", "target")
+        }
+
     def test_unassigned_vertex_is_rejected(self):
         arena = TwoPlayerArena(
             vertices=["a", "b", "c"],

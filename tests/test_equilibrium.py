@@ -416,6 +416,29 @@ class TestEnumeration:
                 is_nash(game, random_profile(game, rng))
                 checked.clear()
 
+    def test_the_scan_stops_at_the_first_player_who_gains(self, monkeypatch):
+        # A profile is settled by its first gain, so the scan solves the
+        # responses up to the first player `is_nash` flags, and every
+        # player's response only at an equilibrium.
+        game = random_game(GeneratorParams(num_players=3, num_vertices=6, edge_density=0.6, seed=1))
+        players = len(game.players)
+        expected = sum(
+            report.violations[0].player if report.violations else players
+            for report in (is_nash(game, p) for p in all_profiles(game))
+        )
+        calls = 0
+        respond = equilibrium._respond
+
+        def counted(core, nxt, n):
+            nonlocal calls
+            calls += 1
+            return respond(core, nxt, n)
+
+        monkeypatch.setattr(equilibrium, "_respond", counted)
+        found = enumerate_ne(game)
+        assert calls == expected == 129 < players * profile_space(game)
+        assert found == [p for p in all_profiles(game) if is_nash(game, p).is_ne]
+
     def test_named_profiles_share_each_players_vertex_tuple(self):
         """Consecutive `all_profiles` profiles, the equilibria and the
         dynamics result all hold the same vertex tuple object per player."""
@@ -534,7 +557,9 @@ class TestBestResponseDynamics:
         # profile both best responses agree on every player's values, which
         # the fast response's strategy earns. From every start the dynamics
         # settle within the default budget on a profile both verdicts pass,
-        # and the scan finds exactly the profiles `is_nash` passes.
+        # and every qualitative gain is an exact gain. The scan finds
+        # exactly the profiles `is_nash` passes, and with `limit=1` the
+        # first of them.
         vertices = ("a", "b")
         edges = list(itertools.product(vertices, repeat=2))
         nonempty = [("a",), ("b",), ("a", "b")]
@@ -562,7 +587,12 @@ class TestBestResponseDynamics:
                 found = solve_br_dynamics(game, start)
                 assert found is not None, (spec, start)
                 assert is_nash(game, found).is_ne and check_certificate(game, found).is_ne
-            assert enumerate_ne(game) == [p for p in profiles if is_nash(game, p).is_ne], spec
+                exact = {(d.player, d.vertex) for d in is_nash(game, start).violations}
+                coarse = is_nash_qualitative(game, start).violations
+                assert {(d.player, d.vertex) for d in coarse} <= exact, (spec, start)
+            passed = [p for p in profiles if is_nash(game, p).is_ne]
+            assert enumerate_ne(game) == passed, spec
+            assert enumerate_ne(game, limit=1) == passed[:1], spec
         assert valid == 2176
 
 

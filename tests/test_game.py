@@ -111,6 +111,23 @@ class TestValidation:
             validate_game(spec)
         assert str(e.value) == "multiply_owned: vertex '1' is owned by players 1 and 2"
 
+    def test_a_lone_surrogate_vertex_id_is_refused(self):
+        # No UTF-8 document could hold the id, so `emit_game` could not
+        # write the game for `parse_document` to read back.
+        spec = GameSpec(
+            ["\ud800", "b"],
+            [("b", "\ud800")],
+            {"\ud800": 1, "b": 1},
+            {1: Role.REACHER},
+            {1: ["\ud800"]},
+        )
+        with pytest.raises(InvalidGameError) as e:
+            validate_game(spec)
+        assert {(v.kind, v.detail) for v in e.value.violations} == {
+            (ViolationKind.BAD_VERTEX_SET, f"vertex id in {what} must be Unicode text, got '\\ud800'")
+            for what in ("the vertex list", "target set of player 1")
+        }
+
     @pytest.mark.parametrize(
         "gamma", [0, 1, Fraction(3, 2), -1, "junk", None, float("inf"), float("nan")]
     )

@@ -379,15 +379,37 @@ MUTANTS = [
     Mutant(
         "the scan accepts a profile that only its last player gains from",
         "src/mprs/equilibrium.py",
-        "if not _gains(core, codes, responses, False):",
-        "if all(n == game.players[-1] for n, _ in _gains(core, codes, responses, False)):",
+        "if next(gains, None) is None:",
+        "if all(n == game.players[-1] for n, _ in gains):",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
         "the scan settles profiles on the qualitative code test",
         "src/mprs/equilibrium.py",
-        "if not _gains(core, codes, responses, False):",
-        "if not _gains(core, codes, responses, True):",
+        "partial(_respond, core, nxt), False)",
+        "partial(_respond, core, nxt), True)",
+        ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
+        "the scan judges only the first player",
+        "src/mprs/equilibrium.py",
+        "gains = _gains(core, _codes(core, nxt),",
+        "gains = _gains(core, dict(itertools.islice(_codes(core, nxt).items(), 1)),",
+        ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
+        "the lazy test skips the player after one without gains",
+        "src/mprs/equilibrium.py",
+        "    for n, mine in codes.items():\n"
+        "        theirs = respond(n)[1]\n"
+        "        if tuple(theirs) == mine:  # no gain anywhere, as at every equilibrium\n"
+        "            continue",
+        "    players = iter(codes.items())\n"
+        "    for n, mine in players:\n"
+        "        theirs = respond(n)[1]\n"
+        "        if tuple(theirs) == mine:  # no gain anywhere, as at every equilibrium\n"
+        "            next(players, None)\n"
+        "            continue",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
@@ -400,11 +422,20 @@ MUTANTS = [
         "            continue\n"
         "        if qualitative:\n"
         "            mine, theirs = map(_sign, mine), map(_sign, theirs)\n"
-        "        gains += zip(itertools.repeat(n), itertools.compress(core.names, map(gt, theirs, mine)))",
+        "        yield from zip(itertools.repeat(n), itertools.compress(core.names, map(gt, theirs, mine)))",
         "if qualitative:\n"
         "            mine, theirs = map(_sign, mine), map(_sign, theirs)\n"
-        "        gains += zip(itertools.repeat(n), itertools.compress(core.names, map(lambda a, b: a >= b, theirs, mine)))",
+        "        yield from zip(itertools.repeat(n), itertools.compress(core.names, map(lambda a, b: a >= b, theirs, mine)))",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
+        # Signs tie where codes differ, so after player 1 a qualitative
+        # verdict flags vertices that the exact one passes.
+        "the qualitative gains are a subset of the exact ones only for player 1",
+        "src/mprs/equilibrium.py",
+        "itertools.compress(core.names, map(gt, theirs, mine))",
+        "itertools.compress(core.names, map(gt if n == 1 or not qualitative else (lambda a, b: a >= b), theirs, mine))",
+        ("tests/test_equilibrium.py",),
     ),
     Mutant(
         "the scan never rewrites the last choice vertex",
@@ -527,10 +558,10 @@ MUTANTS = [
     ),
     Mutant(
         "a vertex id may hold a lone surrogate",
-        "src/mprs/gamefile.py",
-        '"".join(vertices).encode("utf-8")',
-        '"".join(vertices).encode("utf-8", "surrogatepass")',
-        ("tests/test_gamefile.py",),
+        "src/mprs/game.py",
+        '"".join(ids).encode("utf-8")',
+        '"".join(ids).encode("utf-8", "surrogatepass")',
+        ("tests/test_gamefile.py", "tests/test_game.py", "tests/test_classic.py"),
     ),
     Mutant(
         "a second owner spelling overwrites the first",
