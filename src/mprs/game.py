@@ -15,12 +15,12 @@ handle consumed by every other module; `Game.successors` lists the moves
 open to a vertex's owner. `turn_payoff`, the one home of the role-to-sign
 rule, gives what each visited vertex is worth to each player.
 
-Validation builds the game's one int adjacency: vertex i is the i-th id
-in lexicographic order and keeps the sorted indices of its successors.
-Successor lists are sorted only where the input order needs it, so a
-canonical document needs no sort at all. `Game.successors` names a
-vertex's successors from it on each call, `Game.edges` names all of them
-once, on first use, and the solvers' `valuation._Core` reuses it as is.
+Validation's one loop over the edges builds the game's one int adjacency:
+vertex i is the i-th id in lexicographic order and keeps the sorted
+indices of its successors, sorted only where the input order needs it.
+From that adjacency and the vertex index it builds the solvers' int form
+(`valuation._Core`), which every `Game` carries. Whole-map tests settle a
+well-formed owner map; the per-entry loop runs only to name a fault.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, wraps
+from typing import Any
 
 from .limits import _is_int
 
@@ -93,6 +94,10 @@ class GameSpec:
     targets: Mapping[int, Iterable[str]]
     gamma: Fraction | int | float | str = Fraction(1, 2)
 
+    # Called with the edge list at each edge that is not a pair of str: a
+    # document's spec raises there, and any other spec reads on.
+    _malformed = staticmethod(lambda edges: None)
+
 
 class ViolationKind(Enum):
     BAD_EDGE = "bad_edge"
@@ -141,17 +146,17 @@ class Game:
     players: tuple[int, ...]
     total_target: frozenset[str]
     choice_vertices: tuple[str, ...]
-    # The int adjacency: vertex i is ``vertices[i]``, `_index` maps each id
-    # back to its i, and `_isucc[i]` holds the successors' indices in
-    # increasing order. Equality compares `_isucc`, which carries the edges.
+    # The int adjacency: vertex i is ``vertices[i]`` and `_isucc[i]` holds
+    # the successors' indices in increasing order. Equality compares it, as
+    # it carries the edges, and misses `_core`, which `validate_game` sets.
     _isucc: tuple[tuple[int, ...], ...]
-    _index: Mapping[str, int] = field(compare=False)
+    _core: Any = field(init=False, compare=False)
 
     def successors(self, v: str) -> tuple[str, ...]:
         """Out-neighbours of `v` in lexicographic order; an unknown `v` is a ValueError."""
-        if not isinstance(v, str) or v not in self._index:
+        if not isinstance(v, str) or v not in self.owner:
             raise ValueError(f"unknown vertex {v!r}")
-        return tuple(map(self.vertices.__getitem__, self._isucc[self._index[v]]))
+        return tuple(map(self.vertices.__getitem__, self._isucc[self._core.index[v]]))
 
     @cached_property
     def edges(self) -> tuple[tuple[str, str], ...]:
@@ -163,15 +168,6 @@ class Game:
             f"Game(vertices={self.vertices!r}, edges={self.edges!r}, owner={self.owner!r},"
             f" roles={self.roles!r}, targets={self.targets!r}, gamma={self.gamma!r})"
         )
-
-    @cached_property
-    @_gc_paused
-    def _core(self):
-        # The solvers' int-indexed form (`valuation._Core`), built on first use
-        # into the instance dict, where equality, repr and documents miss it.
-        from .valuation import _Core
-
-        return _Core(self)
 
 
 def _discount(raw: object) -> Fraction | None:
@@ -276,9 +272,11 @@ def validate_game(spec: GameSpec) -> Game:
         try:
             u, w = edge
         except (TypeError, ValueError):
+            spec._malformed(edges)
             bad(ViolationKind.BAD_EDGE, f"edge {edge!r} is not a pair of vertices")
             continue
         if type(u) is not str or type(w) is not str:
+            spec._malformed(edges)
             u, w = str(u), str(w)
         try:
             i, j = index[u], index[w]
@@ -297,22 +295,34 @@ def validate_game(spec: GameSpec) -> Game:
     for i in unsorted:
         out[i] = sorted(set(out[i]))
     isucc = tuple(map(tuple, out))
+    del out  # let go before the solvers' core is built
 
+    # Whole-map tests settle a well-formed map; the loop names each fault.
     owner: dict[str, int] = {}
-    for v, n in owners.items():
-        v = str(v)
-        if v not in vset:
-            bad(ViolationKind.UNKNOWN_VERTEX, f"owner map mentions undeclared vertex {v!r}")
-            continue
-        if not (_is_int(n) and n in role_map):
-            bad(ViolationKind.UNKNOWN_PLAYER, f"vertex {v!r} is owned by undeclared player {n!r}")
-            continue
-        # Two keys may spell one vertex id, such as 1 and "1".
-        if owner.setdefault(v, n) != n:
-            detail = f"vertex {v!r} is owned by players {owner[v]} and {n}"
-            bad(ViolationKind.MULTIPLY_OWNED, detail)
-    for v in vset.difference(owner):
-        bad(ViolationKind.UNOWNED_VERTEX, f"vertex {v!r} has no owner")
+    kinds = set(map(type, owners.values()))
+    if (
+        set(map(type, owners)) <= {str}
+        and owners.keys() == vset
+        and all(issubclass(k, int) and k is not bool for k in kinds)
+        and set(owners.values()) <= role_map.keys()
+    ):
+        owner = dict(owners)
+    else:
+        for v, n in owners.items():
+            v = str(v)
+            if v not in vset:
+                bad(ViolationKind.UNKNOWN_VERTEX, f"owner map mentions undeclared vertex {v!r}")
+                continue
+            if not (_is_int(n) and n in role_map):
+                detail = f"vertex {v!r} is owned by undeclared player {n!r}"
+                bad(ViolationKind.UNKNOWN_PLAYER, detail)
+                continue
+            # Two keys may spell one vertex id, such as 1 and "1".
+            if owner.setdefault(v, n) != n:
+                detail = f"vertex {v!r} is owned by players {owner[v]} and {n}"
+                bad(ViolationKind.MULTIPLY_OWNED, detail)
+        for v in vset.difference(owner):
+            bad(ViolationKind.UNOWNED_VERTEX, f"vertex {v!r} has no owner")
 
     targets: dict[int, frozenset[str]] = {}
     for n in target_sets:
@@ -347,7 +357,7 @@ def validate_game(spec: GameSpec) -> Game:
     if violations:
         raise InvalidGameError(sorted(violations, key=lambda x: (x.kind.value, x.detail)))
 
-    return Game(
+    game = Game(
         vertices=tuple(vertices),
         owner=owner,
         roles=roles,
@@ -357,8 +367,11 @@ def validate_game(spec: GameSpec) -> Game:
         total_target=total_target,
         choice_vertices=tuple(itertools.filterfalse(total_target.__contains__, vertices)),
         _isucc=isucc,
-        _index=index,
     )
+    from .valuation import _Core  # which imports this module
+
+    object.__setattr__(game, "_core", _Core(game, index))
+    return game
 
 
 def _check_game(game: object) -> Game:
@@ -386,7 +399,7 @@ def turn_payoff(game: Game, n: int, v: str | None) -> int:
     _check_player(game, n)
     if v is None:
         return 0
-    if not isinstance(v, str) or v not in game._index:
+    if not isinstance(v, str) or v not in game.owner:
         raise ValueError(f"unknown vertex {v!r}")
     if v not in game.targets[n]:
         return 0

@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import AbstractSet, Any, Mapping
 
 from .game import Game, GameSpec, Role, _check_game, _gc_paused, _unencodable, validate_game
@@ -122,26 +123,36 @@ def _parse_players(raw: Any) -> tuple[dict[int, Role], dict[int, list[str]]]:
 def _parse_vertices(raw: Any) -> tuple[list[str], dict[str, int]]:
     if not isinstance(raw, list):
         raise ParseError("'vertices' must be a list")
-    vertices: list[str] = []
-    owner: dict[str, int] = {}
-    for entry in raw:
-        # One test settles a well-formed entry; the others find the message.
-        if not isinstance(entry, dict) or entry.keys() != _VERTEX_KEYS:
+    # Whole-list tests settle a well-formed list; the loop names the first
+    # bad entry. JSON values have exact types; `validate_game` checks owners.
+    try:
+        vertices = list(map(itemgetter("id"), raw))
+        owner = dict(zip(vertices, map(itemgetter("owner"), raw)))
+    except (KeyError, TypeError):
+        owner = {}
+    if not (
+        len(owner) == len(raw)
+        and set(map(len, raw)) <= {2}
+        and set(map(type, vertices)) <= {str}
+        and set(map(type, owner.values())) <= {int}
+    ):
+        vertices, owner = [], {}
+        for entry in raw:
             if not isinstance(entry, dict):
                 raise ParseError("each vertex must be an object")
-            _require_keys(entry, _VERTEX_KEYS, "vertex")
-            raise ParseError("each vertex needs 'id' and 'owner'")
-        vid = entry["id"]
-        if not isinstance(vid, str):
-            raise ParseError(f"vertex id must be a string, got {vid!r}")
-        if vid in owner:
-            raise ParseError(f"duplicate vertex id {vid!r}")
-        pid = entry["owner"]
-        # A JSON int has the exact type; `validate_game` checks the player.
-        if type(pid) is not int:
-            raise ParseError(f"owner of {vid!r} must be an integer player id")
-        vertices.append(vid)
-        owner[vid] = pid
+            if entry.keys() != _VERTEX_KEYS:
+                _require_keys(entry, _VERTEX_KEYS, "vertex")
+                raise ParseError("each vertex needs 'id' and 'owner'")
+            vid = entry["id"]
+            if not isinstance(vid, str):
+                raise ParseError(f"vertex id must be a string, got {vid!r}")
+            if vid in owner:
+                raise ParseError(f"duplicate vertex id {vid!r}")
+            pid = entry["owner"]
+            if type(pid) is not int:
+                raise ParseError(f"owner of {vid!r} must be an integer player id")
+            vertices.append(vid)
+            owner[vid] = pid
     vid = _unencodable(vertices)
     if vid is not None:
         raise ParseError(f"vertex id must be Unicode text, got {vid!r}")
@@ -149,6 +160,8 @@ def _parse_vertices(raw: Any) -> tuple[list[str], dict[str, int]]:
 
 
 def _parse_edges(raw: Any) -> list[list[str]]:
+    """`raw` itself, once every entry is a pair of vertex ids; otherwise a
+    ParseError naming the first entry that is not."""
     if not isinstance(raw, list):
         raise ParseError("'edges' must be a list")
     # JSON values have exact types, so `type` tests stand in for `isinstance`.
@@ -161,6 +174,12 @@ def _parse_edges(raw: Any) -> list[list[str]]:
         ):
             raise ParseError(f"each edge must be a pair of vertex ids, got {entry!r}")
     return raw
+
+
+class _DocumentSpec(GameSpec):
+    """A document's spec, whose first malformed edge is a ParseError."""
+
+    _malformed = staticmethod(_parse_edges)
 
 
 def _parse_profiles(raw: Any, game: Game) -> dict[str, Profile]:
@@ -214,12 +233,19 @@ def parse_document(text: str) -> GameDocument:
     _require_keys(raw, {"gamma", "players", "vertices", "edges", "profiles"}, "document")
 
     roles, targets = _parse_players(raw.get("players", []))
-    # Popped, so the vertex entries are let go before validation.
+    # Popped, so the document holds no vertex or edge entry once they are
+    # read. Validation checks each edge's pair; here only that it is a list.
     vertices, owner = _parse_vertices(raw.pop("vertices", []))
-    edges = _parse_edges(raw.get("edges", []))
-    gamma = _parse_gamma(raw.get("gamma", "1/2"))
+    edges = raw.pop("edges", [])
+    if type(edges) is not list or not set(map(type, edges)) <= {list}:
+        _parse_edges(edges)
+    try:
+        gamma = _parse_gamma(raw.get("gamma", "1/2"))
+    except ParseError:
+        _parse_edges(edges)  # a malformed edge comes first
+        raise
 
-    game = validate_game(GameSpec(vertices, edges, owner, roles, targets, gamma))
+    game = validate_game(_DocumentSpec(vertices, edges, owner, roles, targets, gamma))
     profiles = _parse_profiles(raw.get("profiles", {}), game)
     return GameDocument(game, profiles)
 

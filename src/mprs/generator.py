@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .game import Game, GameSpec, Role, _discount, validate_game
-from .limits import _is_int
+from .limits import _is_int, check_guard
 
 __all__ = ["GeneratorParams", "InfeasibleError", "random_game"]
 
@@ -52,6 +52,8 @@ def random_game(params: GeneratorParams) -> Game:
         InfeasibleError: when a field has the wrong type or is out of
             range, or when no dead-end-free edge set turns up after many
             resamples (only plausible at extreme densities).
+        TooLargeError: when the V² candidate edges each resample draws
+            exceed the enumeration guard, before anything is drawn.
     """
     if not isinstance(params, GeneratorParams):
         raise TypeError(f"expected GeneratorParams, got {type(params).__name__}")
@@ -83,6 +85,7 @@ def random_game(params: GeneratorParams) -> Game:
         raise InfeasibleError("targets per player must fit in the vertex count")
     if params.roles is not None and len(params.roles) != params.num_players:
         raise InfeasibleError("one role per player when roles are fixed")
+    check_guard(params.num_vertices**2)
 
     rng = random.Random(params.seed)
     width = len(str(params.num_vertices))

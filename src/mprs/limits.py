@@ -1,7 +1,7 @@
 """Shared guard for the exhaustive-search operations.
 
-Brute-force strategy and profile enumeration refuse to start when the
-search space exceeds the guard. The default of one million candidates can
+Brute-force strategy and profile enumeration, and random generation's
+edge draw, refuse to start when the search space exceeds the guard. The default of one million candidates can
 be overridden per call, or globally through the MPRS_ENUM_GUARD
 environment variable. `_is_int` is the package's one rule for an integer
 argument: player ids, guards and counts alike.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 
-__all__ = ["DEFAULT_ENUM_GUARD", "ENUM_GUARD_ENV", "GuardError", "TooLargeError"]
+__all__ = ["GuardError", "TooLargeError"]
 
 DEFAULT_ENUM_GUARD = 10**6
 ENUM_GUARD_ENV = "MPRS_ENUM_GUARD"

@@ -300,13 +300,14 @@ class _Core:
     """Int-indexed form of a game, which every solver here runs on.
 
     Vertex i is ``game.vertices[i]``, so index order is lexicographic
-    order. Target vertices are absorbing: they have no successors and are
-    nobody's predecessor. `own[n]` lists player n's target vertices and
-    `mine[n]` player n's choice vertices, both in index order; `named`
-    holds each mover's ``(n, vertex ids, mine[n])``, whose id tuples
-    `_name` shares. `sign[n]` is the sign of player n's payoff at each of
-    n's own targets, n's `turn_payoff` there. Payoffs are integer codes
-    (see `_decode`). Built once per game, on first use, by `Game._core`.
+    order. `validate_game` builds one for every game it returns, from its
+    own pass: the vertex `index` and the game's successor lists. Target
+    vertices are absorbing: they have no successors and are nobody's
+    predecessor. `own[n]` lists player n's target vertices and `mine[n]`
+    player n's choice vertices, both in index order; `named` holds each
+    mover's ``(n, vertex ids, mine[n])``, whose id tuples `_name` shares.
+    `sign[n]` is the sign of player n's payoff at each of n's own targets,
+    n's `turn_payoff` there. Payoffs are integer codes (see `_decode`).
 
     `judged` holds ``(profile, move array, codes, responses)`` for the
     last profile judged here, and starts with `_UNJUDGED`, which no caller
@@ -326,8 +327,8 @@ class _Core:
         "named", "judged", "zeros",
     )
 
-    def __init__(self, game: Game):
-        names, index = game.vertices, game._index
+    def __init__(self, game: Game, index: dict[str, int]):
+        names = game.vertices
         self.own = {n: tuple(sorted(map(index.__getitem__, game.targets[n]))) for n in game.players}
         succ = list(game._isucc)
         for own in self.own.values():

@@ -238,6 +238,13 @@ class TestGen:
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_vertex_count_past_the_guard_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setenv("MPRS_ENUM_GUARD", "99")
+        assert main(["gen", "--seed", "1", "--vertices", "10", "--players", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: search space of 100 candidates exceeds the guard")
+        assert captured.out == ""
+
     def test_output_to_a_directory(self, tmp_path, capsys):
         argv = ["gen", "--seed", "3", "--vertices", "5", "--players", "2", "-o", str(tmp_path)]
         assert main(argv) == 1

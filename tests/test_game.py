@@ -111,6 +111,24 @@ class TestValidation:
             validate_game(spec)
         assert str(e.value) == "multiply_owned: vertex '1' is owned by players 1 and 2"
 
+    def test_owner_keys_are_read_as_their_text(self):
+        # A str subclass key names the vertex its text spells, as any
+        # other key does, and the game keeps the plain text.
+        class Tag(str):
+            def __repr__(self) -> str:
+                return "Tag"
+
+        spec = GameSpec(
+            ["a", "b"],
+            [("a", "b"), ("b", "a")],
+            {Tag("a"): 1, Tag("b"): 1},
+            {1: Role.REACHER},
+            {1: ["b"]},
+        )
+        game = validate_game(spec)
+        assert {type(v) for v in game.owner} == {str}
+        assert "Tag" not in repr(game)
+
     def test_a_lone_surrogate_vertex_id_is_refused(self):
         # No UTF-8 document could hold the id, so `emit_game` could not
         # write the game for `parse_document` to read back.
@@ -213,6 +231,14 @@ class TestValidation:
         with pytest.raises(InvalidGameError) as e:
             validate_game(self.two_cycle(targets={1: ["b"], 3: ["a"]}))
         assert str(e.value) == "unknown_player: target set declared for undeclared player 3"
+
+    def test_owner_that_is_no_player(self):
+        with pytest.raises(InvalidGameError) as e:
+            validate_game(self.two_cycle(owner={"a": 2, "b": 1}))
+        assert [str(v) for v in e.value.violations] == [
+            "unknown_player: vertex 'a' is owned by undeclared player 2",
+            "unowned_vertex: vertex 'a' has no owner",
+        ]
 
     @pytest.mark.parametrize("key", [pytest.param(True, id="bool"), pytest.param(1.0, id="float")])
     def test_target_set_keys_are_player_ids(self, key):

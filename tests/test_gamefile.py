@@ -197,6 +197,43 @@ class TestParse:
             parse_document(text)
         assert str(err.value) == message
 
+    GAMMA = '"gamma": "1/2"'
+    V3 = '{"id": "v3", "owner": 2}'
+
+    @pytest.mark.parametrize(
+        "changes, error, message",
+        [
+            ([(E21, '["v2"]'), (GAMMA, '"gamma": "fast"')], ParseError, PAIR + "['v2']"),
+            ([(E21, '"ab"'), (GAMMA, '"gamma": true')], ParseError, PAIR + "'ab'"),
+            ([(E21, '{"a": "b"}'), (GAMMA, '"gamma": 2')], ParseError, PAIR + "{'a': 'b'}"),
+            ([(E21, '["v2", 1]'), (V3, '{"id": "v3", "owner": 7}')], ParseError, PAIR + "['v2', 1]"),
+            ([(E21, '["v2", "v1", "v3"]'), (P1, P1.replace('"reacher"', '"avoider"'))],
+             ParseError, PAIR + "['v2', 'v1', 'v3']"),
+            ([(EDGES, '[["v1", "v9"], ["v1", "v3"], ["v2"]]')], ParseError, PAIR + "['v2']"),
+            ([(V2, '{"id": "v2"}'), (E21, '["v2"]')], ParseError, "each vertex needs 'id' and 'owner'"),
+            ([(GAMMA, '"gamma": "fast"'), (E21, '["v2", "v9"]')],
+             ParseError, "gamma must be a rational like '1/2', got 'fast'"),
+            ([(EDGES[:-1], EDGES[:-1] + ', ["v2", "v9"]'), (GAMMA, '"gamma": 2')], InvalidGameError,
+             "bad_gamma: discount factor must be a rational strictly between 0 and 1, got"
+             " Fraction(2, 1); dangling_edge: edge (v2, v9) mentions undeclared vertex 'v9'"),
+        ],
+        ids=[
+            "edge-before-gamma", "string-edge-before-gamma", "object-edge-before-gamma",
+            "number-end-before-owner", "three-items-before-role", "dangling-before-malformed",
+            "vertex-before-edge", "gamma-before-dangling", "validation-last",
+        ],
+    )
+    def test_error_precedence(self, changes, error, message):
+        """With two faults in one document the first check to run names
+        one: players, vertices, edges, gamma, then validation."""
+        text = G1_TEXT
+        for old, new in changes:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        with pytest.raises(error) as err:
+            parse_document(text)
+        assert type(err.value) is error and str(err.value) == message
+
 
 class TestEmit:
     def test_roundtrip_preserves_the_game(self):
@@ -391,8 +428,9 @@ class TestDot:
 
 
 class TestGcPause:
-    """Loading a game and its first solver call pause the cyclic GC, and
-    restore the caller's setting on success and on every typed error."""
+    """Loading a game, which builds the solvers' core with it, pauses the
+    cyclic GC, and restores the caller's setting on success and on every
+    typed error."""
 
     @pytest.fixture
     def steps(self, g1, g1_hat):
@@ -408,7 +446,6 @@ class TestGcPause:
             (lambda: parse_document(json.dumps(unfit)), ProfileError),
             (lambda: validate_game(spec), None),
             (lambda: validate_game(dead_ends), InvalidGameError),
-            # A fresh game builds the solvers' core on its first solver call.
             (lambda: solve_br_dynamics(validate_game(spec), g1_hat), None),
         ]
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from mprs import GeneratorParams, InfeasibleError, Role, emit_game, random_game
+from mprs import GeneratorParams, InfeasibleError, Role, TooLargeError, emit_game, random_game
+from mprs import generator
 
 
 def test_same_seed_same_game():
@@ -142,3 +143,17 @@ def test_hopeless_density_gives_up():
     params = GeneratorParams(num_players=1, num_vertices=6, edge_density=1e-9, seed=3)
     with pytest.raises(InfeasibleError, match="resamples"):
         random_game(params)
+
+
+def test_the_edge_draw_is_bounded_by_the_guard(monkeypatch):
+    # Each resample draws every ordered vertex pair, V² in all, so V is
+    # checked against the enumeration guard before anything is drawn.
+    monkeypatch.setenv("MPRS_ENUM_GUARD", "24")
+    assert random_game(GeneratorParams(num_players=1, num_vertices=4)).vertices
+
+    def no_draw(seed):
+        raise AssertionError("drew before checking the guard")
+
+    monkeypatch.setattr(generator.random, "Random", no_draw)
+    with pytest.raises(TooLargeError, match="search space of 25 candidates exceeds the guard of 24"):
+        random_game(GeneratorParams(num_players=1, num_vertices=5))

@@ -246,8 +246,8 @@ def test_a_dynamics_result_is_judged_like_a_fresh_copy(drawn):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(games_and_profiles())
 def test_document_round_trip_after_evaluation(drawn):
-    """The int-indexed form cached on an evaluated game shows up in
-    neither its equality nor its document."""
+    """The int-indexed form every game carries, which an evaluation
+    writes to, shows up in neither its equality nor its document."""
     game, profile = drawn
     value_table(game, profile)
     assert "_core" in vars(game)

@@ -281,7 +281,7 @@ MUTANTS = [
     Mutant(
         "a turn payoff reads any unknown vertex as worth 0",
         "src/mprs/game.py",
-        "if not isinstance(v, str) or v not in game._index:",
+        "if not isinstance(v, str) or v not in game.owner:",
         "if False:",
         ("tests/test_game.py",),
     ),
@@ -324,7 +324,7 @@ MUTANTS = [
         "a total payoff takes a hit on any vertex",
         "src/mprs/valuation.py",
         "o.vertex in game.total_target",
-        "o.vertex in game._index",
+        "o.vertex in game.owner",
         ("tests/test_valuation.py",),
     ),
     Mutant(
@@ -531,7 +531,7 @@ MUTANTS = [
     Mutant(
         "a successor list reads any unknown vertex",
         "src/mprs/game.py",
-        "if not isinstance(v, str) or v not in self._index:",
+        "if not isinstance(v, str) or v not in self.owner:",
         "if False:",
         ("tests/test_doors.py",),
     ),
@@ -569,6 +569,69 @@ MUTANTS = [
         "if owner.setdefault(v, n) != n:",
         "if owner.update({v: n}):",
         ("tests/test_game.py",),
+    ),
+    Mutant(
+        "the core drops vertex 0's predecessors",
+        "src/mprs/valuation.py",
+        "pred[w].append(v)",
+        "w and pred[w].append(v)",
+        ("tests/test_properties.py",),
+    ),
+    Mutant(
+        "a vertex owned by two players is not reported",
+        "src/mprs/game.py",
+        "bad(ViolationKind.MULTIPLY_OWNED, detail)",
+        "pass",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "a document edge need not be a list",
+        "src/mprs/gamefile.py",
+        "if type(edges) is not list or not set(map(type, edges)) <= {list}:",
+        "if type(edges) is not list:",
+        ("tests/test_gamefile.py",),
+    ),
+    Mutant(
+        "an out-of-order successor list is not marked",
+        "src/mprs/game.py",
+        "unsorted.add(i)",
+        "pass",
+        ("tests/test_properties.py",),
+    ),
+    Mutant(
+        "the whole-list vertex test takes a repeated id",
+        "src/mprs/gamefile.py",
+        "len(owner) == len(raw)",
+        "len(vertices) == len(raw)",
+        ("tests/test_gamefile.py",),
+    ),
+    Mutant(
+        "the whole-map owner test takes undeclared players",
+        "src/mprs/game.py",
+        "and set(owners.values()) <= role_map.keys()",
+        "",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "the whole-map owner test takes a bool owner",
+        "src/mprs/game.py",
+        "issubclass(k, int) and k is not bool",
+        "issubclass(k, int)",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "the whole-map owner test keeps str subclass keys",
+        "src/mprs/game.py",
+        "set(map(type, owners)) <= {str}",
+        "True",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "the generator draws edges for any vertex count",
+        "src/mprs/generator.py",
+        "check_guard(params.num_vertices**2)",
+        "pass",
+        ("tests/test_generator.py",),
     ),
     Mutant(
         "a profile reads True as player 1",
