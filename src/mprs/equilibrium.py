@@ -16,7 +16,10 @@ every game.
 games only, see the enumeration guard), settles each with the same code
 test and names only the equilibria. The test stops at the first player
 who gains, so a failing array costs no response after that player's, and
-the list is still exactly the profiles `is_nash` passes.
+the list is still exactly the profiles `is_nash` passes. A response never
+reads the responder's own moves, and in that order the owner of the last
+choice vertex moves alone at the end, so the scan solves that player's
+response once per choice of the other moves, and tests that player first.
 `solve_br_dynamics` iterates rounds of best responses until a round
 changes nothing or its round budget runs out, in which case callers fall
 back to enumeration. Every game of this class has an equilibrium, so
@@ -28,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 from operator import gt
 from typing import Callable, Iterator
 
@@ -214,8 +216,8 @@ def is_nash_qualitative(game: Game, profile: Profile) -> NEReport:
 
 def profile_space(game: Game) -> int:
     """Number of deterministic memoryless profiles of `game`."""
-    _check_game(game)
-    return math.prod(len(game.successors(v)) for v in game.choice_vertices)
+    core = _check_game(game)._core
+    return math.prod(map(len, map(core.succ.__getitem__, core.choice)))
 
 
 def all_profiles(game: Game, guard: int | None = None) -> Iterator[Profile]:
@@ -232,15 +234,35 @@ def all_profiles(game: Game, guard: int | None = None) -> Iterator[Profile]:
     """
     check_guard(profile_space(game), guard)
     core = game._core
-    return (_name(core, nxt) for nxt in _arrays(core))
+    _, head, tail = _split(core)
+    return (_name(core, nxt) for _, block in _arrays(core, head, tail) for nxt in block)
 
 
-def _arrays(core: _Core) -> Iterator[list[int]]:
-    """Every move array in `all_profiles` order: one list, rewritten in place."""
+def _split(core: _Core) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """`(p, head, tail)`: the tail of `core.choice` is its trailing block,
+    the longest run of player p's vertices at its end, where p owns the
+    last choice vertex (any player owns an empty block: player 1), and the
+    head is everything before it."""
+    choice, owner = core.choice, core.owner
+    p = owner[choice[-1]] if choice else 1
+    k = len(choice)
+    while k and owner[choice[k - 1]] == p:
+        k -= 1
+    return p, choice[:k], choice[k:]
+
+
+def _arrays(core: _Core, head: tuple, tail: tuple) -> Iterator[tuple[list, Iterator[list]]]:
+    """Every move array in `all_profiles` order, in one list rewritten in
+    place: per head assignment, the array with its head moves set, and the
+    block that runs the tail through its assignments, each in product order."""
     nxt = [-1] * len(core.names)
-    choice = core.choice
-    for moves in itertools.product(*map(core.succ.__getitem__, choice)):
-        for v, w in zip(choice, moves):
+    for nxt in _rewrite(core, nxt, head):
+        yield nxt, _rewrite(core, nxt, tail)
+
+
+def _rewrite(core: _Core, nxt: list[int], vertices: tuple) -> Iterator[list[int]]:
+    for moves in itertools.product(*map(core.succ.__getitem__, vertices)):
+        for v, w in zip(vertices, moves):
             nxt[v] = w
         yield nxt
 
@@ -262,7 +284,16 @@ def enumerate_ne(
     equilibria are named. The test solves the players' responses in turn
     and stops at the first player who gains, so only an equilibrium costs
     every player's response. The list is still exactly the profiles that
-    `is_nash` passes.
+    `is_nash` passes: whether an array passes does not depend on the order
+    in which the players are tested.
+
+    Player p, the owner of the last choice vertex, is tested first, and
+    p's response is solved once per assignment of the head, the choice
+    vertices before p's trailing block (the longest run of p's vertices at
+    the end). Within the block only p's moves change, and `_respond` never
+    reads the responder's own moves, so one response serves the whole
+    block. A best response is never below the profile, so p gains exactly
+    when p's codes differ from the response's.
 
     Raises:
         TooLargeError: when the profile space exceeds the guard.
@@ -272,14 +303,26 @@ def enumerate_ne(
     if limit is not None:
         _check_count("limit", limit)
     check_guard(profile_space(game), guard)
-    found = []
-    for nxt in _arrays(core):
-        gains = _gains(core, _codes(core, nxt), partial(_respond, core, nxt), False)
-        if next(gains, None) is None:
-            found.append(_name(core, nxt))
-            if limit is not None and len(found) >= limit:
-                break
-    return found
+    return list(itertools.islice(_equilibria(core), limit))
+
+
+def _equilibria(core: _Core) -> Iterator[Profile]:
+    p, head, tail = _split(core)
+    # The stored response of p, the last mover, and everyone else's on demand.
+    response: tuple = ()
+
+    def respond(n: int) -> tuple:
+        return response if n == p else _respond(core, nxt, n)
+
+    for nxt, block in _arrays(core, head, tail):
+        moves, code = _respond(core, nxt, p)  # reads none of the block's moves
+        response = moves, tuple(code)
+        for nxt in block:
+            codes = _codes(core, nxt)
+            if codes[p] != response[1]:  # p gains
+                continue
+            if next(_gains(core, codes, respond, False), None) is None:
+                yield _name(core, nxt)
 
 
 def solve_br_dynamics(

@@ -98,6 +98,10 @@ class GameSpec:
     # document's spec raises there, and any other spec reads on.
     _malformed = staticmethod(lambda edges: None)
 
+    def _edges_read(self) -> None:
+        """Called once validation's edge loop has read `edges`: a document's
+        spec lets go of its list there, and a caller's spec keeps it."""
+
 
 class ViolationKind(Enum):
     BAD_EDGE = "bad_edge"
@@ -295,7 +299,8 @@ def validate_game(spec: GameSpec) -> Game:
     for i in unsorted:
         out[i] = sorted(set(out[i]))
     isucc = tuple(map(tuple, out))
-    del out  # let go before the solvers' core is built
+    del out, edges  # let go before the solvers' core is built
+    spec._edges_read()
 
     # Whole-map tests settle a well-formed map; the loop names each fault.
     owner: dict[str, int] = {}

@@ -177,9 +177,13 @@ def _parse_edges(raw: Any) -> list[list[str]]:
 
 
 class _DocumentSpec(GameSpec):
-    """A document's spec, whose first malformed edge is a ParseError."""
+    """A document's spec, whose first malformed edge is a ParseError, and
+    which lets go of its edge list once validation has read it."""
 
     _malformed = staticmethod(_parse_edges)
+
+    def _edges_read(self) -> None:
+        self.edges = ()
 
 
 def _parse_profiles(raw: Any, game: Game) -> dict[str, Profile]:
@@ -245,7 +249,9 @@ def parse_document(text: str) -> GameDocument:
         _parse_edges(edges)  # a malformed edge comes first
         raise
 
-    game = validate_game(_DocumentSpec(vertices, edges, owner, roles, targets, gamma))
+    spec = _DocumentSpec(vertices, edges, owner, roles, targets, gamma)
+    del edges  # the spec's reference is the last, and validation drops it
+    game = validate_game(spec)
     profiles = _parse_profiles(raw.get("profiles", {}), game)
     return GameDocument(game, profiles)
 

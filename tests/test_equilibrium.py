@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import random
 from collections import Counter
 
@@ -312,6 +313,26 @@ class TestIsNash:
             assert (dev.achieved, dev.available) == (0, 1)
 
 
+def _scan_cost(game, stop=None):
+    """The `_respond` calls of the scan through the first `stop` profiles
+    of `all_profiles` (all by default), from `is_nash` reports: the last
+    mover p's response once per head assignment, the choice of every move
+    before p's trailing block, and at each profile where p has no gain the
+    other players' in order, up to the first who gains."""
+    choice = game.choice_vertices
+    p = game.owner[choice[-1]] if choice else 1
+    tail = itertools.takewhile(lambda v: game.owner[v] == p, reversed(choice))
+    block = math.prod(len(game.successors(v)) for v in tail)
+    calls = 0
+    for k, profile in enumerate(itertools.islice(all_profiles(game), stop)):
+        gainers = [d.player for d in is_nash(game, profile).violations]
+        calls += k % block == 0
+        if p not in gainers:
+            last = gainers[0] if gainers else len(game.players)
+            calls += sum(m != p for m in game.players if m <= last)
+    return calls
+
+
 class TestEnumeration:
     def test_profile_space_counts(self, g1, g2):
         assert profile_space(g1) == 2
@@ -416,28 +437,60 @@ class TestEnumeration:
                 is_nash(game, random_profile(game, rng))
                 checked.clear()
 
-    def test_the_scan_stops_at_the_first_player_who_gains(self, monkeypatch):
-        # A profile is settled by its first gain, so the scan solves the
-        # responses up to the first player `is_nash` flags, and every
-        # player's response only at an equilibrium.
-        game = random_game(GeneratorParams(num_players=3, num_vertices=6, edge_density=0.6, seed=1))
-        players = len(game.players)
-        expected = sum(
-            report.violations[0].player if report.violations else players
-            for report in (is_nash(game, p) for p in all_profiles(game))
-        )
-        calls = 0
+    @pytest.fixture
+    def responders(self, monkeypatch):
+        """The player of every `_respond` call the scan makes, in order."""
+        calls = []
         respond = equilibrium._respond
 
         def counted(core, nxt, n):
-            nonlocal calls
-            calls += 1
+            calls.append(n)
             return respond(core, nxt, n)
 
         monkeypatch.setattr(equilibrium, "_respond", counted)
+        return calls
+
+    def test_the_scan_solves_the_last_movers_response_once_per_head(self, responders):
+        # Player 2 owns the last choice vertex, after two of player 1's, so
+        # the scan solves 2's response once per choice of 1's moves and, at
+        # each profile where 2 has no gain, the others' responses up to the
+        # first player `is_nash` flags.
+        game = random_game(GeneratorParams(num_players=3, num_vertices=6, edge_density=0.6, seed=1))
+        assert [game.owner[v] for v in game.choice_vertices] == [1, 1, 2]
         found = enumerate_ne(game)
-        assert calls == expected == 129 < players * profile_space(game)
+        assert len(responders) == _scan_cost(game) == 78
+        assert responders.count(2) == 20 == profile_space(game) // len(game.successors("v6"))
         assert found == [p for p in all_profiles(game) if is_nash(game, p).is_ne]
+
+    @pytest.mark.parametrize(
+        "seed, owners, mover, solved, calls",
+        [(1, [], 1, 1, 3), (55, [1, 1, 1], 1, 1, 17), (34, [2, 1, 2], 2, 16, 65)],
+        ids=["no-choice-vertex", "one-owner-of-every-choice", "last-owner-also-in-the-head"],
+    )
+    def test_the_scan_cost_follows_the_reuse_rule(
+        self, responders, seed, owners, mover, solved, calls
+    ):
+        # With no choice vertex the one profile costs every response; with
+        # one owner of every choice the scan solves that one's response once,
+        # and the others', who never gain, at each equilibrium; a last
+        # owner with head vertices is solved again whenever the head moves,
+        # here once per pair of moves at the two 4-way head vertices.
+        game = small_game(seed)
+        assert [game.owner[v] for v in game.choice_vertices] == owners
+        found = enumerate_ne(game)
+        assert len(responders) == _scan_cost(game) == calls
+        assert responders.count(mover) == solved
+        assert found == [p for p in all_profiles(game) if is_nash(game, p).is_ne]
+
+    def test_a_limit_inside_a_trailing_block_stops_there(self, responders):
+        game = random_game(GeneratorParams(num_players=3, num_vertices=6, edge_density=0.6, seed=1))
+        full = enumerate_ne(game)
+        responders.clear()
+        block = len(game.successors("v6"))  # player 2's trailing block is v6 alone
+        stop = list(all_profiles(game)).index(full[4]) + 1
+        assert stop % block  # the fifth equilibrium is not the last of its block
+        assert enumerate_ne(game, limit=5) == full[:5]
+        assert len(responders) == _scan_cost(game, stop)
 
     def test_named_profiles_share_each_players_vertex_tuple(self):
         """Consecutive `all_profiles` profiles, the equilibria and the

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 import textwrap
 from enum import IntEnum
 from fractions import Fraction
@@ -26,6 +27,7 @@ from mprs import (
     validate_game,
     value_table,
 )
+from mprs import gamefile, valuation
 
 from conftest import documented_text, small_game
 
@@ -233,6 +235,35 @@ class TestParse:
         with pytest.raises(error) as err:
             parse_document(text)
         assert type(err.value) is error and str(err.value) == message
+
+    def test_the_edge_list_is_released_before_the_core_is_built(self, g1, monkeypatch):
+        """By the time validation builds the solvers' core, nothing but the
+        test itself refers to the document's edge list: neither the parser
+        nor its spec nor validation holds it. A caller's spec keeps its own."""
+        held = []
+        loads = json.loads
+
+        def capture(text):
+            raw = loads(text)
+            held.append(raw["edges"])
+            return raw
+
+        seen = []
+        init = valuation._Core.__init__
+
+        def build(core, *args):
+            referrers = [r for r in gc.get_referrers(held[-1]) if r is not held]
+            seen.append((referrers, sys.getrefcount(held[-1])))
+            init(core, *args)
+
+        monkeypatch.setattr(gamefile.json, "loads", capture)
+        monkeypatch.setattr(valuation._Core, "__init__", build)
+        assert parse_document(emit_game(g1)).game == g1
+        # `held` and the argument of `getrefcount` are the only references.
+        assert seen == [([], 2)]
+        edges = list(g1.edges)
+        spec = GameSpec(g1.vertices, edges, g1.owner, g1.roles, g1.targets)
+        assert validate_game(spec) == g1 and spec.edges is edges
 
 
 class TestEmit:

@@ -379,22 +379,22 @@ MUTANTS = [
     Mutant(
         "the scan accepts a profile that only its last player gains from",
         "src/mprs/equilibrium.py",
-        "if next(gains, None) is None:",
-        "if all(n == game.players[-1] for n, _ in gains):",
+        "if next(_gains(core, codes, respond, False), None) is None:",
+        "if all(n == max(core.sign) for n, _ in _gains(core, codes, respond, False)):",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
         "the scan settles profiles on the qualitative code test",
         "src/mprs/equilibrium.py",
-        "partial(_respond, core, nxt), False)",
-        "partial(_respond, core, nxt), True)",
+        "_gains(core, codes, respond, False)",
+        "_gains(core, codes, respond, True)",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
         "the scan judges only the first player",
         "src/mprs/equilibrium.py",
-        "gains = _gains(core, _codes(core, nxt),",
-        "gains = _gains(core, dict(itertools.islice(_codes(core, nxt).items(), 1)),",
+        "next(_gains(core, codes, respond",
+        "next(_gains(core, dict(itertools.islice(codes.items(), 1)), respond",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
@@ -440,9 +440,32 @@ MUTANTS = [
     Mutant(
         "the scan never rewrites the last choice vertex",
         "src/mprs/equilibrium.py",
-        "for v, w in zip(choice, moves):",
-        "for v, w in zip(choice[:-1], moves):",
+        "for v, w in zip(vertices, moves):",
+        "for v, w in zip(vertices[:-1], moves):",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
+        "the last mover's response survives a head change",
+        "src/mprs/equilibrium.py",
+        "moves, code = _respond(core, nxt, p)",
+        "moves, code = response or _respond(core, nxt, p)",
+        ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
+        "the trailing block takes in one vertex of another player",
+        "src/mprs/equilibrium.py",
+        "return p, choice[:k], choice[k:]",
+        "return p, choice[: k - 1], choice[k - 1 :]",
+        ("tests/test_equilibrium.py", "tests/test_properties.py"),
+    ),
+    Mutant(
+        # The gain test still meets the last mover in player order, so only
+        # the count of responses solved shows the missing test.
+        "the scan skips the last mover's test",
+        "src/mprs/equilibrium.py",
+        "            if codes[p] != response[1]:  # p gains\n                continue\n",
+        "",
+        ("tests/test_equilibrium.py",),
     ),
     Mutant(
         "a named profile pairs one player's vertices with another's moves",
@@ -468,8 +491,8 @@ MUTANTS = [
     Mutant(
         "the scan records each profile it judges",
         "src/mprs/equilibrium.py",
-        "for nxt in _arrays(core):",
-        "for nxt in (list(_judged(core, _name(core, a))[0]) for a in _arrays(core)):",
+        "for nxt in block:",
+        "for nxt in (list(_judged(core, _name(core, a))[0]) for a in block):",
         ("tests/test_equilibrium.py",),
     ),
     Mutant(
