@@ -12,14 +12,12 @@ discounted continuation read off the profile's own value table, which
 also yields its report. The two routes are independent and must agree on
 every game.
 
-`enumerate_ne` walks the move arrays of the whole profile space (small
-games only, see the enumeration guard), settles each with the same code
-test and names only the equilibria. The test stops at the first player
-who gains, so a failing array costs no response after that player's, and
-the list is still exactly the profiles `is_nash` passes. A response never
-reads the responder's own moves, and in that order the owner of the last
-choice vertex moves alone at the end, so the scan solves that player's
-response once per choice of the other moves, and tests that player first.
+`enumerate_ne` walks the move arrays of the whole profile space in
+`all_profiles` order (small games only, see the enumeration guard),
+settles each with the same code test, which stops at the first player who
+gains, and names only the equilibria: exactly the profiles `is_nash`
+passes. In that order the owner of the last choice vertex moves alone in
+each trailing block of arrays, and one response of theirs serves a block.
 `solve_br_dynamics` iterates rounds of best responses until a round
 changes nothing or its round budget runs out, in which case callers fall
 back to enumeration. Every game of this class has an equilibrium, so
@@ -47,6 +45,7 @@ from .valuation import (
     _name,
     _profile,
     _respond,
+    _rewrite,
     best_response,
     value_table,
 )
@@ -234,37 +233,7 @@ def all_profiles(game: Game, guard: int | None = None) -> Iterator[Profile]:
     """
     check_guard(profile_space(game), guard)
     core = game._core
-    _, head, tail = _split(core)
-    return (_name(core, nxt) for _, block in _arrays(core, head, tail) for nxt in block)
-
-
-def _split(core: _Core) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """`(p, head, tail)`: the tail of `core.choice` is its trailing block,
-    the longest run of player p's vertices at its end, where p owns the
-    last choice vertex (any player owns an empty block: player 1), and the
-    head is everything before it."""
-    choice, owner = core.choice, core.owner
-    p = owner[choice[-1]] if choice else 1
-    k = len(choice)
-    while k and owner[choice[k - 1]] == p:
-        k -= 1
-    return p, choice[:k], choice[k:]
-
-
-def _arrays(core: _Core, head: tuple, tail: tuple) -> Iterator[tuple[list, Iterator[list]]]:
-    """Every move array in `all_profiles` order, in one list rewritten in
-    place: per head assignment, the array with its head moves set, and the
-    block that runs the tail through its assignments, each in product order."""
-    nxt = [-1] * len(core.names)
-    for nxt in _rewrite(core, nxt, head):
-        yield nxt, _rewrite(core, nxt, tail)
-
-
-def _rewrite(core: _Core, nxt: list[int], vertices: tuple) -> Iterator[list[int]]:
-    for moves in itertools.product(*map(core.succ.__getitem__, vertices)):
-        for v, w in zip(vertices, moves):
-            nxt[v] = w
-        yield nxt
+    return (_name(core, nxt) for nxt in _rewrite(core, [-1] * len(core.names), core.choice))
 
 
 def _check_count(name: str, value: object) -> None:
@@ -277,23 +246,10 @@ def enumerate_ne(
 ) -> list[Profile]:
     """All equilibria of `game` in lexicographic profile order.
 
-    Stops after `limit` hits when given. The result is never empty when
-    the whole space is scanned: a memoryless equilibrium always exists.
-    Each move array behind `all_profiles` is settled by `is_nash`'s code
-    test alone: no profile is checked, recorded or reported, and only the
-    equilibria are named. The test solves the players' responses in turn
-    and stops at the first player who gains, so only an equilibrium costs
-    every player's response. The list is still exactly the profiles that
-    `is_nash` passes: whether an array passes does not depend on the order
-    in which the players are tested.
-
-    Player p, the owner of the last choice vertex, is tested first, and
-    p's response is solved once per assignment of the head, the choice
-    vertices before p's trailing block (the longest run of p's vertices at
-    the end). Within the block only p's moves change, and `_respond` never
-    reads the responder's own moves, so one response serves the whole
-    block. A best response is never below the profile, so p gains exactly
-    when p's codes differ from the response's.
+    The list is exactly the profiles of `all_profiles` that `is_nash`
+    passes, in that order, cut after `limit` of them when given. It is
+    never empty when the whole space is scanned: a memoryless equilibrium
+    always exists.
 
     Raises:
         TooLargeError: when the profile space exceeds the guard.
@@ -307,17 +263,30 @@ def enumerate_ne(
 
 
 def _equilibria(core: _Core) -> Iterator[Profile]:
-    p, head, tail = _split(core)
-    # The stored response of p, the last mover, and everyone else's on demand.
+    # Player p owns the last choice vertex (player 1 when nobody chooses),
+    # and the tail is the trailing block, the longest run of p's vertices
+    # at the end of `core.choice`. The tail walk nests inside the head
+    # walk, so within it only p's moves change. A response never reads the
+    # responder's own moves, so p's response, solved once per head
+    # assignment, serves the whole block. A best response is never below
+    # the profile, so p gains exactly where p's codes differ from it. p is
+    # tested first and the others lazily, up to the first who gains: an
+    # array passes whatever the order, so the list is exactly `is_nash`'s.
+    choice, owner = core.choice, core.owner
+    p = owner[choice[-1]] if choice else 1
+    k = len(choice)
+    while k and owner[choice[k - 1]] == p:
+        k -= 1
+    head, tail = choice[:k], choice[k:]
     response: tuple = ()
 
     def respond(n: int) -> tuple:
         return response if n == p else _respond(core, nxt, n)
 
-    for nxt, block in _arrays(core, head, tail):
-        moves, code = _respond(core, nxt, p)  # reads none of the block's moves
+    for nxt in _rewrite(core, [-1] * len(core.names), head):
+        moves, code = _respond(core, nxt, p)
         response = moves, tuple(code)
-        for nxt in block:
+        for nxt in _rewrite(core, nxt, tail):
             codes = _codes(core, nxt)
             if codes[p] != response[1]:  # p gains
                 continue

@@ -330,9 +330,10 @@ def validate_game(spec: GameSpec) -> Game:
             bad(ViolationKind.UNOWNED_VERTEX, f"vertex {v!r} has no owner")
 
     targets: dict[int, frozenset[str]] = {}
+    declared = set(players)
     for n in target_sets:
         # `True` or `1.0` is no player id; a bad role key is reported above.
-        if n not in role_map or _is_int(n) != (n in players):
+        if n not in role_map or _is_int(n) != (n in declared):
             bad(ViolationKind.UNKNOWN_PLAYER, f"target set declared for undeclared player {n!r}")
     for n in players:
         tset = _vertex_ids(target_sets.get(n, ()), f"target set of player {n}", violations)

@@ -44,8 +44,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, total_ordering
-from typing import Mapping, Sequence
+from functools import lru_cache, reduce, total_ordering
+from typing import Iterator, Mapping, Sequence
 
 from .game import Game, _check_game, _check_player, turn_payoff
 from .limits import _is_int, check_guard
@@ -356,6 +356,16 @@ class _Core:
         self.zeros = dict.fromkeys(names, ZERO)
 
 
+def _rewrite(core: _Core, nxt: list[int], vertices: tuple) -> Iterator[list[int]]:
+    """`nxt` itself, once per assignment of successors to `vertices`, in
+    product order (the last vertex varies fastest), rewritten in place at
+    `vertices` alone: the package's one walk over move choices."""
+    for picks in itertools.product(*map(core.succ.__getitem__, vertices)):
+        for v, w in zip(vertices, picks):
+            nxt[v] = w
+        yield nxt
+
+
 # A payoff 0 or sign * gamma**t with t <= len(vertices) is kept inside the
 # package as the integer code sign * (base - t), base = len(vertices) + 1,
 # and 0 for the zero payoff. Codes compare exactly like `PayoffValue`s, for
@@ -624,25 +634,17 @@ def best_response_enum(
     Raises:
         TooLargeError: when the strategy space exceeds the guard.
     """
-
     _check_player(game, n)
     core = game._core
     nxt = _moves(core, opponents, n)
     mine = core.mine[n]
     check_guard(math.prod(len(core.succ[v]) for v in mine), guard)
 
-    def evaluate(choice: tuple[int, ...]) -> tuple[int, ...]:
-        for v, w in zip(mine, choice):
-            nxt[v] = w
-        return _codes(core, nxt)[n]
-
-    best: tuple[int, ...] | None = None
-    for choice in itertools.product(*(core.succ[v] for v in mine)):
-        codes = evaluate(choice)
-        best = codes if best is None else tuple(map(max, best, codes))
-    assert best is not None  # the empty product still yields one candidate
-
-    for choice in itertools.product(*(core.succ[v] for v in mine)):
-        if evaluate(choice) == best:
-            return _decoded(core, dict(zip(mine, choice)), best)
+    # The per-vertex maximum over every strategy's codes. The empty product
+    # still yields one strategy, so `reduce` always has a first one.
+    scores = (_codes(core, nxt)[n] for _ in _rewrite(core, nxt, mine))
+    best = reduce(lambda a, b: tuple(map(max, a, b)), scores)
+    for _ in _rewrite(core, nxt, mine):
+        if _codes(core, nxt)[n] == best:
+            return _decoded(core, {v: nxt[v] for v in mine}, best)
     raise AssertionError("no single strategy achieves the per-vertex maxima")

@@ -250,6 +250,26 @@ class TestValidation:
     def test_int_target_set_key(self):
         assert validate_game(self.two_cycle()).targets == {1: frozenset({"b"})}
 
+    def test_target_set_keys_cost_one_lookup_each(self):
+        # Ids that count their equality tests show the work without timing
+        # it: a scan of the player list per key would make about n²/2.
+        calls = 0
+
+        class CountedId(int):
+            def __eq__(self, other: object) -> bool:
+                nonlocal calls
+                calls += 1
+                return int.__eq__(self, other)
+
+            __hash__ = int.__hash__
+
+        ids = [CountedId(n) for n in range(1, 2001)]
+        roles, targets = dict.fromkeys(ids, Role.REACHER), dict.fromkeys(ids, ["b"])
+        spec = GameSpec(["a", "b"], [("a", "b")], {"a": ids[0], "b": ids[0]}, roles, targets)
+        calls = 0
+        assert validate_game(spec).players == tuple(ids)
+        assert calls <= 2 * len(ids)
+
     @staticmethod
     def two_cycle(**changes) -> GameSpec:
         spec = GameSpec(

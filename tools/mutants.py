@@ -148,8 +148,8 @@ MUTANTS = [
     Mutant(
         "a brute-force response that keeps the minimum",
         "src/mprs/valuation.py",
-        "map(max, best, codes)",
-        "map(min, best, codes)",
+        "map(max, a, b)",
+        "map(min, a, b)",
         RESPONSE_TESTS,
     ),
     Mutant(
@@ -439,9 +439,9 @@ MUTANTS = [
     ),
     Mutant(
         "the scan never rewrites the last choice vertex",
-        "src/mprs/equilibrium.py",
-        "for v, w in zip(vertices, moves):",
-        "for v, w in zip(vertices[:-1], moves):",
+        "src/mprs/valuation.py",
+        "for v, w in zip(vertices, picks):",
+        "for v, w in zip(vertices[:-1], picks):",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
@@ -454,8 +454,8 @@ MUTANTS = [
     Mutant(
         "the trailing block takes in one vertex of another player",
         "src/mprs/equilibrium.py",
-        "return p, choice[:k], choice[k:]",
-        "return p, choice[: k - 1], choice[k - 1 :]",
+        "head, tail = choice[:k], choice[k:]",
+        "head, tail = choice[: k - 1], choice[k - 1 :]",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
@@ -491,8 +491,8 @@ MUTANTS = [
     Mutant(
         "the scan records each profile it judges",
         "src/mprs/equilibrium.py",
-        "for nxt in block:",
-        "for nxt in (list(_judged(core, _name(core, a))[0]) for a in block):",
+        "for nxt in _rewrite(core, nxt, tail):",
+        "for nxt in (list(_judged(core, _name(core, a))[0]) for a in _rewrite(core, nxt, tail)):",
         ("tests/test_equilibrium.py",),
     ),
     Mutant(
@@ -662,6 +662,13 @@ MUTANTS = [
         "if not _is_int(n) or n not in core.mine:",
         "if n not in core.mine:",
         ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "validation scans the player list for every target-set key",
+        "src/mprs/game.py",
+        "declared = set(players)",
+        "declared = players",
+        ("tests/test_game.py",),
     ),
 ]
 
