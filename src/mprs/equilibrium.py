@@ -3,9 +3,10 @@
 A profile is an equilibrium when no player can improve their exact
 discounted payoff from any start vertex by switching to another memoryless
 strategy while everyone else stays put. `is_nash` checks this directly
-against every player's best response, on payoff codes (`_gains`): an
-equilibrium's verdict decodes no value map, and only a failing profile's
-report is built from `value_table` and `best_response`.
+against every player's best response, on payoff codes: a best response
+is never below the profile, so a player gains nowhere exactly when their
+response's codes equal their codes along the profile. Only a failing
+profile's report is built from `value_table` and `best_response`.
 `check_certificate` checks the equivalent local condition instead, namely
 that at every vertex the owner's chosen move maximizes the one-step
 discounted continuation read off the profile's own value table, which
@@ -30,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import gt
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .game import Game, _check_game
 from .limits import _is_int, check_guard
@@ -153,32 +154,21 @@ def _sign(code: int) -> int:
     return (code > 0) - (code < 0)
 
 
-def _gains(
-    core: _Core, codes: dict, respond: Callable[[int], tuple], qualitative: bool
-) -> Iterator[tuple[int, str]]:
-    # Every (player, vertex) where the player's best response does strictly
-    # better, in player and then vertex order, from the codes along the
-    # profile (the forward walk of `_codes`) and the response codes (the
-    # backward pass of `_respond`): codes order exactly as payoffs do, and
-    # their signs as the payoffs' signs. No value map is decoded. Player
-    # n's `(moves, codes)` response, `respond(n)`, is asked for only when
-    # the scan reaches n, so a caller who stops at the first gain solves
-    # no response after the first player who gains.
+def _verdict(game: Game, profile: Profile, qualitative: bool) -> NEReport:
+    # The gains are every (player, vertex) where the player's best response
+    # does strictly better, in player and then vertex order: codes order
+    # exactly as payoffs do, and their signs as the payoffs' signs. Only a
+    # failing profile's report is read off `value_table` and `best_response`.
+    core = _check_game(game)._core
+    _, codes, responses = _judged(core, profile, respond=True)
+    gains = []
     for n, mine in codes.items():
-        theirs = respond(n)[1]
+        theirs = responses[n][1]
         if tuple(theirs) == mine:  # no gain anywhere, as at every equilibrium
             continue
         if qualitative:
             mine, theirs = map(_sign, mine), map(_sign, theirs)
-        yield from zip(itertools.repeat(n), itertools.compress(core.names, map(gt, theirs, mine)))
-
-
-def _verdict(game: Game, profile: Profile, qualitative: bool) -> NEReport:
-    # The verdict comes from the codes alone. Only a failing profile's
-    # report is read off `value_table` and `best_response`, at its gains.
-    core = _check_game(game)._core
-    _, codes, responses = _judged(core, profile, respond=True)
-    gains = list(_gains(core, codes, responses.__getitem__, qualitative))
+        gains += zip(itertools.repeat(n), itertools.compress(core.names, map(gt, theirs, mine)))
     if not gains:
         return NEReport(True, ())
     values = value_table(game, profile)
@@ -268,29 +258,23 @@ def _equilibria(core: _Core) -> Iterator[Profile]:
     # at the end of `core.choice`. The tail walk nests inside the head
     # walk, so within it only p's moves change. A response never reads the
     # responder's own moves, so p's response, solved once per head
-    # assignment, serves the whole block. A best response is never below
-    # the profile, so p gains exactly where p's codes differ from it. p is
-    # tested first and the others lazily, up to the first who gains: an
-    # array passes whatever the order, so the list is exactly `is_nash`'s.
+    # assignment, serves the whole block. Every player is tested by equal
+    # codes, p first and then the others in player order up to the first
+    # who gains: an array passes whatever the order, so the list is
+    # exactly `is_nash`'s.
     choice, owner = core.choice, core.owner
     p = owner[choice[-1]] if choice else 1
     k = len(choice)
     while k and owner[choice[k - 1]] == p:
         k -= 1
     head, tail = choice[:k], choice[k:]
-    response: tuple = ()
-
-    def respond(n: int) -> tuple:
-        return response if n == p else _respond(core, nxt, n)
-
     for nxt in _rewrite(core, [-1] * len(core.names), head):
-        moves, code = _respond(core, nxt, p)
-        response = moves, tuple(code)
+        best = tuple(_respond(core, nxt, p)[1])
         for nxt in _rewrite(core, nxt, tail):
             codes = _codes(core, nxt)
-            if codes[p] != response[1]:  # p gains
-                continue
-            if next(_gains(core, codes, respond, False), None) is None:
+            if codes[p] == best and all(
+                n == p or tuple(_respond(core, nxt, n)[1]) == mine for n, mine in codes.items()
+            ):
                 yield _name(core, nxt)
 
 

@@ -18,8 +18,8 @@ the simulate/check/export commands.
 
 `emit_game` writes the canonical form: keys sorted, players by id,
 vertices and edges and target lists in lexicographic order. Equal games
-emit byte-identical text, and parsing what was emitted returns an equal
-game. The text is byte for byte
+emit byte-identical text, and parsing it returns an equal game and equal
+profiles, int-subclass player ids included. The text is byte for byte
 `json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"` for
 the document `doc` above, but the vertex and edge lists are written
 directly: json's indenting encoder runs in pure Python (CPython 3.10-3.13)
@@ -40,6 +40,7 @@ from typing import AbstractSet, Any, Mapping
 from .game import Game, GameSpec, Role, _check_game, _gc_paused, _unencodable, validate_game
 from .limits import _is_int
 from .valuation import PayoffValue, Profile, ProfileError, _moves, _strategies, check_profile
+from .valuation import _player_id
 
 __all__ = [
     "GameDocument",
@@ -257,8 +258,9 @@ def parse_document(text: str) -> GameDocument:
 
 
 def profile_to_json(profile: Profile) -> dict[str, dict[str, str]]:
-    """JSON shape of a profile: player ids as strings, moves sorted."""
-    return {str(n): dict(zip(vertices, moves)) for n, vertices, moves in _strategies(profile)}
+    """JSON shape of a profile: player ids spelled by `int.__repr__`, as owners
+    are, moves sorted. A key that is no player id, such as `True`, is a ProfileError."""
+    return {int.__repr__(_player_id(n)): dict(zip(vs, ms)) for n, vs, ms in _strategies(profile)}
 
 
 def _nested(section: Any) -> str:

@@ -121,6 +121,7 @@ class Profile:
         return profile
 
     def choice(self, n: int, v: str) -> str:
+        _player_id(n)
         for m, vertices, moves in self._items:
             if m == n:
                 try:
@@ -133,11 +134,8 @@ class Profile:
 
     def replace(self, n: int, strategy: Mapping[str, str]) -> "Profile":
         """A new profile with player `n`'s strategy swapped out."""
-        _require_strategy(n, strategy)
-        try:
-            return Profile({**self.as_dict(), n: strategy})
-        except TypeError:  # an unhashable `n`: `Profile` raises no TypeError
-            raise ProfileError(f"a player id must be hashable, got {n!r}") from None
+        _require_strategy(_player_id(n), strategy)
+        return Profile({**self.as_dict(), n: strategy})
 
     def as_dict(self) -> dict[int, Strategy]:
         return {n: dict(zip(vertices, moves)) for n, vertices, moves in self._items}
@@ -150,6 +148,12 @@ class Profile:
 
     def __repr__(self) -> str:
         return f"Profile({self.as_dict()!r})"
+
+
+def _player_id(n: object) -> int:
+    if not _is_int(n):
+        raise ProfileError(f"a player id must be an int, got {n!r}")
+    return n
 
 
 def _require_strategy(n: int, strategy: object) -> None:

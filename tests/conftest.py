@@ -115,7 +115,8 @@ def documented_text(game, profiles=None) -> str:
     }
     if profiles:
         doc["profiles"] = {
-            name: {str(n): moves for n, moves in profile.as_dict().items()}
+            # Keys spelled as json spells an int, whatever the id's own `str`.
+            name: {int.__repr__(n): moves for n, moves in profile.as_dict().items()}
             for name, profile in profiles.items()
         }
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

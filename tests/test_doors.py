@@ -140,7 +140,13 @@ LEAKS = [
     ("PayoffValue.numeric", float("nan"), ValueError, "gamma must be a finite number, got nan"),
     ("PayoffValue.numeric", "1/0", ValueError, "gamma must be a finite number, got '1/0'"),
     ("PayoffValue.numeric", "zz", ValueError, "gamma must be a finite number, got 'zz'"),
-    ("Profile.replace", [], ProfileError, "a player id must be hashable, got []"),
+    ("Profile.replace", [], ProfileError, "a player id must be an int, got []"),
+    # `True` and `1.0` equal player 1's id, yet name no player.
+    ("Profile.replace", True, ProfileError, "a player id must be an int, got True"),
+    ("Profile.replace", 1.0, ProfileError, "a player id must be an int, got 1.0"),
+    ("Profile.choice", True, ProfileError, "a player id must be an int, got True"),
+    ("Profile.choice", 1.0, ProfileError, "a player id must be an int, got 1.0"),
+    ("Profile.choice", [], ProfileError, "a player id must be an int, got []"),
 ]
 
 

@@ -235,6 +235,18 @@ class TestCertificate:
         assert report.violations[0] == Deviation(1, "c0001", "z", POS(3999), POS(1))
         assert report.violations[-1] == Deviation(1, "c3998", "z", POS(2), POS(1))
 
+    def test_a_corrupted_code_table_fails_the_self_check(self, g1, g1_hat):
+        """One code off the one-step recursion is named by vertex and player."""
+        core = g1._core
+        nxt, codes, _ = valuation._judged(core, g1_hat)
+        equilibrium._assert_consistent(core, nxt, codes)
+        v = core.names.index("v2")  # no vertex moves to v2, so only v2 breaks
+        wrong = {**codes, 2: codes[2][:v] + (codes[2][v] + 1,) + codes[2][v + 1 :]}
+        message = "value table breaks the one-step recursion at 'v2' for player 2"
+        with pytest.raises(AssertionError) as err:
+            equilibrium._assert_consistent(core, nxt, wrong)
+        assert str(err.value) == message
+
     def test_g1_equilibrium_passes(self, g1, g1_hat):
         report = check_certificate(g1, g1_hat)
         assert report.is_ne

@@ -362,6 +362,32 @@ class TestEmit:
         text = self.emitted(spec, {"p": profile})
         assert 0 < text.index('"10": {') < text.index('"2": {')
 
+    @pytest.mark.parametrize("kind", ["own str", "IntEnum"])
+    def test_an_int_subclass_player_id_round_trips_in_a_profile(self, kind):
+        """Profile keys are written as owners are, by `int.__repr__`, so an id
+        whose `str` is no number (an `IntEnum` member's before Python 3.11)
+        reads back as its player."""
+
+        class One(int):
+            def __str__(self):
+                return "one"
+
+        class Seat(IntEnum):
+            FIRST = 1
+
+        n = One(1) if kind == "own str" else Seat.FIRST
+        edges = [("a", "t"), ("a", "a")]
+        spec = GameSpec(["a", "t"], edges, {"a": n, "t": n}, {n: Role.REACHER}, {n: ["t"]})
+        text = self.emitted(spec, {"hat": Profile({n: {"a": "t"}})})
+        assert '"hat": {\n      "1": {' in text
+
+    @pytest.mark.parametrize("n", [True, 1.0, "1"])
+    def test_a_profile_key_that_is_no_player_id_is_never_written(self, g1, n):
+        """`int.__repr__(True)` is '1', so such a key is refused, not coerced."""
+        with pytest.raises(ProfileError) as err:
+            profile_to_json(Profile({n: {"v1": "v3"}}))
+        assert str(err.value) == f"a player id must be an int, got {n!r}"
+
     def test_int_enum_owner_is_a_number(self):
         class Seat(IntEnum):
             FIRST = 1

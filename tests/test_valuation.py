@@ -292,6 +292,10 @@ class TestOutcomeAndPayoff:
         assert outcome(g1, g1_hat, "v2") == Outcome(2, "v3")
         assert outcome(g1, g1_hat, "v3") == Outcome(0, "v3")
 
+    def test_outcome_repr(self):
+        assert repr(NEVER) == "Never"
+        assert repr(Outcome(2, "v3")) == "Hit(t=2, 'v3')"
+
     def test_total_payoff_signs(self, g1):
         hit = Outcome(2, "v3")
         assert total_payoff(g1, 1, hit) == POS(2)  # reacher

@@ -379,53 +379,45 @@ MUTANTS = [
     Mutant(
         "the scan accepts a profile that only its last player gains from",
         "src/mprs/equilibrium.py",
-        "if next(_gains(core, codes, respond, False), None) is None:",
-        "if all(n == max(core.sign) for n, _ in _gains(core, codes, respond, False)):",
+        "n == p or tuple(_respond",
+        "n in (p, max(core.sign)) or tuple(_respond",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
         "the scan settles profiles on the qualitative code test",
         "src/mprs/equilibrium.py",
-        "_gains(core, codes, respond, False)",
-        "_gains(core, codes, respond, True)",
+        "tuple(_respond(core, nxt, n)[1]) == mine",
+        "tuple(map(_sign, _respond(core, nxt, n)[1])) == tuple(map(_sign, mine))",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
         "the scan judges only the first player",
         "src/mprs/equilibrium.py",
-        "next(_gains(core, codes, respond",
-        "next(_gains(core, dict(itertools.islice(codes.items(), 1)), respond",
+        "== mine for n, mine in codes.items()",
+        "== mine for n, mine in itertools.islice(codes.items(), 1)",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
         "the lazy test skips the player after one without gains",
         "src/mprs/equilibrium.py",
-        "    for n, mine in codes.items():\n"
-        "        theirs = respond(n)[1]\n"
-        "        if tuple(theirs) == mine:  # no gain anywhere, as at every equilibrium\n"
-        "            continue",
-        "    players = iter(codes.items())\n"
-        "    for n, mine in players:\n"
-        "        theirs = respond(n)[1]\n"
-        "        if tuple(theirs) == mine:  # no gain anywhere, as at every equilibrium\n"
-        "            next(players, None)\n"
-        "            continue",
+        "== mine for n, mine in codes.items()",
+        "== mine for n, mine in itertools.islice(codes.items(), 0, None, 2)",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
         # A response is never below the profile, so with the equal-codes
         # shortcut in place a tie is a gain only in reports; without it,
-        # every tie of an equilibrium fails the scan too.
+        # every tie of an equilibrium fails the verdict too.
         "the code test counts a tie as a gain and checks every player in full",
         "src/mprs/equilibrium.py",
         "if tuple(theirs) == mine:  # no gain anywhere, as at every equilibrium\n"
         "            continue\n"
         "        if qualitative:\n"
         "            mine, theirs = map(_sign, mine), map(_sign, theirs)\n"
-        "        yield from zip(itertools.repeat(n), itertools.compress(core.names, map(gt, theirs, mine)))",
+        "        gains += zip(itertools.repeat(n), itertools.compress(core.names, map(gt, theirs, mine)))",
         "if qualitative:\n"
         "            mine, theirs = map(_sign, mine), map(_sign, theirs)\n"
-        "        yield from zip(itertools.repeat(n), itertools.compress(core.names, map(lambda a, b: a >= b, theirs, mine)))",
+        "        gains += zip(itertools.repeat(n), itertools.compress(core.names, map(lambda a, b: a >= b, theirs, mine)))",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
@@ -447,8 +439,8 @@ MUTANTS = [
     Mutant(
         "the last mover's response survives a head change",
         "src/mprs/equilibrium.py",
-        "moves, code = _respond(core, nxt, p)",
-        "moves, code = response or _respond(core, nxt, p)",
+        "best = tuple(_respond(core, nxt, p)[1])",
+        "best = locals().get(\"best\") or tuple(_respond(core, nxt, p)[1])",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
@@ -459,12 +451,12 @@ MUTANTS = [
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
-        # The gain test still meets the last mover in player order, so only
+        # The gain test then meets the last mover in player order, so only
         # the count of responses solved shows the missing test.
         "the scan skips the last mover's test",
         "src/mprs/equilibrium.py",
-        "            if codes[p] != response[1]:  # p gains\n                continue\n",
-        "",
+        "codes[p] == best and all(\n                n == p or tuple(",
+        "all(\n                tuple(",
         ("tests/test_equilibrium.py",),
     ),
     Mutant(
@@ -566,13 +558,6 @@ MUTANTS = [
         ("tests/test_doors.py",),
     ),
     Mutant(
-        "a replaced strategy lets an unhashable player id's TypeError out",
-        "src/mprs/valuation.py",
-        'raise ProfileError(f"a player id must be hashable, got {n!r}") from None',
-        "raise",
-        ("tests/test_doors.py",),
-    ),
-    Mutant(
         "main lets a ValueError out",
         "src/mprs/cli.py",
         "except (OSError, ValueError, TooLargeError) as exc:",
@@ -662,6 +647,34 @@ MUTANTS = [
         "if not _is_int(n) or n not in core.mine:",
         "if n not in core.mine:",
         ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "the certificate's self-check never fires",
+        "src/mprs/equilibrium.py",
+        "if tuple(expected) != mine:",
+        "if False:",
+        ("tests/test_equilibrium.py",),
+    ),
+    Mutant(
+        "a profile key is written by its own str",
+        "src/mprs/gamefile.py",
+        "int.__repr__(_player_id(n))",
+        "str(n)",
+        ("tests/test_gamefile.py",),
+    ),
+    Mutant(
+        "Profile.choice reads True as player 1",
+        "src/mprs/valuation.py",
+        "        _player_id(n)\n        for m, vertices, moves in self._items:",
+        "        for m, vertices, moves in self._items:",
+        ("tests/test_doors.py",),
+    ),
+    Mutant(
+        "Profile.replace reads True as player 1",
+        "src/mprs/valuation.py",
+        "_require_strategy(_player_id(n), strategy)",
+        "_require_strategy(n, strategy)",
+        ("tests/test_doors.py",),
     ),
     Mutant(
         "validation scans the player list for every target-set key",
