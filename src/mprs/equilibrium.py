@@ -7,11 +7,12 @@ against every player's best response, on payoff codes: a best response
 is never below the profile, so a player gains nowhere exactly when their
 response's codes equal their codes along the profile. Only a failing
 profile's report is built from `value_table` and `best_response`.
-`check_certificate` checks the equivalent local condition instead, namely
-that at every vertex the owner's chosen move maximizes the one-step
-discounted continuation read off the profile's own value table, which
-also yields its report. The two routes are independent and must agree on
-every game.
+`is_nash_qualitative` is the sign view of that report, not a search of
+its own: it keeps the gains that change the sign. `check_certificate`
+checks the equivalent local condition instead, namely that at every
+vertex the owner's chosen move maximizes the one-step discounted
+continuation read off the profile's own value table, which also yields
+its report. The two routes are independent and must agree on every game.
 
 `enumerate_ne` walks the move arrays of the whole profile space in
 `all_profiles` order (small games only, see the enumeration guard),
@@ -150,15 +151,13 @@ def check_certificate(game: Game, profile: Profile) -> NEReport:
     return NEReport(not violations, tuple(violations))
 
 
-def _sign(code: int) -> int:
-    return (code > 0) - (code < 0)
+def is_nash(game: Game, profile: Profile) -> NEReport:
+    """Deviation search: is any player's best response strictly better anywhere?
 
-
-def _verdict(game: Game, profile: Profile, qualitative: bool) -> NEReport:
-    # The gains are every (player, vertex) where the player's best response
-    # does strictly better, in player and then vertex order: codes order
-    # exactly as payoffs do, and their signs as the payoffs' signs. Only a
-    # failing profile's report is read off `value_table` and `best_response`.
+    Improvement is demanded from every start vertex at once, so a profile
+    fails as soon as one player gains from one vertex. The report lists
+    every gain, in player and then vertex order.
+    """
     core = _check_game(game)._core
     _, codes, responses = _judged(core, profile, respond=True)
     gains = []
@@ -166,8 +165,6 @@ def _verdict(game: Game, profile: Profile, qualitative: bool) -> NEReport:
         theirs = responses[n][1]
         if tuple(theirs) == mine:  # no gain anywhere, as at every equilibrium
             continue
-        if qualitative:
-            mine, theirs = map(_sign, mine), map(_sign, theirs)
         gains += zip(itertools.repeat(n), itertools.compress(core.names, map(gt, theirs, mine)))
     if not gains:
         return NEReport(True, ())
@@ -176,31 +173,26 @@ def _verdict(game: Game, profile: Profile, qualitative: bool) -> NEReport:
     violations = []
     for n, v in gains:
         strategy, br_values = best[n]
-        achieved, available = values[n][v], br_values[v]
-        if qualitative:
-            achieved, available = achieved.sign, available.sign
         # `strategy` moves exactly at the player's own choice vertices; a
         # gain anywhere else names no move.
-        violations.append(Deviation(n, v, strategy.get(v), achieved, available))
+        violations.append(Deviation(n, v, strategy.get(v), values[n][v], br_values[v]))
     return NEReport(False, tuple(violations))
-
-
-def is_nash(game: Game, profile: Profile) -> NEReport:
-    """Deviation search: is any player's best response strictly better anywhere?
-
-    Improvement is demanded from every start vertex at once, so a profile
-    fails as soon as one player gains from one vertex.
-    """
-    return _verdict(game, profile, qualitative=False)
 
 
 def is_nash_qualitative(game: Game, profile: Profile) -> NEReport:
     """Deviation search on win/lose/draw signs instead of exact payoffs.
 
-    Every exact equilibrium also passes this coarser check, since taking
-    signs preserves the payoff order; the converse does not hold.
+    The report is `is_nash`'s, cut to the gains that change the sign, with
+    both payoffs read as signs: a sign gain is always an exact gain, so
+    every exact equilibrium passes this coarser check; the converse does
+    not hold.
     """
-    return _verdict(game, profile, qualitative=True)
+    violations = tuple(
+        Deviation(d.player, d.vertex, d.better_action, d.achieved.sign, d.available.sign)
+        for d in is_nash(game, profile).violations
+        if d.available.sign > d.achieved.sign
+    )
+    return NEReport(not violations, violations)
 
 
 def profile_space(game: Game) -> int:

@@ -40,7 +40,6 @@ from typing import AbstractSet, Any, Mapping
 from .game import Game, GameSpec, Role, _check_game, _gc_paused, _unencodable, validate_game
 from .limits import _is_int
 from .valuation import PayoffValue, Profile, ProfileError, _moves, _strategies, check_profile
-from .valuation import _player_id
 
 __all__ = [
     "GameDocument",
@@ -259,8 +258,8 @@ def parse_document(text: str) -> GameDocument:
 
 def profile_to_json(profile: Profile) -> dict[str, dict[str, str]]:
     """JSON shape of a profile: player ids spelled by `int.__repr__`, as owners
-    are, moves sorted. A key that is no player id, such as `True`, is a ProfileError."""
-    return {int.__repr__(_player_id(n)): dict(zip(vs, ms)) for n, vs, ms in _strategies(profile)}
+    are, moves sorted."""
+    return {int.__repr__(n): dict(zip(vs, ms)) for n, vs, ms in _strategies(profile)}
 
 
 def _nested(section: Any) -> str:

@@ -18,12 +18,12 @@ profile scan and the dynamics make their own arrays and name a `Profile`
 only for what they return (`_name`). Each game remembers the last
 profile that `value_table`, a verdict or the dynamics judged
 (`_Core.judged`), and adds its codes and responses on first read:
-`value_table` and `check_certificate` solve no response, `is_nash` and
-`is_nash_qualitative` each player's once per profile object, and none on
-a dynamics result again. These two decide on codes alone; only a failing
-profile's report comes through `value_table` and `best_response`. Value
-maps are never recorded: each call decodes fresh ones from the codes,
-into a copy of the game's one all-`ZERO` map.
+`value_table` and `check_certificate` solve no response, `is_nash`
+each player's once per profile object, and none on a dynamics result
+again. `is_nash` decides on codes alone; only a failing profile's report
+comes through `value_table` and `best_response`. Value maps are never
+recorded: each call decodes fresh ones from the codes, into a copy of
+the game's one all-`ZERO` map.
 
 `best_response` computes a payoff-maximizing memoryless strategy for one
 player against fixed opponents by one backward pass from the player's own
@@ -85,9 +85,10 @@ class Profile:
 
     Players without any vertex to move at may be omitted; empty strategies
     are dropped from the canonical form, so ``Profile({1: m, 2: {}})``
-    equals ``Profile({1: m})``. A strategy that is no mapping, an empty
-    one included, is a `ProfileError`. Profiles are immutable, hashable
-    and compare by content.
+    equals ``Profile({1: m})``. Ids are checked here once: a player key
+    that is no int, a strategy that is no mapping (an empty one included),
+    or a vertex id or move that is no str is a `ProfileError`. Profiles
+    are immutable, hashable and compare by content.
 
     The canonical form holds one ``(n, vertices, moves)`` triple per
     player, in player order: `vertices` is the sorted tuple of the vertex
@@ -102,15 +103,12 @@ class Profile:
         if not isinstance(strategies, Mapping):
             raise ProfileError(f"a profile maps player ids to strategies, got {strategies!r}")
         items = []
-        try:
-            for n in sorted(strategies):
-                strategy = strategies[n]
-                _require_strategy(n, strategy)
-                if strategy:
-                    vertices = tuple(sorted(strategy))
-                    items.append((n, vertices, tuple(map(strategy.__getitem__, vertices))))
-        except TypeError as exc:
-            raise ProfileError(f"profile keys of mixed types cannot be ordered: {exc}") from None
+        for n in sorted(map(_player_id, strategies)):
+            strategy = strategies[n]
+            _require_strategy(n, strategy)
+            if strategy:
+                vertices = tuple(sorted(strategy))
+                items.append((n, vertices, tuple(map(strategy.__getitem__, vertices))))
         self._items = tuple(items)
 
     @classmethod
@@ -134,8 +132,7 @@ class Profile:
 
     def replace(self, n: int, strategy: Mapping[str, str]) -> "Profile":
         """A new profile with player `n`'s strategy swapped out."""
-        _require_strategy(_player_id(n), strategy)
-        return Profile({**self.as_dict(), n: strategy})
+        return Profile({**self.as_dict(), _player_id(n): strategy})
 
     def as_dict(self) -> dict[int, Strategy]:
         return {n: dict(zip(vertices, moves)) for n, vertices, moves in self._items}
@@ -161,6 +158,9 @@ def _require_strategy(n: int, strategy: object) -> None:
         raise ProfileError(
             f"the strategy of player {n} must map vertices to moves, got {strategy!r}"
         )
+    for v, w in strategy.items():
+        if not (isinstance(v, str) and isinstance(w, str)):
+            raise ProfileError(f"player {n} moves {v!r} -> {w!r}, yet vertex ids are strs")
 
 
 def check_profile(game: Game, profile: Profile) -> None:
@@ -318,9 +318,9 @@ class _Core:
     can pass as a profile. Only `_judged` and `_profile` store it, so a
     mere check, play or scan never evicts it. Both are None until `_judged`
     adds codes for the first verdict or `value_table` that reads them, and
-    responses for the first `is_nash` or `is_nash_qualitative`; the
-    dynamics record theirs, which `best_response` then returns. Each
-    update stores one new tuple, never mutated.
+    responses for the first `is_nash`; the dynamics record theirs, which
+    `best_response` then returns. Each update stores one new tuple, never
+    mutated.
 
     `zeros` maps every vertex id to `ZERO`. Every value map starts as a
     copy of it, and it is never handed out itself.
@@ -419,8 +419,7 @@ def _moves(core: _Core, profile: Profile, skip: int | None = None) -> list[int]:
     problems = []
     legal = 0
     for n, vertices, moves in _strategies(profile):
-        # `True` or `1.0` would find player 1's vertices, yet is no player id.
-        if not _is_int(n) or n not in core.mine:
+        if n not in core.mine:
             problems.append(f"strategy given for undeclared player {n}")
             continue
         if n == skip:
@@ -434,11 +433,7 @@ def _moves(core: _Core, profile: Profile, skip: int | None = None) -> list[int]:
             elif not succ[i]:
                 problems.append(f"player {n} moves at target vertex {v!r}")
             else:
-                try:
-                    j = index[w]
-                except (KeyError, TypeError):  # no vertex id, so no edge
-                    j = size
-                nxt[i] = j
+                nxt[i] = j = index.get(w, size)
                 if j in succ[i]:
                     legal += 1
                 else:

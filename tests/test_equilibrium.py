@@ -17,6 +17,7 @@ from mprs import (
     GameSpec,
     GeneratorParams,
     InvalidGameError,
+    NEReport,
     PayoffValue,
     Profile,
     ProfileError,
@@ -622,7 +623,9 @@ class TestBestResponseDynamics:
         # profile both best responses agree on every player's values, which
         # the fast response's strategy earns. From every start the dynamics
         # settle within the default budget on a profile both verdicts pass,
-        # and every qualitative gain is an exact gain. The scan finds
+        # and the qualitative report is a sign search over the public value
+        # maps: the gains are where the best response's sign beats the
+        # profile's, in player and then vertex order. The scan finds
         # exactly the profiles `is_nash` passes, and with `limit=1` the
         # first of them.
         vertices = ("a", "b")
@@ -645,16 +648,22 @@ class TestBestResponseDynamics:
             valid += 1
             profiles = list(all_profiles(game))
             for start in profiles:
+                table = value_table(game, start)
+                signs = []
                 for n in game.players:
                     strategy, values = best_response(game, start, n)
                     assert best_response_enum(game, start, n)[1] == values, (spec, start, n)
                     assert value_table(game, start.replace(n, strategy))[n] == values
+                    signs += [
+                        Deviation(n, v, strategy.get(v), table[n][v].sign, values[v].sign)
+                        for v in game.vertices
+                        if values[v].sign > table[n][v].sign
+                    ]
                 found = solve_br_dynamics(game, start)
                 assert found is not None, (spec, start)
                 assert is_nash(game, found).is_ne and check_certificate(game, found).is_ne
-                exact = {(d.player, d.vertex) for d in is_nash(game, start).violations}
-                coarse = is_nash_qualitative(game, start).violations
-                assert {(d.player, d.vertex) for d in coarse} <= exact, (spec, start)
+                want = NEReport(not signs, tuple(signs))
+                assert is_nash_qualitative(game, start) == want, (spec, start)
             passed = [p for p in profiles if is_nash(game, p).is_ne]
             assert enumerate_ne(game) == passed, spec
             assert enumerate_ne(game, limit=1) == passed[:1], spec

@@ -383,7 +383,8 @@ class TestEmit:
 
     @pytest.mark.parametrize("n", [True, 1.0, "1"])
     def test_a_profile_key_that_is_no_player_id_is_never_written(self, g1, n):
-        """`int.__repr__(True)` is '1', so such a key is refused, not coerced."""
+        """`int.__repr__(True)` is '1', so such a key is refused, not coerced:
+        `Profile` refuses it when it is built."""
         with pytest.raises(ProfileError) as err:
             profile_to_json(Profile({n: {"v1": "v3"}}))
         assert str(err.value) == f"a player id must be an int, got {n!r}"

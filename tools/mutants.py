@@ -244,13 +244,6 @@ MUTANTS = [
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
-        "the qualitative verdict compares raw codes, not their signs",
-        "src/mprs/equilibrium.py",
-        "mine, theirs = map(_sign, mine), map(_sign, theirs)",
-        "pass",
-        ("tests/test_equilibrium.py", "tests/test_properties.py"),
-    ),
-    Mutant(
         "the verdict's code test skips the last player",
         "src/mprs/equilibrium.py",
         "for n, mine in codes.items():",
@@ -295,8 +288,8 @@ MUTANTS = [
     Mutant(
         "a falsy strategy is dropped unchecked",
         "src/mprs/valuation.py",
-        "_require_strategy(n, strategy)\n                if strategy:",
-        "if strategy:\n                    _require_strategy(n, strategy)",
+        "_require_strategy(n, strategy)\n            if strategy:",
+        "if strategy:\n                _require_strategy(n, strategy)",
         ("tests/test_valuation.py",),
     ),
     Mutant(
@@ -387,7 +380,8 @@ MUTANTS = [
         "the scan settles profiles on the qualitative code test",
         "src/mprs/equilibrium.py",
         "tuple(_respond(core, nxt, n)[1]) == mine",
-        "tuple(map(_sign, _respond(core, nxt, n)[1])) == tuple(map(_sign, mine))",
+        "tuple((c > 0) - (c < 0) for c in _respond(core, nxt, n)[1])"
+        " == tuple((c > 0) - (c < 0) for c in mine)",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
@@ -412,22 +406,9 @@ MUTANTS = [
         "src/mprs/equilibrium.py",
         "if tuple(theirs) == mine:  # no gain anywhere, as at every equilibrium\n"
         "            continue\n"
-        "        if qualitative:\n"
-        "            mine, theirs = map(_sign, mine), map(_sign, theirs)\n"
         "        gains += zip(itertools.repeat(n), itertools.compress(core.names, map(gt, theirs, mine)))",
-        "if qualitative:\n"
-        "            mine, theirs = map(_sign, mine), map(_sign, theirs)\n"
-        "        gains += zip(itertools.repeat(n), itertools.compress(core.names, map(lambda a, b: a >= b, theirs, mine)))",
+        "gains += zip(itertools.repeat(n), itertools.compress(core.names, map(lambda a, b: a >= b, theirs, mine)))",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
-    ),
-    Mutant(
-        # Signs tie where codes differ, so after player 1 a qualitative
-        # verdict flags vertices that the exact one passes.
-        "the qualitative gains are a subset of the exact ones only for player 1",
-        "src/mprs/equilibrium.py",
-        "itertools.compress(core.names, map(gt, theirs, mine))",
-        "itertools.compress(core.names, map(gt if n == 1 or not qualitative else (lambda a, b: a >= b), theirs, mine))",
-        ("tests/test_equilibrium.py",),
     ),
     Mutant(
         "the scan never rewrites the last choice vertex",
@@ -642,13 +623,6 @@ MUTANTS = [
         ("tests/test_generator.py",),
     ),
     Mutant(
-        "a profile reads True as player 1",
-        "src/mprs/valuation.py",
-        "if not _is_int(n) or n not in core.mine:",
-        "if n not in core.mine:",
-        ("tests/test_valuation.py",),
-    ),
-    Mutant(
         "the certificate's self-check never fires",
         "src/mprs/equilibrium.py",
         "if tuple(expected) != mine:",
@@ -658,7 +632,7 @@ MUTANTS = [
     Mutant(
         "a profile key is written by its own str",
         "src/mprs/gamefile.py",
-        "int.__repr__(_player_id(n))",
+        "int.__repr__(n)",
         "str(n)",
         ("tests/test_gamefile.py",),
     ),
@@ -672,9 +646,30 @@ MUTANTS = [
     Mutant(
         "Profile.replace reads True as player 1",
         "src/mprs/valuation.py",
-        "_require_strategy(_player_id(n), strategy)",
-        "_require_strategy(n, strategy)",
+        "{**self.as_dict(), _player_id(n): strategy}",
+        "{**self.as_dict(), n: strategy}",
         ("tests/test_doors.py",),
+    ),
+    Mutant(
+        "the qualitative view keeps a sign tie",
+        "src/mprs/equilibrium.py",
+        "if d.available.sign > d.achieved.sign",
+        "if d.available.sign >= d.achieved.sign",
+        ("tests/test_equilibrium.py",),
+    ),
+    Mutant(
+        "a profile takes a bool player key",
+        "src/mprs/valuation.py",
+        "sorted(map(_player_id, strategies))",
+        "sorted(n if isinstance(n, bool) else _player_id(n) for n in strategies)",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        "a profile takes a move that is no vertex id",
+        "src/mprs/valuation.py",
+        "if not (isinstance(v, str) and isinstance(w, str)):",
+        "if not isinstance(v, str):",
+        ("tests/test_valuation.py",),
     ),
     Mutant(
         "validation scans the player list for every target-set key",
