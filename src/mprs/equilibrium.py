@@ -163,7 +163,7 @@ def is_nash(game: Game, profile: Profile) -> NEReport:
     gains = []
     for n, mine in codes.items():
         theirs = responses[n][1]
-        if tuple(theirs) == mine:  # no gain anywhere, as at every equilibrium
+        if theirs == mine:  # no gain anywhere, as at every equilibrium
             continue
         gains += zip(itertools.repeat(n), itertools.compress(core.names, map(gt, theirs, mine)))
     if not gains:
@@ -253,21 +253,24 @@ def _equilibria(core: _Core) -> Iterator[Profile]:
     # assignment, serves the whole block. Every player is tested by equal
     # codes, p first and then the others in player order up to the first
     # who gains: an array passes whatever the order, so the list is
-    # exactly `is_nash`'s.
+    # exactly `is_nash`'s. Equal strategy triples of the equilibria are
+    # one object (`shared`), so a long list holds each distinct one once.
     choice, owner = core.choice, core.owner
     p = owner[choice[-1]] if choice else 1
     k = len(choice)
     while k and owner[choice[k - 1]] == p:
         k -= 1
     head, tail = choice[:k], choice[k:]
+    shared: dict[tuple, tuple] = {}
     for nxt in _rewrite(core, [-1] * len(core.names), head):
-        best = tuple(_respond(core, nxt, p)[1])
+        best = _respond(core, nxt, p)[1]
         for nxt in _rewrite(core, nxt, tail):
             codes = _codes(core, nxt)
             if codes[p] == best and all(
-                n == p or tuple(_respond(core, nxt, n)[1]) == mine for n, mine in codes.items()
+                n == p or _respond(core, nxt, n)[1] == mine for n, mine in codes.items()
             ):
-                yield _name(core, nxt)
+                items = _name(core, nxt)._items
+                yield Profile._canonical(tuple(map(shared.setdefault, items, items)))
 
 
 def solve_br_dynamics(

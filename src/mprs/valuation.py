@@ -94,7 +94,8 @@ class Profile:
     player, in player order: `vertices` is the sorted tuple of the vertex
     ids player n moves at, and `moves` the parallel tuple of the chosen
     successors. The profiles of `all_profiles`, `enumerate_ne` and the
-    dynamics share each player's vertex tuple; only move tuples are new.
+    dynamics share each player's vertex tuple; only move tuples are new,
+    and `enumerate_ne`'s equal triples are one object.
     """
 
     __slots__ = ("_items",)
@@ -454,41 +455,35 @@ def _codes(core: _Core, nxt: Sequence[int]) -> dict[int, tuple[int, ...]]:
     moves to `nxt` (see `_decode`): nonzero only on the plays that hit one
     of the player's own targets.
 
-    Finds the first hit from every start vertex: the hitting time, which
-    means nothing when the play never hits, and per target vertex the
-    vertices whose plays hit it first, itself included. Walks each
-    unresolved vertex forward with memoization, so the whole table costs
-    linear time in the number of vertices.
+    The movers onto each vertex w form a chain through two int arrays:
+    `first[w]`, then `then[v]` from each mover v, with -1 ending it. Each
+    player's pass runs backward from their own targets, at ``sign * base``,
+    in layers, each one step nearer 0: a layer's movers form the next.
+    Every choice vertex has one move, and targets none, so no vertex joins
+    twice, and one that never joins (its play cycles, stops or first hits
+    another player's target) keeps code 0. Each pass costs linear time in
+    the vertices that join it.
     """
     size = len(core.names)
-    when = [-1 if ws else 0 for ws in core.succ]  # -1 unresolved, -2 on the walk
-    where = list(range(size))  # the target hit, or `size` for none
-    reached = {w: [w] for own in core.own.values() for w in own}
-    for start in core.choice:
-        if when[start] != -1:
-            continue
-        path = []
-        v = start
-        while when[v] == -1:
-            when[v] = -2
-            path.append(v)
-            v = nxt[v]
-        if when[v] == -2:  # walked into a fresh cycle: nobody on it hits
-            t, w = 0, size
-        else:
-            t, w = when[v], where[v]
-        for u in reversed(path):
-            t += 1
-            when[u] = t
-            where[u] = w
-        if w < size:
-            reached[w] += path
-    base, codes = core.base, {}
+    first, then = [-1] * size, [-1] * size
+    for v in core.choice:
+        w = nxt[v]
+        then[v] = first[w]
+        first[w] = v
+    codes = {}
     for n, s in core.sign.items():
         code = [0] * size
-        for w in core.own[n]:
-            for v in reached[w]:
-                code[v] = s * (base - when[v])
+        c = s * core.base
+        layer = core.own[n]
+        while layer:
+            movers = []
+            for w in layer:
+                code[w] = c
+                v = first[w]
+                while v >= 0:
+                    movers.append(v)
+                    v = then[v]
+            layer, c = movers, c - s
         codes[n] = tuple(code)
     return codes
 
@@ -537,7 +532,7 @@ def value_table(game: Game, profile: Profile) -> dict[int, dict[str, PayoffValue
     return {n: _payoffs(core, codes[n]) for n in game.players}
 
 
-def _respond(core: _Core, nxt: Sequence[int], n: int) -> tuple[dict[int, int], list[int]]:
+def _respond(core: _Core, nxt: Sequence[int], n: int) -> tuple[dict[int, int], tuple[int, ...]]:
     """Player `n`'s best response to the opponents' moves in `nxt`, which
     is never read at n's own choice vertices: the chosen successor at each
     of them, and n's payoff code from every start vertex (see `_decode`).
@@ -585,7 +580,7 @@ def _respond(core: _Core, nxt: Sequence[int], n: int) -> tuple[dict[int, int], l
             if code[w] == want:
                 moves[v] = w
                 break
-    return moves, code
+    return moves, tuple(code)
 
 
 def _decoded(core: _Core, moves: dict[int, int], codes: Sequence[int]) -> tuple:

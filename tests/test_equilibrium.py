@@ -518,6 +518,19 @@ class TestEnumeration:
                 for (n, vertices, _), (m, shared, _) in zip(p._items, q._items):
                     assert n == m and vertices is shared, seed
 
+    @pytest.mark.parametrize("seed", [2, 34])
+    def test_equal_strategy_triples_of_the_equilibria_are_one_object(self, seed):
+        """On games with dozens of equilibria each distinct per-player
+        triple is held once, and the list is still `is_nash`'s."""
+        game = small_game(seed)
+        found = enumerate_ne(game)
+        assert found == [p for p in all_profiles(game) if is_nash(game, p).is_ne]
+        first: dict[tuple, tuple] = {}
+        items = [item for p in found for item in p._items]
+        for item in items:
+            assert first.setdefault(item, item) is item, seed
+        assert len(found) > 30 and len(first) < len(items) / 3
+
     def test_explicit_guard_below_one_is_rejected(self, g1):
         with pytest.raises(GuardError) as err:
             enumerate_ne(g1, guard=0)

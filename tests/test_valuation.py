@@ -367,7 +367,7 @@ class TestValueTable:
         assert jump[2]["w1"] == POS(1)
 
     def test_matches_per_play_recomputation(self):
-        """The memoized walk must agree with literally playing out each start."""
+        """The backward pass must agree with literally playing out each start."""
         rng = random.Random(17)
         for seed in range(80):
             game = small_game(seed)
@@ -394,6 +394,90 @@ class TestValueTable:
                     else:
                         expected = table[n][succ[v]].discounted()
                     assert here == expected, (seed, n, v)
+
+
+def _spec(edges, owner, roles, targets) -> GameSpec:
+    return GameSpec(sorted(owner), edges, owner, roles, targets)
+
+
+# One game per shape of play the backward pass of `_codes` must get right,
+# a move per choice vertex, and every player's code per vertex, by hand.
+CODE_CASES = {
+    # a and b circle forever; only the targets are paid.
+    "a cycle that never hits a target": (
+        _spec(
+            [("a", "b"), ("a", "t"), ("b", "a")],
+            {"a": 1, "b": 2, "t": 1},
+            {1: Role.REACHER, 2: Role.AVOIDER},
+            {1: ["t"], 2: ["t"]},
+        ),
+        {"a": "b", "b": "a"},
+        {1: {"a": 0, "b": 0, "t": 4}, 2: {"a": 0, "b": 0, "t": -4}},
+    ),
+    # G1's equilibrium: v3 wins for reacher 1 and loses for avoider 2,
+    # and v2's play takes the longest chain, so |code| is 2 there.
+    "a target shared by a reacher and an avoider": (
+        _spec(
+            [("v1", "v2"), ("v1", "v3"), ("v2", "v1")],
+            {"v1": 1, "v2": 2, "v3": 2},
+            {1: Role.REACHER, 2: Role.AVOIDER},
+            {1: ["v3"], 2: ["v3"]},
+        ),
+        {"v1": "v3", "v2": "v1"},
+        {1: {"v1": 3, "v2": 2, "v3": 4}, 2: {"v1": -3, "v2": -2, "v3": -4}},
+    ),
+    # x1 .. x4 each move on to the next, so x1 hits t at time 4, the
+    # latest hit 5 vertices allow: code 6 - 4 = 2.
+    "the longest chain": (
+        _spec(
+            [("x1", "x2"), ("x2", "x3"), ("x2", "x1"), ("x3", "x4"), ("x4", "t"), ("x4", "x1")],
+            {"x1": 1, "x2": 2, "x3": 1, "x4": 2, "t": 1},
+            {1: Role.AVOIDER, 2: Role.REACHER},
+            {1: ["t"], 2: ["t"]},
+        ),
+        {"x1": "x2", "x2": "x3", "x3": "x4", "x4": "t"},
+        {
+            1: {"t": -6, "x1": -2, "x2": -3, "x3": -4, "x4": -5},
+            2: {"t": 6, "x1": 2, "x2": 3, "x3": 4, "x4": 5},
+        },
+    ),
+    # a moves into player 2's target, worth nothing to player 1, and b
+    # and c both follow a there, so a has two movers.
+    "a vertex that moves into another player's target": (
+        _spec(
+            [("a", "t1"), ("a", "t2"), ("b", "a"), ("c", "t1"), ("c", "a")],
+            {"a": 1, "b": 2, "c": 2, "t1": 1, "t2": 2},
+            {1: Role.REACHER, 2: Role.REACHER},
+            {1: ["t1"], 2: ["t2"]},
+        ),
+        {"a": "t2", "b": "a", "c": "a"},
+        {
+            1: {"a": 0, "b": 0, "c": 0, "t1": 6, "t2": 0},
+            2: {"a": 5, "b": 4, "c": 4, "t1": 0, "t2": 6},
+        },
+    ),
+}
+
+
+class TestCodes:
+    @pytest.mark.parametrize("case", CODE_CASES)
+    def test_codes_match_playing_each_start_out(self, case):
+        """`_codes` on the case's move array, by hand and against
+        `total_payoff(outcome(...))` from every start vertex."""
+        spec, moves, expected = CODE_CASES[case]
+        game = validate_game(spec)
+        profile = Profile(
+            {n: {v: w for v, w in moves.items() if game.owner[v] == n} for n in game.players}
+        )
+        core = game._core
+        codes = valuation._codes(core, valuation._moves(core, profile))
+        assert list(codes) == list(game.players)
+        assert {n: dict(zip(game.vertices, codes[n])) for n in codes} == expected
+        for n in game.players:
+            for v, code in zip(game.vertices, codes[n]):
+                assert _decode(code, core.base) == total_payoff(
+                    game, n, outcome(game, profile, v)
+                ), (n, v)
 
 
 class TestBestResponse:
@@ -530,7 +614,7 @@ def responses(monkeypatch):
 
 @pytest.fixture
 def built(monkeypatch):
-    """The move arrays whose hit table `_codes` builds, in call order."""
+    """The move arrays whose payoff codes `_codes` builds, in call order."""
     called = []
     codes = valuation._codes
 
@@ -543,9 +627,9 @@ def built(monkeypatch):
 
 
 class TestJudgedProfile:
-    """Each game remembers the last profile it judged, with its hit table
+    """Each game remembers the last profile it judged, with its payoff codes
     and responses once a call has read them, so the verdicts on one profile
-    object check it and build its hit table once, only `is_nash` and
+    object check it and build its codes once, only `is_nash` and
     `is_nash_qualitative` solve responses, and on a dynamics result they
     reuse the dynamics' last responses."""
 
@@ -556,7 +640,7 @@ class TestJudgedProfile:
 
     def test_only_valuing_a_profile_evicts_the_judged_one(self, g1, g1_hat, built):
         """A check, a play, a best response, a DOT graph or a document on
-        another profile leaves the judged profile and its hit table be."""
+        another profile leaves the judged profile and its codes be."""
         cycle = Profile({1: {"v1": "v2"}, 2: {"v2": "v1"}})
         assert is_nash(g1, g1_hat).is_ne
         check_profile(g1, cycle)
@@ -696,7 +780,7 @@ class TestJudgedProfile:
 
     def test_the_code_readers_solve_no_response(self, responses, built):
         """`value_table` and `check_certificate` on a fresh profile build its
-        hit table once and solve no response; `best_response` on it then
+        codes once and solve no response; `best_response` on it then
         solves the asked player's response alone, as on an equal profile."""
         rng = random.Random(27)
         for seed in range(40):

@@ -118,13 +118,6 @@ MUTANTS = [
         RESPONSE_TESTS,
     ),
     Mutant(
-        "hit times unwound forwards along the path",
-        "src/mprs/valuation.py",
-        "for u in reversed(path):",
-        "for u in path:",
-        RESPONSE_TESTS,
-    ),
-    Mutant(
         "a certificate that scores ties as gains",
         "src/mprs/equilibrium.py",
         "if mine[w] > best_score:",
@@ -202,11 +195,39 @@ MUTANTS = [
         ("tests/test_valuation.py",),
     ),
     Mutant(
-        "a walk credits its target with its first vertex only",
+        # Killed by tests/test_valuation.py::TestCodes, "a vertex that moves
+        # into another player's target", whose vertex a has two movers.
+        "a chain keeps only its first mover",
         "src/mprs/valuation.py",
-        "reached[w] += path",
-        "reached[w] += path[:1]",
-        RESPONSE_TESTS,
+        "v = then[v]",
+        "v = -1",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        # Killed by tests/test_valuation.py::TestCodes, every case but the cycle.
+        "a layer's code is not stepped toward 0",
+        "src/mprs/valuation.py",
+        "layer, c = movers, c - s",
+        "layer = movers",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        # Killed by tests/test_valuation.py::TestCodes, "a vertex that moves
+        # into another player's target".
+        "a player's pass starts from every target, not only their own",
+        "src/mprs/valuation.py",
+        "layer = core.own[n]",
+        "layer = [w for own in core.own.values() for w in own]",
+        ("tests/test_valuation.py",),
+    ),
+    Mutant(
+        # Killed by tests/test_equilibrium.py::TestEnumeration::
+        # test_equal_strategy_triples_of_the_equilibria_are_one_object.
+        "the scan's triples are not shared",
+        "src/mprs/equilibrium.py",
+        "tuple(map(shared.setdefault, items, items))",
+        "items",
+        ("tests/test_equilibrium.py",),
     ),
     Mutant(
         "emitted vertex ids are quoted without escaping",
@@ -253,8 +274,8 @@ MUTANTS = [
     Mutant(
         "the verdict's equal-codes shortcut skips a player who gains only at the first vertex",
         "src/mprs/equilibrium.py",
-        "if tuple(theirs) == mine:",
-        "if tuple(theirs)[1:] == mine[1:]:",
+        "if theirs == mine:",
+        "if theirs[1:] == mine[1:]:",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
@@ -372,14 +393,14 @@ MUTANTS = [
     Mutant(
         "the scan accepts a profile that only its last player gains from",
         "src/mprs/equilibrium.py",
-        "n == p or tuple(_respond",
-        "n in (p, max(core.sign)) or tuple(_respond",
+        "n == p or _respond",
+        "n in (p, max(core.sign)) or _respond",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
         "the scan settles profiles on the qualitative code test",
         "src/mprs/equilibrium.py",
-        "tuple(_respond(core, nxt, n)[1]) == mine",
+        "_respond(core, nxt, n)[1] == mine",
         "tuple((c > 0) - (c < 0) for c in _respond(core, nxt, n)[1])"
         " == tuple((c > 0) - (c < 0) for c in mine)",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
@@ -404,7 +425,7 @@ MUTANTS = [
         # every tie of an equilibrium fails the verdict too.
         "the code test counts a tie as a gain and checks every player in full",
         "src/mprs/equilibrium.py",
-        "if tuple(theirs) == mine:  # no gain anywhere, as at every equilibrium\n"
+        "if theirs == mine:  # no gain anywhere, as at every equilibrium\n"
         "            continue\n"
         "        gains += zip(itertools.repeat(n), itertools.compress(core.names, map(gt, theirs, mine)))",
         "gains += zip(itertools.repeat(n), itertools.compress(core.names, map(lambda a, b: a >= b, theirs, mine)))",
@@ -420,8 +441,8 @@ MUTANTS = [
     Mutant(
         "the last mover's response survives a head change",
         "src/mprs/equilibrium.py",
-        "best = tuple(_respond(core, nxt, p)[1])",
-        "best = locals().get(\"best\") or tuple(_respond(core, nxt, p)[1])",
+        "best = _respond(core, nxt, p)[1]",
+        "best = locals().get(\"best\") or _respond(core, nxt, p)[1]",
         ("tests/test_equilibrium.py", "tests/test_properties.py"),
     ),
     Mutant(
@@ -436,8 +457,8 @@ MUTANTS = [
         # the count of responses solved shows the missing test.
         "the scan skips the last mover's test",
         "src/mprs/equilibrium.py",
-        "codes[p] == best and all(\n                n == p or tuple(",
-        "all(\n                tuple(",
+        "codes[p] == best and all(\n                n == p or _respond(",
+        "all(\n                _respond(",
         ("tests/test_equilibrium.py",),
     ),
     Mutant(
